@@ -53,13 +53,15 @@ PROBLEMS = (
     "transport",
     "wave_x",
     "wave_t",
-    "system",
     "radial_odd",
     "radial_even_abel",
     "tanh_example_2",
     "tanh_example_3",
     "corner_3_6",
 )
+
+# default detect.kind per solved problem
+DETECT_KINDS = {"wave_x": "x_jump_delta", "wave_t": "t_jump", "radial_odd": "radial_odd"}
 
 
 class ValidationError(ValueError):
@@ -152,7 +154,22 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
         raise ValidationError(f"problem {problem!r} requires a coefficient section")
     if problem == "radial_odd" and kv.get("data.u0", "zero") != "zero":
         raise ValidationError("radial problems require data.u0=zero")
+    if "detect" in analyses and problem in DETECT_KINDS:
+        kind = kv.get("detect.kind") or DETECT_KINDS[problem]
+        if kind not in DETECT_KINDS.values():
+            raise ValidationError(f"field 'detect.kind': unknown kind {kind!r}")
+        if kind == "x_jump_delta" and _delta_x0(kv.get("data.u1", "zero")) is None:
+            raise ValidationError("detect.kind=x_jump_delta requires data.u1=delta:x0")
     return Scenario(sid, problem, kv, coeff, moll, scale, ladder, grid, analyses, dict(kv))
+
+
+def _delta_x0(spec: str) -> float | None:
+    """x0 of 'delta:x0' data, None for any other data spec."""
+    kind, _, arg = spec.partition(":")
+    try:
+        return float(arg) if kind == "delta" else None
+    except ValueError:
+        return None
 
 
 def _profile(spec: str, grid: Grid1D | None):
@@ -213,7 +230,7 @@ def run_scenario(scn: Scenario, outdir: Path, threads: int | None = None) -> int
             for t in _floats(kv.get("corner.times", "0.5,1.0")):
                 (g1, g2, g3), _ = gamma_partials(cv, t, 0.0)
                 rows.append(
-                    f"{rc.eps!r},{t},{g1!r},{2 / 3},{g2!r},{-4 * a / (9 * h)!r},"
+                    f"{float(rc.eps)!r},{t},{g1!r},{2 / 3},{g2!r},{-4 * a / (9 * h)!r},"
                     f"{g3!r},{16 * a * a / (27 * h * h)!r}"
                 )
         (outdir / "corner.csv").write_text("\n".join(rows) + "\n")
@@ -308,15 +325,11 @@ def run_scenario(scn: Scenario, outdir: Path, threads: int | None = None) -> int
     save_family(fam, outdir / "family")
 
     if "detect" in scn.analyses:
-        kind = kv.get("detect.kind") or {
-            "wave_x": "x_jump_delta",
-            "wave_t": "t_jump",
-            "radial_odd": "radial_odd",
-        }[scn.problem]
+        kind = kv.get("detect.kind") or DETECT_KINDS[scn.problem]
         vals = scn.coefficient.values
         rays = predict_singsupp(
             kind, c0=vals[0], c1=vals[-1], standard_scale=scn.scale.kind == "standard",
-            x0=float(kv.get("data.u1", "delta:-1").partition(":")[2] or -1.0) if kind == "x_jump_delta" else 0.0,
+            x0=_delta_x0(kv["data.u1"]) if kind == "x_jump_delta" else 0.0,
         )
         rep = classify(
             fam, rays, h_fn=scn.scale,

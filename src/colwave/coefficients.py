@@ -31,8 +31,6 @@ __all__ = [
     "CumulativeIntegral",
     "coeff_eval",
     "coeff_deriv",
-    "antideriv_eval",
-    "antideriv_invert",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -284,10 +282,3 @@ class CoeffAntideriv(CumulativeIntegral):
     def owner(self) -> RegularizedCoeff:
         return self.rc
 
-
-def antideriv_eval(ca: CoeffAntideriv, x):
-    return ca(x)
-
-
-def antideriv_invert(ca: CoeffAntideriv, y):
-    return ca.invert(y)

@@ -311,6 +311,8 @@ def classify(
     precision: flagged cells lying within tube_radius of some predicted ray /
     all flagged cells.  recall: predicted-ray sample points with a flagged
     cell within tube_radius / all sample points (per ray and overall).
+    A radial_odd family is scored in r = |x|, where its predicted rays live;
+    the reported points keep their signed x.
     """
     rec0 = family.records[0]
     if tube_radius is None:
@@ -319,6 +321,8 @@ def classify(
     if times is None:
         times = [t for t in rec0.times if t > t_skip]
     xs = rec0.xs
+    fold = family.solver_id == "radial_odd"
+    rs = np.abs(xs) if fold else xs
     pts, flags, excess_all = [], [], []
     per_time_flagged_x = {}
     for t in times:
@@ -331,7 +335,7 @@ def classify(
         pts.append(np.column_stack([np.full_like(xs, t), xs]))
         flags.append(fl)
         excess_all.append(exc)
-        per_time_flagged_x[float(t)] = xs[fl]
+        per_time_flagged_x[float(t)] = rs[fl]
     points = np.concatenate(pts)
     flags = np.concatenate(flags)
     excess_arr = np.concatenate(excess_all)
@@ -341,6 +345,8 @@ def classify(
     n_flagged = int(flags.sum())
     if n_flagged:
         ft, fx = points[flags, 0], points[flags, 1]
+        if fold:
+            fx = np.abs(fx)
         near = np.zeros(n_flagged, dtype=bool)
         for ray in predicted:
             with np.errstate(invalid="ignore"):
@@ -363,13 +369,13 @@ def classify(
             if not ray.t_min - 1e-12 <= t <= ray.t_max + 1e-12:
                 continue
             rx = float(np.asarray(ray.curve(t), dtype=float))
-            if rx < xs[0] or rx > xs[-1]:
+            if rx < rs.min() or rx > rs.max():
                 continue
             cnt += 1
             fx = per_time_flagged_x[float(t)]
             if fx.size and np.min(np.abs(fx - rx)) <= tube_radius:
                 hit += 1
-            i = int(np.argmin(np.abs(xs - rx)))
+            i = int(np.argmin(np.abs(rs - rx)))
             ti = list(times).index(t)
             max_exc = max(max_exc, float(excess_all[ti][i]))
         per_ray_recall[ray.label] = hit / cnt if cnt else math.nan

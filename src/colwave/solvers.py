@@ -10,7 +10,9 @@
   non-conservative form dtt u = c^2 dxx u (coupling c'(V-W)/2 in both
   equations) and a = sqrt(c) for the conservative form dtt u = dx(c dx u)
   (coupling a'(W-V)/2); u recovered by trapezoidal time integration of
-  (V+W)/2.
+  (V+W)/2.  V moves at +a and W at -a (a > 0), so each characteristic family
+  takes one upwind MUSCL stencil (backward-biased for V, forward-biased for
+  W) in a step whose buffers are allocated once per ladder member.
 * solve_wave_t: time-dependent speed.  The x-advection is a uniform shift, so
   each step advances the spatial Fourier modes by the exact phase
   exp(-+ i k int c dt) and applies the coupling mu(t) = c'/(2c) by its exact
@@ -367,6 +369,72 @@ def solve_system(
 
 # --- wave equation, x-dependent speed --------------------------------------
 
+def _vw_heun(a: np.ndarray, g: np.ndarray, dx: float, limiter: str):
+    """Preallocated MUSCL/Heun step for the V/W pair; returns (q, step).
+
+    q is the (2, n + 4) state with two zero ghost cells on each side, V in
+    row 0 and W in row 1; step(dt) advances its interior in place.  V moves
+    at +a and W at -a with a > 0, so V takes only the backward-biased
+    difference and W only the forward-biased one.  Each update applies the
+    operations of _upwind_deriv / _advance_heun to the same operands in the
+    same order, so the result is bitwise that of the generic engine.
+    """
+    if limiter not in ("fromm", "vanleer"):
+        raise ValueError(f"unknown limiter {limiter!r}")
+    n = a.shape[0]
+    neg_a = -a
+    q = np.zeros((2, n + 4))
+    stage = np.zeros_like(q)
+    d = np.empty((2, n + 3))  # d[:, j] = q[:, j + 1] - q[:, j]
+    s = np.empty((2, n + 2))  # slope at padded cell j + 1
+    prod = np.empty_like(s)
+    den = np.empty_like(s)
+    pos = np.empty(s.shape, dtype=bool)
+    k1 = np.empty((2, n))
+    k2 = np.empty_like(k1)
+    cpl = np.empty(n)
+    inner, stage_inner = q[:, 2:-2], stage[:, 2:-2]
+    dm, dp = d[:, :-1], d[:, 1:]
+
+    def rhs(src, k):
+        np.subtract(src[:, 1:], src[:, :-1], out=d)
+        if limiter == "fromm":
+            np.add(dm, dp, out=s)
+            np.multiply(s, 0.5, out=s)
+        else:
+            np.multiply(dm, dp, out=prod)
+            np.add(dm, dp, out=den)
+            np.greater(prod, 0.0, out=pos)
+            np.multiply(prod, 2.0, out=prod)
+            s.fill(0.0)
+            np.divide(prod, den, out=s, where=pos)
+        kv, kw = k[0], k[1]
+        np.subtract(s[0, 1:-1], s[0, :-2], out=kv)
+        kv *= 0.5
+        np.add(d[0, 1:-2], kv, out=kv)
+        kv /= dx
+        kv *= neg_a
+        np.subtract(s[1, 2:], s[1, 1:-1], out=kw)
+        kw *= 0.5
+        np.subtract(d[1, 2:-1], kw, out=kw)
+        kw /= dx
+        kw *= a
+        np.subtract(src[0, 2:-2], src[1, 2:-2], out=cpl)
+        np.multiply(cpl, g, out=cpl)
+        k += cpl
+
+    def step(dt: float):
+        rhs(q, k1)
+        np.multiply(k1, dt, out=stage_inner)
+        np.add(stage_inner, inner, out=stage_inner)
+        rhs(stage, k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(k1, 0.5 * dt, out=k1)
+        np.add(inner, k1, out=inner)
+
+    return q, step
+
+
 def solve_wave_x(
     rcs,
     u0,
@@ -409,15 +477,18 @@ def solve_wave_x(
         u1f = _resolve(u1, rc)
         u0x = _resolve(u0_deriv, rc)(xs) if u0_deriv is not None else np.gradient(u0f(xs), dx)
         u1v = u1f(xs)
-        V = u1v - a * u0x
-        W = u1v + a * u0x
         b1 = float(np.max(a))
         dt = grid.dt(b1)
         n_steps = int(np.ceil(grid.t_end / dt - 1e-12))
         store_idx = np.clip(np.rint(times / dt).astype(int), 0, n_steps)
-        speeds = np.stack([a, -a])
+        q, heun = _vw_heun(a, g, dx, limiter)
+        V, W = q[0, 2:-2], q[1, 2:-2]
+        V[:] = u1v - a * u0x
+        W[:] = u1v + a * u0x
         u = u0f(xs).astype(float)
         ut_old = 0.5 * (V + W)
+        ut_new = np.empty_like(u)
+        du = np.empty_like(u)
         slices_u, slices_v, slices_w = {}, {}, {}
         t = 0.0
         for step in range(n_steps + 1):
@@ -429,21 +500,13 @@ def solve_wave_x(
             if step == n_steps:
                 break
             step_dt = min(dt, grid.t_end - t)
-            uu = np.stack([V, W])
-
-            def rhs(tt, q):
-                d = -speeds * _upwind_deriv(q, speeds, dx, limiter)
-                cpl = g * (q[0] - q[1])
-                return d + cpl[None, :]
-
-            k1 = rhs(t, uu)
-            u1_ = uu + step_dt * k1
-            k2 = rhs(t + step_dt, u1_)
-            uu = uu + 0.5 * step_dt * (k1 + k2)
-            V, W = uu[0], uu[1]
-            ut_new = 0.5 * (V + W)
-            u = u + 0.5 * step_dt * (ut_old + ut_new)
-            ut_old = ut_new
+            heun(step_dt)
+            np.add(V, W, out=ut_new)
+            ut_new *= 0.5
+            np.add(ut_old, ut_new, out=du)
+            du *= 0.5 * step_dt
+            u += du
+            ut_old, ut_new = ut_new, ut_old
             t += step_dt
             if step % 500 == 0 and not np.isfinite(u).all():
                 raise NumericalFailure(f"non-finite values at t={t:.4f} (eps={rc.eps})")
@@ -511,7 +574,6 @@ def solve_wave_t(
         vh = u1h - c0 * u0x_h
         wh = u1h + c0 * u0x_h
 
-        T = lambda t: time_integral(rc, t)
         nz = k != 0.0
 
         def advance_const(t0, t1):
@@ -531,26 +593,36 @@ def solve_wave_t(
             vh = vh * phase
             wh = wh * np.conj(phase)
 
+        mk = -0.5j * k
+
         def advance_window(t0, t1, n_sub):
+            """Strang substeps, updating vh, wh and uh in place."""
             nonlocal vh, wh, uh
             edges = np.linspace(t0, t1, n_sub + 1)
-            Ts = np.array([T(e) for e in edges])
+            Ts = time_integral(rc, edges)
             cs = rc(edges)
+            half, half_c, dvw, acc, ut_b = (np.empty_like(vh) for _ in range(5))
+            ut_a = 0.5 * (vh + wh)
             for i in range(n_sub):
-                dT = Ts[i + 1] - Ts[i]
-                half = np.exp(-0.5j * k * dT)
-                ut_a = 0.5 * (vh + wh)
+                np.multiply(mk, Ts[i + 1] - Ts[i], out=half)
+                np.exp(half, out=half)
+                np.conjugate(half, out=half_c)
                 vh *= half
-                wh *= np.conj(half)
+                wh *= half_c
                 theta = 0.5 * np.log(cs[i + 1] / cs[i])
                 f = 0.5 * (np.exp(2.0 * theta) - 1.0)
-                dvw = vh - wh
-                vh = vh + f * dvw
-                wh = wh - f * dvw
+                np.subtract(vh, wh, out=dvw)
+                dvw *= f
+                vh += dvw
+                wh -= dvw
                 vh *= half
-                wh *= np.conj(half)
-                ut_b = 0.5 * (vh + wh)
-                uh = uh + 0.5 * (edges[i + 1] - edges[i]) * (ut_a + ut_b)
+                wh *= half_c
+                np.add(vh, wh, out=ut_b)
+                ut_b *= 0.5
+                np.add(ut_a, ut_b, out=acc)
+                acc *= 0.5 * (edges[i + 1] - edges[i])
+                uh += acc
+                ut_a, ut_b = ut_b, ut_a
 
         def advance(t0, t1):
             if tj is None:

@@ -113,3 +113,37 @@ def test_run_wave_t_scenario_with_detection(tmp_path):
     assert (outdir / "detect.svg").exists()
     assert "precision=" in (outdir / "detect_verdict.txt").read_text()
     assert "detect precision=" in (outdir / "report.txt").read_text()
+
+
+def test_corner_csv_fields_parse_as_floats(tmp_path):
+    assert main(["run", "corner36", "--out", str(tmp_path), "--ladder-override", "0.1,0.7,4"]) == 0
+    header, *rows = (tmp_path / "corner36" / "corner.csv").read_text().splitlines()
+    assert rows
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(header.split(","))
+        values = [float(f) for f in fields]
+        assert np.isfinite(values).all()
+    assert float(rows[0].split(",")[0]) == pytest.approx(0.1)
+
+
+def test_system_problem_rejected_with_exit_2(tmp_path, capsys):
+    scn = tmp_path / "sys.scn"
+    scn.write_text(
+        "id=sys\nproblem=system\ncoefficient.breakpoints=0.0\ncoefficient.values=1.0,2.0\n"
+        "grid.x_min=-2.0\ngrid.x_max=2.0\ngrid.nx=auto\ngrid.t_end=0.5\n"
+    )
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert "problem" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_x_jump_detect_needs_delta_data(tmp_path, capsys):
+    text = (bundled_scenarios()["thm41"]).read_text()
+    assert "data.u1=delta:-1.0" in text
+    scn = tmp_path / "bumpdata.scn"
+    scn.write_text(text.replace("data.u1=delta:-1.0", "data.u1=bump:-1.0,0.3"))
+    argv = ["run", str(scn), "--out", str(tmp_path / "out"), "--ladder-override", "0.1,0.8,4"]
+    assert main(argv) == 2
+    assert "x_jump_delta" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -18,8 +18,9 @@ from colwave.detector import (
     slope_excess,
     verdict_text,
 )
+from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_antideriv, phi_eval
-from colwave.solvers import Grid1D, SolutionFamily, SolutionRecord
+from colwave.solvers import Grid1D, SolutionFamily, SolutionRecord, solve_radial_odd
 
 
 def test_fit_growth_exact_power_law():
@@ -198,3 +199,25 @@ def test_reports_deterministic(tmp_path):
     assert "precision=" in txt and "ray.front" in txt
     head = (tmp_path / "1a.csv").read_text().splitlines()[0]
     assert head == "t,x,flagged,slope_excess"
+
+
+def test_classify_scores_radial_family_in_abs_x():
+    # the d = 3 shells are flagged on both sides of r = 0 while the predicted
+    # rays live in r >= 0: flags at x < 0 must count against the rays in |x|
+    ladder = EpsilonLadder(0.1, 0.8, 4)
+    nx = int(np.ceil(8.0 / (ladder.eps_min / 16.0)))
+    nx += nx % 2
+    base = PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time")
+    rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
+    times = [0.5, 0.8, 1.2, 1.5]
+    fam = solve_radial_odd(rcs, 3, Grid1D(-4.0, 4.0, nx, 1.6), store_times=times, threads=1)
+    rays = predict_singsupp("radial_odd", c0=1.0, c1=2.0)
+    rep = classify(fam, rays, h_fn=ScaleFn("standard"), times=times)
+    ft, fx = rep.points[rep.flags, 0], rep.points[rep.flags, 1]
+    assert (fx < 0).any() and (fx > 0).any()
+    near = np.zeros(ft.size, dtype=bool)
+    for ray in rays:
+        inside = (ft >= ray.t_min) & (ft <= ray.t_max)
+        near |= inside & (np.abs(np.abs(fx) - ray.curve(ft)) <= rep.tube_radius)
+    assert rep.precision == pytest.approx(float(near.mean()))
+    assert rep.precision >= 0.9 and rep.recall >= 0.9

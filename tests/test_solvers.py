@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from colwave.characteristics import CharCurve
+from colwave.characteristics import CharCurve, time_integral
 from colwave.coefficients import CoeffAntideriv, PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn
 from colwave.oracle import PiecewiseTSolution
@@ -22,6 +22,7 @@ from colwave.solvers import (
     solve_wave_x,
     spherical_oracle,
 )
+from colwave.solvers import _upwind_deriv
 
 
 def smooth_bump(x, x0=0.0, w=1.0):
@@ -217,3 +218,76 @@ def test_family_ladder_ordering(rc_space):
     fam = solve_wave_x(rcs, lambda x: smooth_bump(x), None, g, store_times=[0.2])
     assert list(fam.eps_values) == sorted(fam.eps_values, reverse=True)
     assert fam.record_for(0.07).eps == 0.07
+
+
+def _reference_wave_x(rc, u0, u1, grid, conservative, limiter, store_times):
+    """V/W Heun loop over the generic two-sided _upwind_deriv engine."""
+    xs, dx = grid.xs, grid.dx
+    c, cp = rc(xs), rc.deriv(xs, 1)
+    if conservative:
+        a = np.sqrt(c)
+        g = -0.5 * (cp / (2.0 * a))
+    else:
+        a, g = c, 0.5 * cp
+    u0x = np.gradient(u0(xs), dx)
+    V, W = u1(xs) - a * u0x, u1(xs) + a * u0x
+    dt = grid.dt(float(np.max(a)))
+    n_steps = int(np.ceil(grid.t_end / dt - 1e-12))
+    store_idx = np.clip(np.rint(np.asarray(store_times) / dt).astype(int), 0, n_steps)
+    speeds = np.stack([a, -a])
+
+    def rhs(q):
+        return -speeds * _upwind_deriv(q, speeds, dx, limiter) + (g * (q[0] - q[1]))[None, :]
+
+    u = u0(xs).astype(float)
+    ut_old = 0.5 * (V + W)
+    out = {"u": {}, "v": {}, "w": {}}
+    t = 0.0
+    for step in range(n_steps + 1):
+        for i in np.nonzero(store_idx == step)[0]:
+            out["u"][i], out["v"][i], out["w"][i] = u.copy(), V.copy(), W.copy()
+        if step == n_steps:
+            break
+        step_dt = min(dt, grid.t_end - t)
+        uu = np.stack([V, W])
+        k1 = rhs(uu)
+        k2 = rhs(uu + step_dt * k1)
+        uu = uu + 0.5 * step_dt * (k1 + k2)
+        V, W = uu[0], uu[1]
+        ut_new = 0.5 * (V + W)
+        u = u + 0.5 * step_dt * (ut_old + ut_new)
+        ut_old = ut_new
+        t += step_dt
+    return {k: np.stack([v[i] for i in range(len(store_times))]) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("limiter", ["vanleer", "fromm"])
+@pytest.mark.parametrize("conservative", [False, True])
+def test_wave_x_step_bitwise_matches_generic_engine(rc_space, limiter, conservative):
+    g = Grid1D(-2.0, 2.0, 1280, 0.7)
+    u0 = lambda x: smooth_bump(x, -0.6, 0.4)
+    u1 = lambda x: 0.5 * smooth_bump(x, 0.3, 0.3)
+    times = [0.0, 0.35, 0.7]
+    fam = solve_wave_x(
+        rc_space, u0, u1, g, conservative=conservative, limiter=limiter,
+        store_times=times, store_vw=True, threads=1,
+    )
+    ref = _reference_wave_x(rc_space, u0, u1, g, conservative, limiter, times)
+    rec = fam.records[0]
+    for name in ("u", "v", "w"):
+        assert np.array_equal(rec.fields[name], ref[name]), name
+
+
+def test_wave_x_rejects_unknown_limiter(rc_space):
+    g = Grid1D(-2.0, 2.0, 1280, 0.1)
+    with pytest.raises(ValueError, match="limiter"):
+        solve_wave_x(rc_space, lambda x: smooth_bump(x), None, g, limiter="minmod")
+
+
+def test_time_integral_vectorized_matches_scalar(rc_time):
+    lo, hi = 1.0 - rc_time.h, 1.0 + rc_time.h
+    edges = np.linspace(lo - 0.1, hi + 0.1, 257)
+    vec = time_integral(rc_time, edges)
+    scalar = np.array([time_integral(rc_time, e) for e in edges])
+    assert vec.shape == edges.shape
+    np.testing.assert_allclose(vec, scalar, rtol=1e-14, atol=0.0)
