@@ -35,6 +35,7 @@ from .oracle import (
     two_region_limit,
 )
 from .solvers import (
+    LIMITERS,
     Grid1D,
     NumericalFailure,
     PerEps,
@@ -154,6 +155,8 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
         raise ValidationError(f"problem {problem!r} requires a coefficient section")
     if problem == "radial_odd" and kv.get("data.u0", "zero") != "zero":
         raise ValidationError("radial problems require data.u0=zero")
+    if kv.get("solver.limiter", "vanleer") not in LIMITERS:
+        raise ValidationError(f"field 'solver.limiter': unknown limiter {kv['solver.limiter']!r}")
     if "detect" in analyses and problem in DETECT_KINDS:
         kind = kv.get("detect.kind") or DETECT_KINDS[problem]
         if kind not in DETECT_KINDS.values():

@@ -369,6 +369,9 @@ def solve_system(
 
 # --- wave equation, x-dependent speed --------------------------------------
 
+LIMITERS = ("fromm", "vanleer")
+
+
 def _vw_heun(a: np.ndarray, g: np.ndarray, dx: float, limiter: str):
     """Preallocated MUSCL/Heun step for the V/W pair; returns (q, step).
 
@@ -379,7 +382,7 @@ def _vw_heun(a: np.ndarray, g: np.ndarray, dx: float, limiter: str):
     operations of _upwind_deriv / _advance_heun to the same operands in the
     same order, so the result is bitwise that of the generic engine.
     """
-    if limiter not in ("fromm", "vanleer"):
+    if limiter not in LIMITERS:
         raise ValueError(f"unknown limiter {limiter!r}")
     n = a.shape[0]
     neg_a = -a

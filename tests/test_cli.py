@@ -147,3 +147,12 @@ def test_x_jump_detect_needs_delta_data(tmp_path, capsys):
     assert main(argv) == 2
     assert "x_jump_delta" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_limiter_rejected_before_solving(tmp_path, capsys):
+    text = (bundled_scenarios()["thm41"]).read_text()
+    assert "solver.limiter=vanleer" in text
+    scn = tmp_path / "badlimiter.scn"
+    scn.write_text(text.replace("solver.limiter=vanleer", "solver.limiter=minmod"))
+    assert main(["validate", str(scn)]) == 2
+    assert "limiter" in capsys.readouterr().err
