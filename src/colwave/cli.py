@@ -14,20 +14,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .characteristics import CharCurve, gamma_partials
-from .coefficients import PiecewiseConstantCoeff, RegularizedCoeff
+from .coefficients import CoeffAntideriv, PiecewiseConstantCoeff, RegularizedCoeff
 from .detector import classify, predict_singsupp, report_csv, report_svg, verdict_text
 from .energy import energy_trace, gronwall_bound, trace_csv
-from .mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_antideriv, phi_eval
+from .mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_antideriv, phi_deriv, phi_eval
 from .oracle import (
     TestFunction,
     associate_check,
+    delta_jump_locus,
     delta_solution_eval,
     pair_delta_oracle,
     pair_gridded,
@@ -50,19 +53,11 @@ from .solvers import (
     solve_wave_x,
 )
 
-PROBLEMS = (
-    "transport",
-    "wave_x",
-    "wave_t",
-    "radial_odd",
-    "radial_even_abel",
-    "tanh_example_2",
-    "tanh_example_3",
-    "corner_3_6",
-)
-
-# default detect.kind per solved problem
-DETECT_KINDS = {"wave_x": "x_jump_delta", "wave_t": "t_jump", "radial_odd": "radial_odd"}
+# tanh transport examples: characteristic flow per eps and the distributional limit of u0
+TANH = {
+    "tanh_example_2": (CharCurve.tanh_minus, two_region_limit),  # converging: u0(x+t) / u0(x-t)
+    "tanh_example_3": (CharCurve.tanh_plus, three_region_limit),  # diverging: three regions
+}
 
 
 class ValidationError(ValueError):
@@ -80,7 +75,154 @@ class Scenario:
     ladder: EpsilonLadder
     grid: Grid1D | None
     analyses: tuple
-    options: dict = field(default_factory=dict)
+    data: tuple  # (u0, u0', u1) profiles, None for zero data
+    psi: TestFunction | None  # associate test function
+
+    @cached_property
+    def rcs(self) -> list:
+        return [RegularizedCoeff(self.coefficient, self.mollifier, self.scale, e) for e in self.ladder]
+
+    @property
+    def store_times(self):
+        raw = self.raw.get("solver.store_times", "")
+        return sorted(_floats(raw)) if raw else np.linspace(0.0, self.grid.t_end, 23)
+
+
+# --- solves: Scenario, threads -> SolutionFamily ----------------------------
+
+def _solve_transport(scn: Scenario, threads):
+    tanh = TANH.get(scn.problem)
+    curves = [tanh[0](e) for e in scn.ladder] if tanh else scn.rcs
+    return solve_transport(curves, scn.data[0], scn.grid, store_times=scn.store_times, scenario_id=scn.id)
+
+
+def _solve_wave(scn: Scenario, threads):
+    kv, (u0, u0d, u1), want_vw = scn.raw, scn.data, "energy" in scn.analyses
+    common = dict(u0_deriv=u0d, store_times=scn.store_times, store_vw=want_vw, scenario_id=scn.id,
+                  threads=threads)
+    if scn.coefficient.variable == "time":
+        return solve_wave_t(scn.rcs, u0, u1, scn.grid, **common)
+    return solve_wave_x(
+        scn.rcs, u0, u1, scn.grid, conservative=kv.get("solver.conservative", "false").lower() == "true",
+        limiter=kv.get("solver.limiter", "vanleer"), store_dtype=np.float64 if want_vw else np.float32,
+        **common,
+    )
+
+
+def _solve_radial_odd(scn: Scenario, threads):
+    return solve_radial_odd(scn.rcs, int(scn.raw.get("radial.d", 3)), scn.grid, store_times=scn.store_times,
+                            scenario_id=scn.id, threads=threads)
+
+
+# --- analyses: Scenario, family, output directory -> report.txt line(s) -----
+
+def _detect(scn: Scenario, fam, outdir: Path) -> str:
+    kv, kind = scn.raw, PROBLEMS[scn.problem].detect_kind
+    (c0, c1), (b,) = scn.coefficient.values, scn.coefficient.breakpoints
+    where = {"x0": _delta_x0(kv["data.u1"])} if kind == "x_jump_delta" else {"t_jump": b}
+    rays = predict_singsupp(kind, c0=c0, c1=c1, standard_scale=scn.scale.kind == "standard", **where)
+    rep = classify(
+        fam, rays, h_fn=scn.scale,
+        theta=float(kv.get("detect.theta", 0.5)),
+        alpha_hi=int(kv.get("detect.alpha_hi", 2)),
+        times=_floats(kv["detect.times"]) if "detect.times" in kv else None,
+        t_skip=float(kv.get("detect.t_skip", 0.1)),
+    )
+    report_csv(rep, outdir / "detect.csv")
+    report_svg(rep, outdir / "detect.svg")
+    (outdir / "detect_verdict.txt").write_text(verdict_text(rep))
+    return f"detect precision={rep.precision:.3f} recall={rep.recall:.3f}"
+
+
+def _energy(scn: Scenario, fam, outdir: Path) -> str:
+    lines = []
+    for rec, rc in zip(fam, scn.rcs):
+        form = "conservative_x" if rc.base.variable == "space" else "nonconservative_t"
+        tr = energy_trace(rec, form)
+        trace_csv(tr, outdir / f"energy_eps{rec.eps:.6g}.csv")
+        line = f"energy eps={rec.eps:.4g} drift={tr.max_relative_drift:.3e}"
+        if form == "nonconservative_t":
+            bound = gronwall_bound(rc, scn.grid.t_end)
+            ok = bool(np.all(tr.E <= tr.E[0] * bound * (1.0 + 1e-6)))
+            line += f" gronwall={'PASS' if ok else 'FAIL'} bound={bound:.4g}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _associate(scn: Scenario, fam, outdir: Path) -> str:
+    psi = scn.psi
+    if scn.problem in TANH:
+        limit = TANH[scn.problem][1](scn.data[0])
+        tt, xx = np.linspace(*psi.t_support, 401), np.linspace(*psi.x_support, 801)
+        g = limit(tt[:, None], xx[None, :]) * psi(tt[:, None], xx[None, :])
+        target = float(np.trapezoid(np.trapezoid(g, xx, axis=1), tt))
+    else:
+        target = pair_delta_oracle(*scn.coefficient.values, psi)
+    pairings = [pair_gridded(r.times, r.xs, r.fields["u"], psi) for r in fam]
+    v = associate_check(fam.eps_values, pairings, target)
+    return f"associate={'PASS' if v.passed else 'FAIL'} final_err={v.errors[-1]:.3e}"
+
+
+def _oracle_compare(scn: Scenario, fam, outdir: Path) -> str:
+    cm, cp = scn.coefficient.values
+    rec = fam.records[-1]
+    t = float(rec.times[int(0.8 * len(rec.times))])
+    mask = np.ones(rec.xs.shape, dtype=bool)
+    h = rec.meta.get("h", rec.eps)
+    for _, curve, (t_min, t_max) in delta_jump_locus(cm, cp):
+        if t_min <= t <= t_max:
+            mask &= np.abs(rec.xs - float(curve(t))) > 4 * h
+    err = float(np.max(np.abs(rec.slice_at(t) - delta_solution_eval(cm, cp, t, rec.xs))[mask]))
+    return f"oracle_compare t={t:.3g} off_ray_err={err:.3e}"
+
+
+def _corner(scn: Scenario, fam, outdir: Path) -> str:
+    rows = ["eps,t,dgamma,expected1,d2gamma,expected2,d3gamma,expected3"]
+    a = phi_eval(scn.mollifier, 0.0)
+    for rc in scn.rcs:
+        cv = CharCurve.x_dependent(CoeffAntideriv(rc))
+        h = rc.h
+        for t in _floats(scn.raw.get("corner.times", "0.5,1.0")):
+            (g1, g2, g3), _ = gamma_partials(cv, t, 0.0)
+            rows.append(
+                f"{float(rc.eps)!r},{t},{g1!r},{2 / 3},{g2!r},{-4 * a / (9 * h)!r},"
+                f"{g3!r},{16 * a * a / (27 * h * h)!r}"
+            )
+    (outdir / "corner.csv").write_text("\n".join(rows) + "\n")
+    return "corner=written"
+
+
+def _abel(scn: Scenario, fam, outdir: Path) -> str:
+    w0 = lambda r: np.exp(-4.0 * np.asarray(r, dtype=float) ** 2)
+    vf = lambda r: abel_forward(lambda t, rr: w0(rr), 0.0, r)
+    wi = abel_invert(vf, fd_step=1e-5)
+    rr = np.linspace(-1.5, 1.5, 61)
+    err = float(np.max(np.abs(wi(rr) - w0(rr))))
+    rows = ["r,w,roundtrip"] + [f"{r:.6g},{w0(r):.10g},{float(wi(r)):.10g}" for r in rr]
+    (outdir / "abel.csv").write_text("\n".join(rows) + "\n")
+    return f"abel_roundtrip_max_err={err:.3e}"
+
+
+ANALYSES = dict(detect=_detect, energy=_energy, associate=_associate, oracle_compare=_oracle_compare,
+                corner=_corner, abel=_abel)
+
+
+# Per problem: the coefficient.variable it needs (None: no coefficient), whether it
+# needs a grid, the analyses it runs in report.txt order, the detect.kind its
+# detection is scored with, its solve (Scenario, threads -> family) and the
+# default data.u0.
+Problem = namedtuple("Problem", "variable grid analyses detect_kind solve u0", defaults=(None, None, "zero"))
+PROBLEMS = {
+    "transport": Problem("space", True, (), solve=_solve_transport, u0="bump:0.0,0.5"),
+    "wave_x": Problem("space", True, ("detect", "energy", "associate", "oracle_compare"), "x_jump_delta",
+                      _solve_wave),
+    "wave_t": Problem("time", True, ("detect", "energy"), "t_jump", _solve_wave),
+    "radial_odd": Problem("time", True, ("detect",), "radial_odd", _solve_radial_odd),
+    "radial_even_abel": Problem(None, False, ("abel",)),
+    "tanh_example_2": Problem(None, True, ("associate",), solve=_solve_transport, u0="bump:0.0,0.5"),
+    "tanh_example_3": Problem(None, True, ("associate",), solve=_solve_transport, u0="bump:0.0,0.5"),
+    "corner_3_6": Problem("space", False, ("corner",)),
+}
 
 
 def _parse_kv(path: Path) -> dict:
@@ -105,22 +247,17 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
     if not path.exists():
         raise ValidationError(f"scenario file not found: {path}")
     kv = _parse_kv(path)
-    sid = kv.get("id") or path.stem
     problem = kv.get("problem", "")
     if problem not in PROBLEMS:
-        raise ValidationError(f"field 'problem': unknown kind {problem!r} (expected one of {PROBLEMS})")
+        kinds = ", ".join(PROBLEMS)
+        raise ValidationError(f"field 'problem': unknown kind {problem!r} (expected one of {kinds})")
+    prob = PROBLEMS[problem]
     try:
         moll = Mollifier(kv.get("mollifier.family", "polynomial"), int(kv.get("mollifier.n", 2)))
         scale = ScaleFn(kv.get("scale.kind", "standard"), float(kv.get("scale.p", 4.0)))
-        if ladder_override:
-            e0, r, n = ladder_override.split(",")
-            ladder = EpsilonLadder(float(e0), float(r), int(n))
-        else:
-            ladder = EpsilonLadder(
-                float(kv.get("ladder.eps0", 0.1)),
-                float(kv.get("ladder.ratio", 0.7)),
-                int(kv.get("ladder.count", 10)),
-            )
+        ladder_kv = (kv.get("ladder.eps0", 0.1), kv.get("ladder.ratio", 0.7), kv.get("ladder.count", 10))
+        e0, r, n = ladder_override.split(",") if ladder_override else ladder_kv
+        ladder = EpsilonLadder(float(e0), float(r), int(n))
     except (ValueError, TypeError) as exc:
         raise ValidationError(str(exc)) from exc
     coeff = None
@@ -133,70 +270,103 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
             )
         except ValueError as exc:
             raise ValidationError(f"field 'coefficient': {exc}") from exc
+    if prob.variable and (coeff is None or coeff.variable != prob.variable):
+        raise ValidationError(f"problem {problem!r} needs a coefficient.variable={prob.variable} coefficient")
     grid = None
     if "grid.x_min" in kv:
         h_min = scale(ladder.eps_min)
-        nx_raw = kv.get("grid.nx", "auto")
-        x_min, x_max = float(kv["grid.x_min"]), float(kv["grid.x_max"])
-        if nx_raw == "auto":
-            nx = int(np.ceil((x_max - x_min) / (h_min / 16.0)))
-        else:
-            nx = int(nx_raw)
         try:
+            x_min, x_max = float(kv["grid.x_min"]), float(kv["grid.x_max"])
+            nx_raw = kv.get("grid.nx", "auto")
+            nx = int(np.ceil((x_max - x_min) / (h_min / 16.0))) if nx_raw == "auto" else int(nx_raw)
             grid = Grid1D(x_min, x_max, nx, float(kv["grid.t_end"]), float(kv.get("grid.cfl", 0.45)))
             grid.check_resolution(h_min)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        except (KeyError, ValueError) as exc:
+            raise ValidationError(f"grid: {exc}") from exc
+    elif prob.grid:
+        raise ValidationError(f"problem {problem!r} requires a grid section")
     analyses = tuple(a for a in kv.get("analyses", "").split(",") if a)
     for a in analyses:
-        if a not in ("detect", "energy", "associate", "oracle_compare", "corner", "abel"):
-            raise ValidationError(f"field 'analyses': unknown analysis {a!r}")
-    if problem in ("wave_x", "wave_t", "radial_odd") and coeff is None:
-        raise ValidationError(f"problem {problem!r} requires a coefficient section")
-    if problem == "radial_odd" and kv.get("data.u0", "zero") != "zero":
-        raise ValidationError("radial problems require data.u0=zero")
+        if a not in prob.analyses:
+            runs = ", ".join(prob.analyses) or "no analysis"
+            raise ValidationError(f"field 'analyses': problem {problem!r} runs {runs}, not {a!r}")
     if kv.get("solver.limiter", "vanleer") not in LIMITERS:
         raise ValidationError(f"field 'solver.limiter': unknown limiter {kv['solver.limiter']!r}")
-    if "detect" in analyses and problem in DETECT_KINDS:
-        kind = kv.get("detect.kind") or DETECT_KINDS[problem]
-        if kind not in DETECT_KINDS.values():
-            raise ValidationError(f"field 'detect.kind': unknown kind {kind!r}")
-        if kind == "x_jump_delta" and _delta_x0(kv.get("data.u1", "zero")) is None:
-            raise ValidationError("detect.kind=x_jump_delta requires data.u1=delta:x0")
-    return Scenario(sid, problem, kv, coeff, moll, scale, ladder, grid, analyses, dict(kv))
+    if problem == "radial_odd" and kv.get("data.u0", "zero") != "zero":
+        raise ValidationError("radial problems require data.u0=zero")
+    data = _data(kv, problem, coeff, grid) if prob.grid else (None, None, None)
+    psi = None
+    if "associate" in analyses:
+        try:
+            psi = TestFunction(*(float(kv[f"associate.{k}"]) for k in ("t0", "x0", "radius")))
+        except (KeyError, ValueError) as exc:
+            raise ValidationError("associate needs associate.t0, associate.x0 and associate.radius") from exc
+    _check_geometry(kv, problem, coeff, data[0], set(analyses), scale(ladder.eps0))
+    sid = kv.get("id") or path.stem
+    return Scenario(sid, problem, kv, coeff, moll, scale, ladder, grid, analyses, data, psi)
+
+
+def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float):
+    """Reject analyses whose rays, oracles or bounds cannot model the scenario."""
+    kind, bps = PROBLEMS[problem].detect_kind, coeff.breakpoints if coeff else None
+    x0, x1 = (_delta_x0(kv.get(k, "zero")) for k in ("data.u0", "data.u1"))
+    if bps is not None and asked & {"detect", "associate", "oracle_compare"} and len(bps) != 1:
+        raise ValidationError("detect, associate and oracle_compare need exactly one coefficient breakpoint")
+    if "detect" in asked:
+        if (kv.get("detect.kind") or kind) != kind:
+            raise ValidationError(f"field 'detect.kind': problem {problem!r} is scored with {kind!r}")
+        if kind == "x_jump_delta" and not (bps == (0.0,) and x1 is not None and x1 < 0.0):
+            raise ValidationError("x_jump_delta rays need interface 0 and data.u1=delta:x0, x0 < 0")
+        if kind == "t_jump" and {x0, x1} - {None, 0.0}:
+            raise ValidationError("detect.kind=t_jump rays need point data at x = 0")
+    if "energy" in asked and coeff.variable == "time" and np.any(np.diff(bps) < 2.0 * h0):
+        raise ValidationError("energy: kernel neighbourhoods of the time breakpoints overlap at ladder.eps0")
+    if problem in TANH:
+        if "associate" in asked and (u0 is None or isinstance(u0, PerEps)):
+            raise ValidationError("associate on a tanh example needs data.u0=bump:x0,w or quadratic")
+    elif asked & {"associate", "oracle_compare"} and (bps, x1, u0) != ((0.0,), -1.0, None):
+        raise ValidationError("associate and oracle_compare need interface 0, data.u1=delta:-1, data.u0=zero")
 
 
 def _delta_x0(spec: str) -> float | None:
-    """x0 of 'delta:x0' data, None for any other data spec."""
+    """x0 of validated 'delta:x0' data, None for any other data spec."""
     kind, _, arg = spec.partition(":")
-    try:
-        return float(arg) if kind == "delta" else None
-    except ValueError:
-        return None
+    return float(arg) if kind == "delta" else None
+
+
+def _data(kv, problem, coeff, grid):
+    """(u0, u0', u1) from data.u0 / data.u1; u1=matched is c(0) u0' (wave_t only)."""
+    u0, u0d = _profile(kv.get("data.u0", PROBLEMS[problem].u0), grid)
+    if kv.get("data.u1") != "matched":
+        return u0, u0d, _profile(kv.get("data.u1", "zero"), grid)[0]
+    if problem != "wave_t" or u0 is None or u0d is None:
+        raise ValidationError("data.u1=matched needs problem wave_t and differentiable nonzero data.u0")
+    c00 = coeff(0.0)  # cancels the left-moving characteristic component
+    if isinstance(u0d, PerEps):
+        return u0, u0d, PerEps(lambda rc: (lambda x, f=u0d(rc): c00 * f(x)))
+    return u0, u0d, lambda x: c00 * u0d(x)
 
 
 def _profile(spec: str, grid: Grid1D | None):
-    """Data profile from 'zero' | 'delta:x0' | 'bump:x0,w' | 'quadratic'."""
+    """Data profile and its derivative from 'zero' | 'delta:x0' | 'bump:x0,w' | 'quadratic'."""
     if spec in ("", "zero"):
         return None, None
     kind, _, args = spec.partition(":")
-    if kind == "delta":
-        x0 = float(args)
-        return delta_profile(x0), delta_profile_deriv(x0)
+    try:
+        if kind == "delta":
+            return delta_profile(float(args)), delta_profile_deriv(float(args))
+        if kind == "bump":
+            x0, w = (float(v) for v in args.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"malformed data spec {spec!r} ({exc})") from exc
     if kind == "bump":
-        x0, w = (float(v) for v in args.split(","))
         bm = Mollifier()
         f = lambda x: phi_eval(bm, (np.asarray(x, dtype=float) - x0) / w)
-        from .mollifier import phi_deriv
-
         fd = lambda x: phi_deriv(bm, (np.asarray(x, dtype=float) - x0) / w, 1) / w
         return f, fd
-    if kind == "quadratic":
-        if grid is None:
-            raise ValidationError("quadratic data needs a grid")
+    if kind == "quadratic":  # only problems with a grid read data
         bm = Mollifier("bump")
         span = grid.x_max - grid.x_min
-        a = grid.x_min + 0.75 * span / 6.0  # cutoff ramps inside the outer quarter
         lo, hi = grid.x_min + span / 8.0, grid.x_max - span / 8.0
         w = span / 16.0
 
@@ -208,193 +378,22 @@ def _profile(spec: str, grid: Grid1D | None):
     raise ValidationError(f"unknown data spec {spec!r}")
 
 
-def _store_times(kv, grid):
-    raw = kv.get("solver.store_times", "")
-    if raw:
-        return sorted(float(v) for v in raw.split(","))
-    return np.linspace(0.0, grid.t_end, 23)
-
-
 def run_scenario(scn: Scenario, outdir: Path, threads: int | None = None) -> int:
     outdir = outdir / scn.id
     outdir.mkdir(parents=True, exist_ok=True)
-    kv = scn.raw
-    rcs = [RegularizedCoeff(scn.coefficient, scn.mollifier, scn.scale, e) for e in scn.ladder] if scn.coefficient else []
-    report_lines = [f"scenario={scn.id}", f"problem={scn.problem}"]
-
-    if scn.problem == "corner_3_6":
-        rows = ["eps,t,dgamma,expected1,d2gamma,expected2,d3gamma,expected3"]
-        from .coefficients import CoeffAntideriv
-
-        a = phi_eval(scn.mollifier, 0.0)
-        for rc in rcs:
-            cv = CharCurve.x_dependent(CoeffAntideriv(rc))
-            h = rc.h
-            for t in _floats(kv.get("corner.times", "0.5,1.0")):
-                (g1, g2, g3), _ = gamma_partials(cv, t, 0.0)
-                rows.append(
-                    f"{float(rc.eps)!r},{t},{g1!r},{2 / 3},{g2!r},{-4 * a / (9 * h)!r},"
-                    f"{g3!r},{16 * a * a / (27 * h * h)!r}"
-                )
-        (outdir / "corner.csv").write_text("\n".join(rows) + "\n")
-        report_lines.append("corner=written")
-        (outdir / "report.txt").write_text("\n".join(report_lines) + "\n")
-        return 0
-
-    if scn.problem == "radial_even_abel":
-        w0 = lambda r: np.exp(-4.0 * np.asarray(r, dtype=float) ** 2)
-        vf = lambda r: abel_forward(lambda t, rr: w0(rr), 0.0, r)
-        wi = abel_invert(vf, fd_step=1e-5)
-        rr = np.linspace(-1.5, 1.5, 61)
-        err = float(np.max(np.abs(wi(rr) - w0(rr))))
-        rows = ["r,w,roundtrip"]
-        for r in rr:
-            rows.append(f"{r:.6g},{w0(r):.10g},{float(wi(r)):.10g}")
-        (outdir / "abel.csv").write_text("\n".join(rows) + "\n")
-        report_lines.append(f"abel_roundtrip_max_err={err:.3e}")
-        (outdir / "report.txt").write_text("\n".join(report_lines) + "\n")
-        return 0
-
-    if scn.problem in ("tanh_example_2", "tanh_example_3", "transport"):
-        grid = scn.grid
-        u0, _ = _profile(kv.get("data.u0", "bump:0.0,0.5"), grid)
-        if scn.problem == "tanh_example_2":
-            # converging flow c = -tanh(x/eps): limit u0(x+t) / u0(x-t)
-            curves = [CharCurve.tanh_minus(e) for e in scn.ladder]
-            limit = two_region_limit(u0)
-        elif scn.problem == "tanh_example_3":
-            # diverging flow c = +tanh(x/eps): three-region limit
-            curves = [CharCurve.tanh_plus(e) for e in scn.ladder]
-            limit = three_region_limit(u0)
-        else:
-            curves = rcs
-            limit = None
-        fam = solve_transport(curves, u0, grid, store_times=_store_times(kv, grid), scenario_id=scn.id)
+    prob = PROBLEMS[scn.problem]
+    fam = prob.solve(scn, threads) if prob.solve else None
+    if fam is not None:
         save_family(fam, outdir / "family")
-        if "associate" in scn.analyses and limit is not None:
-            psi = TestFunction(
-                float(kv.get("associate.t0", 0.5)),
-                float(kv.get("associate.x0", 0.0)),
-                float(kv.get("associate.radius", 0.3)),
-            )
-            pairings = [pair_gridded(r.times, r.xs, r.fields["u"], psi) for r in fam]
-            tt = np.linspace(psi.t_support[0], psi.t_support[1], 401)
-            xx = np.linspace(psi.x_support[0], psi.x_support[1], 801)
-            target = float(
-                np.trapezoid(np.trapezoid(limit(tt[:, None], xx[None, :]) * psi(tt[:, None], xx[None, :]), xx, axis=1), tt)
-            )
-            v = associate_check(fam.eps_values, pairings, target)
-            report_lines.append(f"associate={'PASS' if v.passed else 'FAIL'} final_err={v.errors[-1]:.3e}")
-        (outdir / "report.txt").write_text("\n".join(report_lines) + "\n")
-        return 0
-
-    grid = scn.grid
-    store_times = _store_times(kv, grid)
-    u0, u0d = _profile(kv.get("data.u0", "zero"), grid)
-    u1_spec = kv.get("data.u1", "zero")
-    conservative = kv.get("solver.conservative", "false").lower() == "true"
-    limiter = kv.get("solver.limiter", "vanleer")
-    want_vw = "energy" in scn.analyses
-
-    if scn.problem == "wave_x":
-        u1, _ = _profile(u1_spec, grid)
-        fam = solve_wave_x(
-            rcs, u0, u1, grid, u0_deriv=u0d, conservative=conservative, limiter=limiter,
-            store_times=store_times, store_dtype=np.float32 if not want_vw else np.float64,
-            store_vw=want_vw, scenario_id=scn.id, threads=threads,
-        )
-    elif scn.problem == "wave_t":
-        if u1_spec == "matched":
-            # u1 = c(0) * u0': cancels the left-moving characteristic component
-            if u0 is None or u0d is None:
-                raise ValidationError("data.u1=matched requires differentiable nonzero data.u0")
-            c00 = scn.coefficient(0.0)
-            if isinstance(u0d, PerEps):
-                u1 = PerEps(lambda rc, d=u0d: (lambda x, f=d(rc): c00 * f(x)))
-            else:
-                u1 = lambda x: c00 * u0d(x)
-        else:
-            u1, _ = _profile(u1_spec, grid)
-        fam = solve_wave_t(
-            rcs, u0, u1, grid, u0_deriv=u0d, store_times=store_times,
-            store_vw=want_vw, scenario_id=scn.id, threads=threads,
-        )
-    elif scn.problem == "radial_odd":
-        fam = solve_radial_odd(rcs, int(kv.get("radial.d", 3)), grid, store_times=store_times,
-                               scenario_id=scn.id, threads=threads)
-    else:
-        raise ValidationError(f"problem {scn.problem!r} has no run handler")
-
-    save_family(fam, outdir / "family")
-
-    if "detect" in scn.analyses:
-        kind = kv.get("detect.kind") or DETECT_KINDS[scn.problem]
-        vals = scn.coefficient.values
-        rays = predict_singsupp(
-            kind, c0=vals[0], c1=vals[-1], standard_scale=scn.scale.kind == "standard",
-            x0=_delta_x0(kv["data.u1"]) if kind == "x_jump_delta" else 0.0,
-        )
-        rep = classify(
-            fam, rays, h_fn=scn.scale,
-            theta=float(kv.get("detect.theta", 0.5)),
-            alpha_hi=int(kv.get("detect.alpha_hi", 2)),
-            times=[float(v) for v in kv["detect.times"].split(",")] if "detect.times" in kv else None,
-            t_skip=float(kv.get("detect.t_skip", 0.1)),
-        )
-        report_csv(rep, outdir / "detect.csv")
-        report_svg(rep, outdir / "detect.svg")
-        (outdir / "detect_verdict.txt").write_text(verdict_text(rep))
-        report_lines.append(f"detect precision={rep.precision:.3f} recall={rep.recall:.3f}")
-
-    if "energy" in scn.analyses:
-        form = "conservative_x" if scn.problem == "wave_x" else "nonconservative_t"
-        for rec in fam:
-            tr = energy_trace(rec, form)
-            trace_csv(tr, outdir / f"energy_eps{rec.eps:.6g}.csv")
-            line = f"energy eps={rec.eps:.4g} drift={tr.max_relative_drift:.3e}"
-            if form == "nonconservative_t":
-                rc = next(r for r in rcs if abs(r.eps - rec.eps) < 1e-15)
-                bound = gronwall_bound(rc, grid.t_end)
-                ok = bool(np.all(tr.E <= tr.E[0] * bound * (1.0 + 1e-6)))
-                line += f" gronwall={'PASS' if ok else 'FAIL'} bound={bound:.4g}"
-            report_lines.append(line)
-
-    if "associate" in scn.analyses and scn.problem == "wave_x":
-        psi = TestFunction(
-            float(kv.get("associate.t0", 1.8)),
-            float(kv.get("associate.x0", 0.3)),
-            float(kv.get("associate.radius", 0.15)),
-        )
-        vals = scn.coefficient.values
-        target = pair_delta_oracle(vals[0], vals[-1], psi)
-        pairings = [pair_gridded(r.times, r.xs, r.fields["u"], psi) for r in fam]
-        v = associate_check(fam.eps_values, pairings, target)
-        report_lines.append(f"associate={'PASS' if v.passed else 'FAIL'} final_err={v.errors[-1]:.3e}")
-
-    if "oracle_compare" in scn.analyses and scn.problem == "wave_x":
-        vals = scn.coefficient.values
-        rec = fam.records[-1]
-        t = rec.times[int(0.8 * len(rec.times))]
-        uo = delta_solution_eval(vals[0], vals[-1], float(t), rec.xs)
-        mask = np.ones(rec.xs.shape, dtype=bool)
-        h = rec.meta.get("h", rec.eps)
-        for ray in predict_singsupp("x_jump_delta", c0=vals[0], c1=vals[-1]):
-            if ray.t_min <= t <= ray.t_max:
-                mask &= np.abs(rec.xs - float(np.asarray(ray.curve(t)))) > 4 * h
-        err = float(np.max(np.abs(rec.slice_at(float(t)) - uo)[mask]))
-        report_lines.append(f"oracle_compare t={float(t):.3g} off_ray_err={err:.3e}")
-
-    (outdir / "report.txt").write_text("\n".join(report_lines) + "\n")
+    lines = [f"scenario={scn.id}", f"problem={scn.problem}"]
+    lines += [ANALYSES[a](scn, fam, outdir) for a in prob.analyses if a in scn.analyses]
+    (outdir / "report.txt").write_text("\n".join(lines) + "\n")
     return 0
 
 
 def bundled_scenarios() -> dict:
-    out = {}
     root = resources.files("colwave") / "scenarios"
-    for entry in sorted(root.iterdir()):
-        if entry.name.endswith(".scn"):
-            out[entry.name[:-4]] = entry
-    return out
+    return {entry.name[:-4]: entry for entry in sorted(root.iterdir()) if entry.name.endswith(".scn")}
 
 
 def main(argv=None) -> int:
@@ -415,12 +414,11 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
-    target = ns.scenario
     bundled = bundled_scenarios()
-    if target in bundled:
-        with resources.as_file(bundled[target]) as p:
+    if ns.scenario in bundled:
+        with resources.as_file(bundled[ns.scenario]) as p:
             return _dispatch(ns, p)
-    return _dispatch(ns, Path(target))
+    return _dispatch(ns, Path(ns.scenario))
 
 
 def _dispatch(ns, path: Path) -> int:
@@ -434,9 +432,6 @@ def _dispatch(ns, path: Path) -> int:
         return 0
     try:
         return run_scenario(scn, Path(ns.out), ns.threads)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalFailure, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -174,12 +174,6 @@ class CumulativeIntegral:
         xx = mid[:, None] + half[:, None] * _GL_NODES[None, :]
         return half * (self._f(coeff_eval(self.rc, xx)) @ _GL_WEIGHTS)
 
-    def _neighborhood(self, x: float):
-        for lo, hi in self._ivals:
-            if lo <= x <= hi:
-                return lo, hi
-        return None
-
     def _from_zero(self, x: float) -> float:
         """Scalar bootstrap integral from 0 to x (used only to seed knots)."""
         if x == 0.0:

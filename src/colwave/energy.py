@@ -8,10 +8,11 @@ solver stores, so no re-differencing of u is involved.
 For the t-dependent speed, E(t) = sum (|dt u|^2 + c(t)^2 |dx u|^2) dx obeys
 dE/dt = 2 c c' int |dx u|^2 <= (2|c'|/c) E, hence the Gronwall bound
 
-    E(t) <= E(0) * exp(int_0^t 2|c_eps'(s)|/c_eps(s) ds) = E(0) * (c1/c0)^2
+    E(t) <= E(0) * exp(int_0^t 2|c_eps'(s)|/c_eps(s) ds) = E(0) * exp(2 TV_[0,t](log c_eps)).
 
-for a monotone jump c0 -> c1 -- uniform in eps because the total variation of
-log c_eps does not depend on the mollification width.
+c_eps is monotone inside each kernel neighbourhood [b_i - h, b_i + h] and
+constant between them, so while they do not overlap the total variation after
+all jumps is sum |log(v_{i+1}/v_i)|, uniform in eps: (c1/c0)^2 for one jump.
 
 The non-conservative x-dependent form dtt u = c^2 dxx u admits only the much
 weaker factor exp(t * max|dx c_eps|), which blows up like exp(K/h(eps));
@@ -67,12 +68,18 @@ def energy_trace(rec: SolutionRecord, form: str) -> EnergyTrace:
 
 
 def gronwall_bound(rc: RegularizedCoeff, t) -> np.ndarray:
-    """Closed-form multiplier exp(int_0^t 2|c'|/c) = (c(min(t, after jump))/c(0))^2."""
+    """Multiplier exp(int_0^t 2|c'|/c) = exp(2 TV_[0,t](log c_eps)), with the total
+    variation summed between consecutive points of {0, t} and the b_i +- h in
+    [0, t]; exact while the kernel neighbourhoods [b_i - h, b_i + h] do not overlap."""
     if rc.base.variable != "time":
         raise ValueError("gronwall_bound applies to time-dependent coefficients")
-    t = np.asarray(t, dtype=float)
-    ratio = rc(t) / rc(0.0)
-    out = np.exp(2.0 * np.abs(np.log(ratio)))
+    knots = np.ravel([(b - rc.h, b + rc.h) for b in rc.base.breakpoints])
+
+    def tv(s):
+        pts = np.concatenate(([0.0], knots[(knots > 0.0) & (knots < s)], [s]))
+        return np.sum(np.abs(np.diff(np.log(rc(pts)))))
+
+    out = np.exp(2.0 * np.vectorize(tv, otypes=[float])(np.asarray(t, dtype=float)))
     return out if out.ndim else float(out)
 
 

@@ -127,26 +127,86 @@ def test_corner_csv_fields_parse_as_floats(tmp_path):
     assert float(rows[0].split(",")[0]) == pytest.approx(0.1)
 
 
-def test_system_problem_rejected_with_exit_2(tmp_path, capsys):
-    scn = tmp_path / "sys.scn"
-    scn.write_text(
-        "id=sys\nproblem=system\ncoefficient.breakpoints=0.0\ncoefficient.values=1.0,2.0\n"
-        "grid.x_min=-2.0\ngrid.x_max=2.0\ngrid.nx=auto\ngrid.t_end=0.5\n"
-    )
-    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
-    assert "problem" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def _edited(name: str, changes: dict) -> str:
+    """Bundled scenario NAME with keys set to new values (None drops the key)."""
+    lines, seen = [], set()
+    for line in bundled_scenarios()[name].read_text().splitlines():
+        key = line.split("=", 1)[0]
+        if key in changes:
+            seen.add(key)
+            if changes[key] is None:
+                continue
+            line = f"{key}={changes[key]}"
+        lines.append(line)
+    lines += [f"{k}={v}" for k, v in changes.items() if k not in seen and v is not None]
+    return "\n".join(lines) + "\n"
 
 
-def test_x_jump_detect_needs_delta_data(tmp_path, capsys):
-    text = (bundled_scenarios()["thm41"]).read_text()
-    assert "data.u1=delta:-1.0" in text
-    scn = tmp_path / "bumpdata.scn"
-    scn.write_text(text.replace("data.u1=delta:-1.0", "data.u1=bump:-1.0,0.3"))
-    argv = ["run", str(scn), "--out", str(tmp_path / "out"), "--ladder-override", "0.1,0.8,4"]
-    assert main(argv) == 2
-    assert "x_jump_delta" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+NO_GRID = dict.fromkeys(("grid.x_min", "grid.x_max", "grid.nx", "grid.t_end"))
+NO_COEFF = dict.fromkeys(("coefficient.variable", "coefficient.breakpoints", "coefficient.values"))
+
+# (bundled scenario, key changes, expected fragment of the error message)
+REJECTED = {
+    "x_interface_off_zero": ("thm41", {"coefficient.breakpoints": "0.5"}, "x_jump_delta"),
+    "radial_energy": ("thm45_d3", {"analyses": "detect,energy"}, "'energy'"),
+    "tanh_without_grid": ("ex2_tanh", NO_GRID, "grid"),
+    "wave_t_space_coefficient": ("thm43a", {"coefficient.variable": "space"}, "coefficient.variable=time"),
+    "wave_x_time_coefficient": ("thm41", {"coefficient.variable": "time"}, "coefficient.variable=space"),
+    "corner_without_coefficient": ("corner36", NO_COEFF, "coefficient"),
+    "transport_without_coefficient": ("ex2_tanh", {"problem": "transport", "analyses": None}, "coefficient"),
+    "tanh_energy": ("ex3_tanh", {"analyses": "associate,energy"}, "'energy'"),
+    "wave_t_associate": ("thm43a", {"analyses": "detect,associate"}, "'associate'"),
+    "wave_t_oracle_compare": ("thm43a", {"analyses": "oracle_compare"}, "'oracle_compare'"),
+    "malformed_data": ("thm41", {"data.u0": "foo:1"}, "'foo:1'"),
+    "malformed_delta": ("thm43a", {"data.u1": "delta:left"}, "'delta:left'"),
+    "associate_interface_off_zero": ("appendix_assoc", {"coefficient.breakpoints": "0.5"}, "interface 0"),
+    "oracle_delta_off_minus_one": ("appendix_assoc", {"data.u1": "delta:-0.5"}, "delta:-1"),
+    "detect_two_time_jumps": ("thm43a", {"coefficient.breakpoints": "0.6,1.2",
+                                         "coefficient.values": "1.0,2.0,1.0"}, "one coefficient breakpoint"),
+    "system_problem": ("thm41", {"problem": "system", "analyses": None}, "problem"),
+    "x_jump_detect_bump_data": ("thm41", {"data.u1": "bump:-1.0,0.3"}, "x_jump_delta"),
+    "x_jump_delta_right_of_interface": ("thm42", {"data.u1": "delta:0.5"}, "x_jump_delta"),
+    "t_jump_delta_off_origin": ("prop42", {"data.u1": "delta:0.5"}, "x = 0"),
+    "detect_kind_of_other_problem": ("thm43a", {"detect.kind": "radial_odd"}, "detect.kind"),
+    "matched_on_wave_x": ("thm41", {"data.u0": "delta:-1.0", "data.u1": "matched", "analyses": None},
+                          "matched"),
+    "associate_without_test_function": ("ex3_tanh", {"associate.radius": None}, "associate.radius"),
+    "tanh_associate_zero_data": ("ex2_tanh", {"data.u0": "zero"}, "data.u0"),
+    "energy_time_kernels_overlap": ("thm43a", {"coefficient.breakpoints": "1.0,1.1",
+                                               "coefficient.values": "1.0,2.0,1.0", "analyses": "energy"},
+                                    "overlap"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_rejected_with_exit_2_before_any_output(case, tmp_path, capsys):
+    name, changes, fragment = REJECTED[case]
+    scn = tmp_path / f"{case}.scn"
+    scn.write_text(_edited(name, changes))
+    assert main(["validate", str(scn)]) == 2
+    assert fragment in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out), "--ladder-override", "0.1,0.8,4"]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_t_jump_detection_scored_at_the_scenario_jump(tmp_path):
+    scn = tmp_path / "tjump06.scn"
+    scn.write_text(_edited("thm43a", {"id": "tjump06", "coefficient.breakpoints": "0.6"}))
+    assert main(["run", str(scn), "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 0
+    assert "detect precision=1.000 recall=1.000" in (tmp_path / "tjump06" / "report.txt").read_text()
+
+
+def test_gronwall_bound_of_an_up_down_time_jump(tmp_path):
+    scn = tmp_path / "updown.scn"
+    changes = {"id": "updown", "coefficient.breakpoints": "0.6,1.2", "coefficient.values": "1.0,2.0,1.0",
+               "analyses": "energy"}
+    scn.write_text(_edited("thm43a", changes))
+    assert main(["run", str(scn), "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 0
+    energy = [ln for ln in (tmp_path / "updown" / "report.txt").read_text().splitlines() if ln.startswith("energy")]
+    assert len(energy) == 4
+    assert all(ln.endswith("gronwall=PASS bound=16") for ln in energy)
 
 
 def test_unknown_limiter_rejected_before_solving(tmp_path, capsys):

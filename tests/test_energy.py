@@ -83,6 +83,17 @@ def test_gronwall_bound_closed_form():
         gronwall_bound(_rc("space"), 1.0)
 
 
+def test_gronwall_bound_sums_total_variation_of_log_c():
+    # up 1 -> 2 at t = 0.6, down 2 -> 1 at t = 1.2: TV(log c_eps) = 2 log 2
+    base = PiecewiseConstantCoeff((0.6, 1.2), (1.0, 2.0, 1.0), "time")
+    rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.1)
+    assert gronwall_bound(rc, 2.0) == pytest.approx(16.0, rel=1e-12)
+    assert gronwall_bound(rc, 0.9) == pytest.approx(4.0, rel=1e-12)
+    assert gronwall_bound(rc, 0.4) == pytest.approx(1.0)
+    # inside the second kernel the variation is the rise plus the part of the fall so far
+    assert gronwall_bound(rc, 1.2) == pytest.approx(4.0 * (2.0 / rc(1.2)) ** 2, rel=1e-12)
+
+
 def test_nonconservative_factor_blows_up_with_eps():
     m = Mollifier()
     for eps in (0.1, 0.05):
