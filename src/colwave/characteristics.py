@@ -52,13 +52,12 @@ def arsinh_exp(s, r):
         # log q with q = e^s sinh R = e^{s+R}(1 - e^{-2R})/2
         lq = sf + Rf + np.log(-np.expm1(-2.0 * Rf)) - _LOG2
         big = lq > _ASYMPTOTIC
-        val = np.empty_like(lq)
         # Arsinh(q) = log q + log(1 + sqrt(1 + q^-2))
         u = np.exp(-2.0 * np.minimum(lq, 350.0))
         val = np.where(
             lq > -_ASYMPTOTIC,
             lq + np.log1p(np.sqrt(1.0 + u)),
-            np.exp(np.maximum(lq, -745.0)),  # Arsinh(q) ~ q for tiny q
+            np.exp(np.clip(lq, -745.0, -_ASYMPTOTIC)),  # Arsinh(q) ~ q for tiny q
         )
         val = np.where(big, lq + _LOG2, val)
         out[far] = val
@@ -189,7 +188,7 @@ def gamma_partials(cc: CharCurve, t, x, k: int = 3):
         raise ValueError("gamma_partials requires the x_dependent kind")
     if not 1 <= k <= 3:
         raise ValueError("order k must be 1..3")
-    rc = cc.antideriv.owner
+    rc = cc.antideriv.rc
     g = gamma(cc, t, x, 0.0)
     cx, cg = rc(x), rc(g)
     c1x, c1g = rc.deriv(x, 1), rc.deriv(g, 1)

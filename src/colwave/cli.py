@@ -77,6 +77,7 @@ class Scenario:
     analyses: tuple
     data: tuple  # (u0, u0', u1) profiles, None for zero data
     psi: TestFunction | None  # associate test function
+    opts: dict  # RUN_KEYS values, parsed
 
     @cached_property
     def rcs(self) -> list:
@@ -84,8 +85,8 @@ class Scenario:
 
     @property
     def store_times(self):
-        raw = self.raw.get("solver.store_times", "")
-        return sorted(_floats(raw)) if raw else np.linspace(0.0, self.grid.t_end, 23)
+        times = self.opts["solver.store_times"]
+        return np.linspace(0.0, self.grid.t_end, 23) if times is None else times
 
 
 # --- solves: Scenario, threads -> SolutionFamily ----------------------------
@@ -110,7 +111,7 @@ def _solve_wave(scn: Scenario, threads):
 
 
 def _solve_radial_odd(scn: Scenario, threads):
-    return solve_radial_odd(scn.rcs, int(scn.raw.get("radial.d", 3)), scn.grid, store_times=scn.store_times,
+    return solve_radial_odd(scn.rcs, scn.opts["radial.d"], scn.grid, store_times=scn.store_times,
                             scenario_id=scn.id, threads=threads)
 
 
@@ -121,13 +122,9 @@ def _detect(scn: Scenario, fam, outdir: Path) -> str:
     (c0, c1), (b,) = scn.coefficient.values, scn.coefficient.breakpoints
     where = {"x0": _delta_x0(kv["data.u1"])} if kind == "x_jump_delta" else {"t_jump": b}
     rays = predict_singsupp(kind, c0=c0, c1=c1, standard_scale=scn.scale.kind == "standard", **where)
-    rep = classify(
-        fam, rays, h_fn=scn.scale,
-        theta=float(kv.get("detect.theta", 0.5)),
-        alpha_hi=int(kv.get("detect.alpha_hi", 2)),
-        times=_floats(kv["detect.times"]) if "detect.times" in kv else None,
-        t_skip=float(kv.get("detect.t_skip", 0.1)),
-    )
+    o = scn.opts
+    rep = classify(fam, rays, h_fn=scn.scale, times=o["detect.times"], theta=o["detect.theta"],
+                   alpha_hi=o["detect.alpha_hi"], t_skip=o["detect.t_skip"])
     report_csv(rep, outdir / "detect.csv")
     report_svg(rep, outdir / "detect.svg")
     (outdir / "detect_verdict.txt").write_text(verdict_text(rep))
@@ -182,7 +179,7 @@ def _corner(scn: Scenario, fam, outdir: Path) -> str:
     for rc in scn.rcs:
         cv = CharCurve.x_dependent(CoeffAntideriv(rc))
         h = rc.h
-        for t in _floats(scn.raw.get("corner.times", "0.5,1.0")):
+        for t in scn.opts["corner.times"]:
             (g1, g2, g3), _ = gamma_partials(cv, t, 0.0)
             rows.append(
                 f"{float(rc.eps)!r},{t},{g1!r},{2 / 3},{g2!r},{-4 * a / (9 * h)!r},"
@@ -240,6 +237,27 @@ def _parse_kv(path: Path) -> dict:
 
 def _floats(s: str):
     return tuple(float(v) for v in s.split(",")) if s else ()
+
+
+def _one_of(*allowed):
+    def parse(s: str) -> int:
+        if int(s) not in allowed:
+            raise ValueError(f"expected one of {', '.join(map(str, allowed))}, got {s!r}")
+        return int(s)
+    return parse
+
+
+# Keys that only a solve or an analysis reads: parser and default.  All are parsed
+# in parse_scenario, so a malformed value exits 2 before any output exists.
+RUN_KEYS = {
+    "solver.store_times": (lambda s: sorted(_floats(s)) or None, None),  # empty: 23 even steps
+    "detect.times": (lambda s: _floats(s) or None, None),  # empty: the stored times after t_skip
+    "detect.theta": (float, 0.5),
+    "detect.alpha_hi": (_one_of(1, 2, 3), 2),
+    "detect.t_skip": (float, 0.1),
+    "corner.times": (_floats, (0.5, 1.0)),
+    "radial.d": (_one_of(3), 3),
+}
 
 
 def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
@@ -302,8 +320,17 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
         except (KeyError, ValueError) as exc:
             raise ValidationError("associate needs associate.t0, associate.x0 and associate.radius") from exc
     _check_geometry(kv, problem, coeff, data[0], set(analyses), scale(ladder.eps0))
-    sid = kv.get("id") or path.stem
-    return Scenario(sid, problem, kv, coeff, moll, scale, ladder, grid, analyses, data, psi)
+    opts = {}
+    for key, (parse, default) in RUN_KEYS.items():
+        try:
+            opts[key] = parse(kv[key]) if key in kv else default
+        except ValueError as exc:
+            raise ValidationError(f"field {key!r}: {exc}") from exc
+    scn = Scenario(kv.get("id") or path.stem, problem, kv, coeff, moll, scale, ladder, grid, analyses, data, psi,
+                   opts)
+    if "detect" in analyses and opts["detect.times"] is None and max(scn.store_times) <= opts["detect.t_skip"]:
+        raise ValidationError("field 'detect.t_skip': no stored time after it is left to detect at")
+    return scn
 
 
 def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float):

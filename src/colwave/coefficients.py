@@ -6,14 +6,15 @@ c_eps = c * phi_h (convolution), which has the closed form
     c_eps(x) = v_0 + sum_i (v_{i+1} - v_i) * Phi((x - b_i)/h),     h = h(eps),
 
 with Phi the mollifier antiderivative.  Derivatives follow from
-phi^{(k-1)}((x-b_i)/h) / h^k.  The reciprocal antiderivative
-
-    C_eps(x) = int_0^x dy / c_eps(y)
-
-is assembled exactly on the piecewise-constant exterior (affine pieces) and by
-16-point Gauss-Legendre panels of width h/8 inside kernel neighborhoods; its
-inverse is solved by bracketed Newton.  The same machinery integrates c_eps
-and c_eps^2 (time-dependent coefficients need those cumulative integrals).
+phi^{(k-1)}((x-b_i)/h) / h^k.  c_eps varies only inside the merged kernel
+windows [b_i - h, b_i + h] (RegularizedCoeff.windows) and is exactly constant
+between and outside them.  CumulativeIntegral builds one edge table on that
+split for F(x) = int_0^x f(c_eps) with f in {1/c, c, c^2}: 16-point
+Gauss-Legendre panels of width <= h/8 inside the windows, exact affine pieces
+elsewhere.  Evaluation is one table lookup plus at most one panel quadrature;
+the inverse is exact on the affine pieces and a safeguarded Newton iteration
+inside one panel.  The reciprocal antiderivative C_eps = int_0^x 1/c_eps is
+CoeffAntideriv; time-dependent coefficients use the c_eps and c_eps^2 tables.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "value": lambda c: c, "square": lambda c: c * c}
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,17 @@ class RegularizedCoeff:
     def deriv(self, x, k: int = 1):
         return coeff_deriv(self, x, k)
 
+    @property
+    def windows(self) -> tuple:
+        """Merged kernel neighbourhoods [b - h, b + h]; c_eps is constant off them."""
+        h, out = self.h, []
+        for b in self.base.breakpoints:
+            if out and b - h <= out[-1][1]:
+                out[-1][1] = b + h
+            else:
+                out.append([b - h, b + h])
+        return tuple(map(tuple, out))
+
 
 def coeff_eval(rc: RegularizedCoeff, x):
     x = np.asarray(x, dtype=float)
@@ -126,45 +139,34 @@ def coeff_deriv(rc: RegularizedCoeff, x, k: int):
 
 
 class CumulativeIntegral:
-    """F(x) = int_0^x f(c_eps(y)) dy for f in {1/c, c, c^2}.
+    """F(x) = int_0^x f(c_eps(y)) dy for f in {1/c, c, c^2}, strictly increasing.
 
-    Exact affine pieces outside kernel neighborhoods, Gauss-Legendre panels
-    (width h/8) inside; cached knot table, vectorized evaluation and a
-    Newton-bisection inverse (strictly increasing since c_eps > 0).
+    One edge table over the line: GL-16 panels of width <= h/8 inside the
+    windows, exact constant f(c) on every other interval, and F stored at
+    every edge; 0 is an edge, so F(0) = 0 exactly.
     """
 
     def __init__(self, rc: RegularizedCoeff, integrand: str = "reciprocal"):
-        if integrand == "reciprocal":
-            self._f = lambda c: 1.0 / c
-        elif integrand == "value":
-            self._f = lambda c: c
-        elif integrand == "square":
-            self._f = lambda c: c * c
-        else:
+        if integrand not in _INTEGRANDS:
             raise ValueError(f"unknown integrand {integrand!r}")
+        self._f = _INTEGRANDS[integrand]
         self.rc = rc
         self.integrand = integrand
-        h = rc.h
-        # merged kernel neighborhoods [b-h, b+h]
-        ivals: list[list[float]] = []
-        for b in rc.base.breakpoints:
-            if ivals and b - h <= ivals[-1][1]:
-                ivals[-1][1] = b + h
-            else:
-                ivals.append([b - h, b + h])
-        # knot sequence: 0 plus every neighborhood edge
-        knots = sorted({0.0, *(e for iv in ivals for e in iv)})
-        self.knots = np.array(knots)
-        self._ivals = [tuple(iv) for iv in ivals]
-        # panel tables per mollified neighborhood
-        self._panels = {}
-        for lo, hi in self._ivals:
-            n_panels = max(16, int(np.ceil((hi - lo) / (h / 8.0))))
-            edges = np.linspace(lo, hi, n_panels + 1)
-            cum = np.concatenate([[0.0], np.cumsum(self._gl(edges[:-1], edges[1:]))])
-            self._panels[(lo, hi)] = (edges, cum)
-        # cumulative value at each knot, measured from 0
-        self._knot_vals = np.array([self._from_zero(k) for k in self.knots])
+        panels = [np.linspace(lo, hi, max(16, int(np.ceil((hi - lo) / (rc.h / 8.0)))) + 1)
+                  for lo, hi in rc.windows]
+        edges = np.unique(np.concatenate([[0.0], *panels]))
+        # interval k runs from x0[k] to edges[k]; k = 0 and k = len(edges) are the unbounded ends
+        mid = np.concatenate([[-np.inf], 0.5 * (edges[:-1] + edges[1:]), [np.inf]])
+        panel = np.searchsorted(np.ravel(rc.windows), mid) % 2 == 1
+        slope = np.where(panel, 0.0, self._f(rc.base(mid)))
+        part = slope[1:-1] * np.diff(edges)
+        inner = panel[1:-1]
+        part[inner] = self._gl(edges[:-1][inner], edges[1:][inner])
+        F = np.concatenate([[0.0], np.cumsum(part)])
+        F -= F[np.searchsorted(edges, 0.0)]
+        self._edges, self._panel, self._slope = edges, panel, slope
+        self._x0 = np.concatenate([edges[:1], edges])
+        self._F = np.concatenate([F[:1], F])  # F(x0[k])
 
     def _gl(self, a, b):
         """GL-16 of f(c_eps) over each [a_i, b_i]; vectorized over intervals."""
@@ -174,95 +176,41 @@ class CumulativeIntegral:
         xx = mid[:, None] + half[:, None] * _GL_NODES[None, :]
         return half * (self._f(coeff_eval(self.rc, xx)) @ _GL_WEIGHTS)
 
-    def _from_zero(self, x: float) -> float:
-        """Scalar bootstrap integral from 0 to x (used only to seed knots)."""
-        if x == 0.0:
-            return 0.0
-        a, b, sign = (0.0, x, 1.0) if x > 0 else (x, 0.0, -1.0)
-        total = 0.0
-        pos = a
-        for lo, hi in self._ivals:
-            s, e = max(a, lo), min(b, hi)
-            if s >= e:
-                continue
-            total += self._f(self.rc.base(0.5 * (pos + s))) * (s - pos) if s > pos else 0.0
-            total += float(self._gl(s, e)[0])
-            pos = e
-        if pos < b:
-            total += self._f(self.rc.base(0.5 * (pos + b))) * (b - pos)
-        return sign * total
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        idx = np.clip(np.searchsorted(self.knots, x, side="right") - 1, -1, None)
-        out = np.empty_like(x)
-        # left of all knots: constant region
-        left = idx < 0
-        if left.any():
-            out[left] = self._knot_vals[0] + self._f(self.rc.base(self.knots[0] - 1.0)) * (
-                x[left] - self.knots[0]
-            )
-        for j in range(len(self.knots)):
-            sel = idx == j
-            if not sel.any():
-                continue
-            x0 = self.knots[j]
-            # which kind of segment starts at knot j?
-            seg = None
-            for lo, hi in self._ivals:
-                if np.isclose(x0, lo) or (lo < x0 < hi):
-                    seg = (lo, hi)
-                    break
-            if seg is None:
-                # constant segment: exact affine
-                cval = self._f(self.rc.base(x0 + 1e-9 * (1.0 + abs(x0))))
-                out[sel] = self._knot_vals[j] + cval * (x[sel] - x0)
-            else:
-                edges, cum = self._panels[seg]
-                base = self._knot_vals[j] - np.interp(x0, edges, cum)
-                xs = np.minimum(x[sel], seg[1])
-                pj = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, len(cum) - 2)
-                part = cum[pj] + self._gl(edges[pj], xs)
-                res = base + part
-                over = x[sel] > seg[1]
-                if over.any():
-                    cval = self._f(self.rc.base(seg[1] + 1e-9 * (1.0 + abs(seg[1]))))
-                    res = np.where(over, base + cum[-1] + cval * (x[sel] - seg[1]), res)
-                out[sel] = res
+        k = np.searchsorted(self._edges, x, side="right")
+        x0 = self._x0[k]
+        out = self._F[k] + self._slope[k] * (x - x0)
+        p = self._panel[k]
+        if p.any():
+            out[p] += self._gl(x0[p], x[p])
         return float(out[0]) if scalar else out
 
     def derivative(self, x):
         return self._f(coeff_eval(self.rc, x))
 
     def invert(self, y):
-        """x with F(x) = y, via knot bracketing + safeguarded Newton."""
+        """x with F(x) = y: exact on constant intervals, safeguarded Newton in a panel."""
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
         y = np.atleast_1d(y).astype(float)
-        kv, kx = self._knot_vals, self.knots
-        # affine outside the knot range
-        f_left = self._f(self.rc.base(kx[0] - 1.0))
-        f_right = self._f(self.rc.base(kx[-1] + 1.0))
-        x = np.where(
-            y <= kv[0],
-            kx[0] + (y - kv[0]) / f_left,
-            kx[-1] + (y - kv[-1]) / f_right,
-        )
-        mid = (y > kv[0]) & (y < kv[-1])
-        if mid.any():
-            j = np.clip(np.searchsorted(kv, y[mid], side="right") - 1, 0, len(kx) - 2)
-            lo, hi = kx[j], kx[j + 1]
+        k = np.searchsorted(self._F[1:], y, side="right")
+        flat = ~self._panel[k]
+        x = np.empty_like(y)
+        kf = k[flat]
+        x[flat] = self._x0[kf] + (y[flat] - self._F[kf]) / self._slope[kf]
+        if not flat.all():
+            kp = k[~flat]
+            lo, hi, yp = self._x0[kp], self._edges[kp], y[~flat] - self._F[kp]
             xm = 0.5 * (lo + hi)
             for _ in range(60):
-                fx = np.atleast_1d(self(xm))
-                d = np.atleast_1d(self.derivative(xm))
-                step = (fx - y[mid]) / d
+                step = (self._gl(lo, xm) - yp) / self.derivative(xm)
                 xm = np.clip(xm - step, lo, hi)
                 if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(xm))):
                     break
-            x[mid] = xm
+            x[~flat] = xm
         return float(x[0]) if scalar else x
 
 
@@ -271,8 +219,3 @@ class CoeffAntideriv(CumulativeIntegral):
 
     def __init__(self, rc: RegularizedCoeff):
         super().__init__(rc, integrand="reciprocal")
-
-    @property
-    def owner(self) -> RegularizedCoeff:
-        return self.rc
-

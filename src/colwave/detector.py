@@ -87,7 +87,7 @@ class RaySegment:
 class SingSuppReport:
     points: np.ndarray  # (n, 2) rows (t, x)
     flags: np.ndarray  # bool (n,)
-    excess: np.ndarray  # slope(alpha_hi) - slope(alpha_ref) per point
+    excess: np.ndarray  # slope(alpha_hi) - slope(0) per point
     predicted: list
     tube_radius: float
     precision: float
@@ -259,8 +259,8 @@ def slope_excess(fits: dict, alpha_hi: int = 2, r2_min: float = 0.98) -> float:
 
 # --- classification against predicted rays ---------------------------------
 
-def _slope_maps(family, t, alphas, h_fn, name):
-    """Per-alpha arrays over the slice: slope, r2, n_valid (vectorized fits)."""
+def _slope_maps(family, t, alphas, h_fn):
+    """Per-alpha arrays over the slice of u: slope, n_valid (vectorized fits)."""
     eps = family.eps_values
     X = np.log(1.0 / eps)
     maps = {}
@@ -269,7 +269,7 @@ def _slope_maps(family, t, alphas, h_fn, name):
         K = []
         for rec in family:
             h = h_fn(rec.eps) if h_fn is not None else rec.meta.get("h", rec.eps)
-            mags, floor = derivative_profile(rec, t, a, h, name)
+            mags, floor = derivative_profile(rec, t, a, h)
             Y.append(np.log(np.maximum(mags, _FLOOR)))
             K.append(mags > floor)
         Y = np.array(Y)
@@ -279,17 +279,10 @@ def _slope_maps(family, t, alphas, h_fn, name):
         sy = (K * Y).sum(0)
         sxx = (K * X[:, None] ** 2).sum(0)
         sxy = (K * X[:, None] * Y).sum(0)
-        syy = (K * Y * Y).sum(0)
         den = n * sxx - sx * sx
         ok = (n >= 4) & (den > 0)
         slope = np.where(ok, (n * sxy - sx * sy) / np.where(ok, den, 1.0), 0.0)
-        var_y = n * syy - sy * sy
-        r2 = np.where(
-            ok & (var_y > 0),
-            (n * sxy - sx * sy) ** 2 / np.where(ok & (var_y > 0), den * var_y, 1.0),
-            np.where(ok, 1.0, 0.0),
-        )
-        maps[a] = (slope, r2, n)
+        maps[a] = (slope, n)
     return maps
 
 
@@ -300,13 +293,10 @@ def classify(
     times: Optional[Sequence[float]] = None,
     theta: float = 0.5,
     alpha_hi: int = 2,
-    alpha_ref: int = 0,
-    r2_min: float = 0.98,
-    tube_radius: Optional[float] = None,
-    name: str = "u",
     t_skip: float = 0.0,
 ) -> SingSuppReport:
-    """Flag grid cells with slope excess >= theta; score against ray tubes.
+    """Flag grid cells of u whose slope excess over alpha = 0 is >= theta;
+    score against ray tubes of radius 4 h(eps_max).
 
     precision: flagged cells lying within tube_radius of some predicted ray /
     all flagged cells.  recall: predicted-ray sample points with a flagged
@@ -315,9 +305,7 @@ def classify(
     the reported points keep their signed x.
     """
     rec0 = family.records[0]
-    if tube_radius is None:
-        h0 = h_fn(rec0.eps) if h_fn is not None else rec0.meta.get("h", rec0.eps)
-        tube_radius = 4.0 * h0
+    tube_radius = 4.0 * (h_fn(rec0.eps) if h_fn is not None else rec0.meta.get("h", rec0.eps))
     if times is None:
         times = [t for t in rec0.times if t > t_skip]
     xs = rec0.xs
@@ -326,9 +314,9 @@ def classify(
     pts, flags, excess_all = [], [], []
     per_time_flagged_x = {}
     for t in times:
-        maps = _slope_maps(family, t, sorted({alpha_ref, alpha_hi}), h_fn, name)
-        s_hi, r2_hi, n_hi = maps[alpha_hi]
-        s_ref, r2_ref, n_ref = maps[alpha_ref]
+        maps = _slope_maps(family, t, (0, alpha_hi), h_fn)
+        s_hi, n_hi = maps[alpha_hi]
+        s_ref, n_ref = maps[0]
         valid = (n_hi >= 4) & (n_ref >= 4)
         exc = np.where(valid, s_hi - s_ref, 0.0)
         fl = valid & (exc >= theta)
@@ -393,7 +381,7 @@ def classify(
         recall=recall,
         per_ray_recall=per_ray_recall,
         per_ray_max_excess=per_ray_excess,
-        meta={"theta": theta, "alpha_hi": alpha_hi, "alpha_ref": alpha_ref, "times": list(times)},
+        meta={"theta": theta, "alpha_hi": alpha_hi, "alpha_ref": 0, "times": list(times)},
     )
 
 
@@ -407,7 +395,7 @@ def predict_singsupp(kind: str, **kw) -> list:
       2 < sqrt(c0/c1) + sqrt(c1/c0) < 4), transmitted.
     kind = "t_jump": speed jump c0 -> c1 at t=1, point data at origin.
       Rays: transmitted +-T(t); refracted +-(2T(1) - T(t)) (standard scale
-      only); optional t=1 line for general data.
+      only).
     kind = "radial_odd": same ray set in |x| = r >= 0.
     """
     c0 = kw.get("c0", 1.0)
@@ -448,8 +436,6 @@ def predict_singsupp(kind: str, **kw) -> list:
                 RaySegment("refracted+", lambda t: 2.0 * T(tj) - T(t), tj, np.inf),
                 RaySegment("refracted-", lambda t: -(2.0 * T(tj) - T(t)), tj, np.inf),
             ]
-        if kw.get("include_t_line", False):
-            rays.append(RaySegment("t_jump_line", lambda t: np.nan * np.asarray(t), tj, tj))
         if kind == "radial_odd":
             # r >= 0: keep the positive-side rays; the refracted shell collapses
             # through the origin and re-expands, so its radius folds to |.|

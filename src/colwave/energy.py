@@ -69,11 +69,12 @@ def energy_trace(rec: SolutionRecord, form: str) -> EnergyTrace:
 
 def gronwall_bound(rc: RegularizedCoeff, t) -> np.ndarray:
     """Multiplier exp(int_0^t 2|c'|/c) = exp(2 TV_[0,t](log c_eps)), with the total
-    variation summed between consecutive points of {0, t} and the b_i +- h in
-    [0, t]; exact while the kernel neighbourhoods [b_i - h, b_i + h] do not overlap."""
+    variation summed between consecutive points of {0, t} and the edges of
+    rc.windows in [0, t]; exact while the kernel neighbourhoods [b_i - h, b_i + h]
+    do not overlap."""
     if rc.base.variable != "time":
         raise ValueError("gronwall_bound applies to time-dependent coefficients")
-    knots = np.ravel([(b - rc.h, b + rc.h) for b in rc.base.breakpoints])
+    knots = np.ravel(rc.windows)
 
     def tv(s):
         pts = np.concatenate(([0.0], knots[(knots > 0.0) & (knots < s)], [s]))

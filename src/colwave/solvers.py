@@ -16,8 +16,9 @@
 * solve_wave_t: time-dependent speed.  The x-advection is a uniform shift, so
   each step advances the spatial Fourier modes by the exact phase
   exp(-+ i k int c dt) and applies the coupling mu(t) = c'/(2c) by its exact
-  2x2 matrix exponential (int mu dt = log(c_b/c_a)/2), Strang-split inside the
-  mollification window and skipped entirely outside it where mu = 0.
+  2x2 matrix exponential (int mu dt = log(c_b/c_a)/2), Strang-split inside
+  every kernel window of the time breakpoints and skipped entirely between
+  and outside them, where mu = 0.
 * solve_radial_odd: d = 2n+1 spherical waves via the auxiliary 1D problem and
   u = [(-1/r) dr]^n v; implemented for d = 3.
 * abel_forward / abel_invert: the half-integral pair linking radial profiles
@@ -239,7 +240,7 @@ def solve_transport(
             rc = cv
             cv = CharCurve.x_dependent(CoeffAntideriv(rc))
         elif cv.kind == "x_dependent":
-            rc = cv.antideriv.owner
+            rc = cv.antideriv.rc
         prof = _resolve(u0, rc)
         if store_derivative:
             if u0_deriv is not None:
@@ -328,7 +329,6 @@ def solve_system(
     limiter: str = "fromm",
     store_times=None,
     scenario_id: str = "system",
-    on_step: Optional[Callable] = None,
 ) -> SolutionFamily:
     """Advance the diagonal hyperbolic system; one record (single eps)."""
     xs = grid.xs
@@ -353,8 +353,6 @@ def solve_system(
         hits = np.nonzero(store_idx == step)[0]
         for i in hits:
             stored[int(i)] = u.copy()
-        if on_step is not None:
-            on_step(step, t, u)
         if step == n_steps:
             break
         step_dt = min(dt, grid.t_end - t)
@@ -531,13 +529,15 @@ def solve_wave_x(
 
 # --- wave equation, t-dependent speed (spectral in x) ----------------------
 
+_WINDOW_SUBSTEPS = 4000  # Strang substeps per kernel width 2h
+
+
 def solve_wave_t(
     rcs,
     u0,
     u1,
     grid: Grid1D,
     u0_deriv=None,
-    n_window_substeps: int = 4000,
     store_times=None,
     store_vw: bool = False,
     scenario_id: str = "wave_t",
@@ -545,11 +545,12 @@ def solve_wave_t(
 ) -> SolutionFamily:
     """dtt u = c(t)^2 dxx u on a periodic window via exact per-mode advance.
 
-    Outside the mollification window around the jump the speed is exactly
+    Between and outside the kernel windows rc.windows the speed is exactly
     constant and each Fourier mode advances by a closed-form phase (and its
-    closed-form time integral feeds u).  Inside, Strang splitting alternates
-    exact phase with the exact 2x2 coupling exponential
-    exp(theta M), theta = log(c_b/c_a)/2, M = [[1,-1],[-1,1]].
+    closed-form time integral feeds u).  Inside every window, _WINDOW_SUBSTEPS
+    Strang substeps per 2h alternate the exact phase with the exact 2x2
+    coupling exponential exp(theta M), theta = log(c_b/c_a)/2,
+    M = [[1,-1],[-1,1]].
     """
     if not isinstance(rcs, (list, tuple)):
         rcs = [rcs]
@@ -564,7 +565,6 @@ def solve_wave_t(
             raise ValueError("solve_wave_t needs a time-dependent coefficient")
         grid.check_resolution(rc.h)
         h = rc.h
-        tj = rc.base.breakpoints[0] if rc.base.breakpoints else None
         u0f = _resolve(u0, rc)
         u1f = _resolve(u1, rc)
         uh = np.fft.rfft(u0f(xs).astype(float))
@@ -628,21 +628,16 @@ def solve_wave_t(
                 ut_a, ut_b = ut_b, ut_a
 
         def advance(t0, t1):
-            if tj is None:
+            for lo, hi in rc.windows:
+                a, b = max(t0, lo), min(t1, hi)
+                if a >= b:
+                    continue
+                if t0 < a:
+                    advance_const(t0, a)
+                advance_window(a, b, max(64, int(np.ceil(_WINDOW_SUBSTEPS * (b - a) / (2.0 * h)))))
+                t0 = b
+            if t0 < t1:
                 advance_const(t0, t1)
-                return
-            lo, hi = tj - h, tj + h
-            a = max(t0, lo)
-            b = min(t1, hi)
-            if a >= b:
-                advance_const(t0, t1)
-                return
-            if t0 < a:
-                advance_const(t0, a)
-            n_sub = max(64, int(np.ceil(n_window_substeps * (b - a) / (2.0 * h))))
-            advance_window(a, b, n_sub)
-            if b < t1:
-                advance_const(b, t1)
 
         order = np.argsort(times)
         slices_u = {}
@@ -662,7 +657,7 @@ def solve_wave_t(
             fields["v"] = np.stack([slices_v[i] for i in range(len(times))])
             fields["w"] = np.stack([slices_w[i] for i in range(len(times))])
         return SolutionRecord(
-            eps=rc.eps, grid=grid, times=times, fields=fields, meta={"h": rc.h, "t_jump": tj}
+            eps=rc.eps, grid=grid, times=times, fields=fields, meta={"h": rc.h}
         )
 
     records = ladder_map(run, list(rcs), threads)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -102,6 +104,10 @@ def test_arsinh_exp_asymptotic_regime():
     # continuity across the regime switch
     lo, hi = arsinh_exp(29.999, 0.7), arsinh_exp(30.001, 0.7)
     assert hi - lo == pytest.approx(0.002, abs=1e-6)
+    # far past double range of e^s: no overflow warning, log form still exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert arsinh_exp(800.0, r) == pytest.approx(800.0 + r + np.log1p(-np.exp(-2 * r)), rel=1e-13)
 
 
 def test_arsinh_exp_tiny_r():

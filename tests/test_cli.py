@@ -175,6 +175,14 @@ REJECTED = {
     "energy_time_kernels_overlap": ("thm43a", {"coefficient.breakpoints": "1.0,1.1",
                                                "coefficient.values": "1.0,2.0,1.0", "analyses": "energy"},
                                     "overlap"),
+    "radial_d_not_3": ("thm45_d3", {"radial.d": "5"}, "'radial.d'"),
+    "malformed_detect_times": ("thm43a", {"detect.times": "0.5,x"}, "'detect.times'"),
+    "malformed_detect_theta": ("thm43a", {"detect.theta": "half"}, "'detect.theta'"),
+    "detect_alpha_hi_out_of_range": ("thm43a", {"detect.alpha_hi": "5"}, "'detect.alpha_hi'"),
+    "malformed_detect_t_skip": ("thm41", {"detect.t_skip": "0.1s"}, "'detect.t_skip'"),
+    "detect_t_skip_past_store_times": ("thm43a", {"detect.times": None, "detect.t_skip": "5"}, "'detect.t_skip'"),
+    "malformed_store_times": ("thm43a", {"solver.store_times": "0,1,y"}, "'solver.store_times'"),
+    "malformed_corner_times": ("corner36", {"corner.times": "a"}, "'corner.times'"),
 }
 
 

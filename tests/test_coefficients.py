@@ -62,20 +62,44 @@ def test_deriv_scaling_law(jump12):
         assert r.deriv(0.0, 1) == pytest.approx((2.0 - 1.0) * (15.0 / 16.0) / eps, rel=1e-12)
 
 
-def test_antideriv_vs_quadrature(rc):
-    ca = CoeffAntideriv(rc)
-    # frozen from an independent adaptive quadrature of 1/c_eps
-    assert ca(1.0) == pytest.approx(0.5023214370944632, abs=1e-11)
-    for x in (-1.3, -0.02, 0.017, 0.8):
-        ref, err = quad(lambda y: 1.0 / rc(y), 0.0, x, points=[-0.05, 0.0, 0.05], limit=200)
-        assert ca(x) == pytest.approx(ref, abs=1e-10)
+# (breakpoints, values, eps) of the edge-table geometries
+GEOMETRIES = {
+    "jump_at_0": ((0.0,), (1.0, 2.0), 0.05),
+    "jump_off_panel_grid": ((0.03,), (1.0, 2.0), 0.1),  # 0 inside a panel of the window
+    "merged_neighbourhoods": ((0.0, 0.05), (1.0, 2.0, 1.5), 0.05),
+    "no_breakpoint": ((), (1.7,), 0.05),
+}
+INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "value": lambda c: c, "square": lambda c: c * c}
 
 
-def test_antideriv_inverse_roundtrip(rc):
-    ca = CoeffAntideriv(rc)
-    xs = np.linspace(-2.0, 2.0, 101)
-    back = ca.invert(ca(xs))
-    assert np.max(np.abs(back - xs)) < 1e-10
+def _table(geometry, integrand):
+    bps, vals, eps = GEOMETRIES[geometry]
+    r = RegularizedCoeff(PiecewiseConstantCoeff(bps, vals, "space"), Mollifier(), ScaleFn("standard"), eps)
+    return r, CumulativeIntegral(r, integrand=integrand)
+
+
+@pytest.mark.parametrize("integrand", INTEGRANDS)
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_antideriv_vs_quadrature(geometry, integrand):
+    r, F = _table(geometry, integrand)
+    f = INTEGRANDS[integrand]
+    if (geometry, integrand) == ("jump_at_0", "reciprocal"):
+        # frozen from an independent adaptive quadrature of 1/c_eps
+        assert F(1.0) == pytest.approx(0.5023214370944632, abs=1e-11)
+    assert abs(F(0.0)) <= 1e-15
+    kinks = sorted({b + d for b in r.base.breakpoints for d in (-r.h, 0.0, r.h)})
+    for x in (-1.3, -0.06, -0.02, 0.017, 0.04, 0.1, 0.8):
+        ref, _ = quad(lambda y: f(r(y)), 0.0, x, points=kinks or None, limit=200)
+        assert F(x) == pytest.approx(ref, abs=1e-10)
+    assert np.all(np.diff(F(np.linspace(-0.3, 0.3, 3001))) > 0)
+
+
+@pytest.mark.parametrize("integrand", INTEGRANDS)
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_antideriv_inverse_roundtrip(geometry, integrand):
+    _, F = _table(geometry, integrand)
+    xs = np.concatenate([np.linspace(-2.0, 2.0, 101), np.linspace(-0.2, 0.2, 40001)])
+    assert np.max(np.abs(F.invert(F(xs)) - xs)) < 1e-12
 
 
 def test_antideriv_strictly_increasing(rc):

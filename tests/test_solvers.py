@@ -166,6 +166,25 @@ def test_wave_t_jump_matches_reexpansion_oracle(rc_time):
     assert err < 5e-3
 
 
+def test_wave_t_steps_every_jump_window():
+    # speed 1 -> 2 at t = 0.6 and back 2 -> 1 at t = 1.2
+    base = PiecewiseConstantCoeff((0.6, 1.2), (1.0, 2.0, 1.0), "time")
+    rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.05)
+    g = Grid1D(-6.0, 6.0, 4096, 2.0)
+    half = lambda x: 0.5 * smooth_bump(x, 0.0, 0.5)
+    fam = solve_wave_t(rc, lambda x: 2.0 * half(x), None, g, store_times=[2.0])
+    first = PiecewiseTSolution(1.0, 2.0, F=half, G=half, t_jump=0.6)
+    a, b = first.alpha, first.beta
+    # the first re-expansion as waves in x - 2t and x + 2t, re-expanded at t = 1.2
+    right = lambda xi: a * half(xi + 0.6) + b * half(xi + 1.8)
+    left = lambda eta: b * half(eta - 1.8) + a * half(eta - 0.6)
+    second = PiecewiseTSolution(2.0, 1.0, F=right, G=left, t_jump=1.2)
+    xs = g.xs_periodic()
+    assert float(np.max(np.abs(first(1.0, xs) - second(1.0, xs)))) < 1e-15
+    err = float(np.max(np.abs(fam.records[0].slice_at(2.0) - second(2.0, xs))))
+    assert err < 1.5e-2
+
+
 def test_radial_matches_spherical_oracle():
     m = Mollifier()
     base = PiecewiseConstantCoeff((), (1.5,), "time")
