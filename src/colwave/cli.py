@@ -1,7 +1,7 @@
 """Scenario-driven command line front end.
 
 Verbs:
-    colwave run SCENARIO [--out DIR] [--threads N] [--ladder-override e0,r,n]
+    colwave run SCENARIO [--out DIR] [--ladder-override e0,r,n]
     colwave validate SCENARIO
     colwave list
 
@@ -89,30 +89,29 @@ class Scenario:
         return np.linspace(0.0, self.grid.t_end, 23) if times is None else times
 
 
-# --- solves: Scenario, threads -> SolutionFamily ----------------------------
+# --- solves: Scenario -> SolutionFamily -------------------------------------
 
-def _solve_transport(scn: Scenario, threads):
+def _solve_transport(scn: Scenario):
     tanh = TANH.get(scn.problem)
     curves = [tanh[0](e) for e in scn.ladder] if tanh else scn.rcs
     return solve_transport(curves, scn.data[0], scn.grid, store_times=scn.store_times, scenario_id=scn.id)
 
 
-def _solve_wave(scn: Scenario, threads):
+def _solve_wave(scn: Scenario):
     kv, (u0, u0d, u1), want_vw = scn.raw, scn.data, "energy" in scn.analyses
-    common = dict(u0_deriv=u0d, store_times=scn.store_times, store_vw=want_vw, scenario_id=scn.id,
-                  threads=threads)
+    common = dict(u0_deriv=u0d, store_times=scn.store_times, store_vw=want_vw, scenario_id=scn.id)
     if scn.coefficient.variable == "time":
         return solve_wave_t(scn.rcs, u0, u1, scn.grid, **common)
     return solve_wave_x(
-        scn.rcs, u0, u1, scn.grid, conservative=kv.get("solver.conservative", "false").lower() == "true",
+        scn.rcs, u0, u1, scn.grid, conservative=scn.opts["solver.conservative"],
         limiter=kv.get("solver.limiter", "vanleer"), store_dtype=np.float64 if want_vw else np.float32,
         **common,
     )
 
 
-def _solve_radial_odd(scn: Scenario, threads):
+def _solve_radial_odd(scn: Scenario):
     return solve_radial_odd(scn.rcs, scn.opts["radial.d"], scn.grid, store_times=scn.store_times,
-                            scenario_id=scn.id, threads=threads)
+                            scenario_id=scn.id)
 
 
 # --- analyses: Scenario, family, output directory -> report.txt line(s) -----
@@ -206,7 +205,7 @@ ANALYSES = dict(detect=_detect, energy=_energy, associate=_associate, oracle_com
 
 # Per problem: the coefficient.variable it needs (None: no coefficient), whether it
 # needs a grid, the analyses it runs in report.txt order, the detect.kind its
-# detection is scored with, its solve (Scenario, threads -> family) and the
+# detection is scored with, its solve (Scenario -> family) and the
 # default data.u0.
 Problem = namedtuple("Problem", "variable grid analyses detect_kind solve u0", defaults=(None, None, "zero"))
 PROBLEMS = {
@@ -247,6 +246,12 @@ def _one_of(*allowed):
     return parse
 
 
+def _boolean(s: str) -> bool:
+    if s.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {s!r}")
+    return s.lower() == "true"
+
+
 # Keys that only a solve or an analysis reads: parser and default.  All are parsed
 # in parse_scenario, so a malformed value exits 2 before any output exists.
 RUN_KEYS = {
@@ -257,6 +262,7 @@ RUN_KEYS = {
     "detect.t_skip": (float, 0.1),
     "corner.times": (_floats, (0.5, 1.0)),
     "radial.d": (_one_of(3), 3),
+    "solver.conservative": (_boolean, False),
 }
 
 
@@ -405,11 +411,11 @@ def _profile(spec: str, grid: Grid1D | None):
     raise ValidationError(f"unknown data spec {spec!r}")
 
 
-def run_scenario(scn: Scenario, outdir: Path, threads: int | None = None) -> int:
+def run_scenario(scn: Scenario, outdir: Path) -> int:
     outdir = outdir / scn.id
     outdir.mkdir(parents=True, exist_ok=True)
     prob = PROBLEMS[scn.problem]
-    fam = prob.solve(scn, threads) if prob.solve else None
+    fam = prob.solve(scn) if prob.solve else None
     if fam is not None:
         save_family(fam, outdir / "family")
     lines = [f"scenario={scn.id}", f"problem={scn.problem}"]
@@ -429,7 +435,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario end to end")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--ladder-override", default=None, metavar="eps0,ratio,count")
     p_val = sub.add_parser("validate", help="static checks only")
     p_val.add_argument("scenario")
@@ -458,7 +463,7 @@ def _dispatch(ns, path: Path) -> int:
         print(f"{scn.id}: OK (problem={scn.problem}, ladder={len(scn.ladder.values)} values)")
         return 0
     try:
-        return run_scenario(scn, Path(ns.out), ns.threads)
+        return run_scenario(scn, Path(ns.out))
     except (NumericalFailure, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .solvers import SolutionFamily, SolutionRecord
 
@@ -131,6 +130,18 @@ def _fd_stride(u: np.ndarray, m: int, dx: float, alpha: int) -> np.ndarray:
     return out
 
 
+def _running_max(a: np.ndarray, w: int) -> np.ndarray:
+    """max of a[i - w : i + w + 1], the ends held (edge padding): doubling
+    maxima over shifted views, then the two power-of-two windows that cover
+    each 2w + 1 window."""
+    m = np.pad(a, w, mode="edge")
+    size, span = 2 * w + 1, 1
+    while 2 * span <= size:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[: len(a)], m[size - span : size - span + len(a)])
+
+
 def derivative_profile(
     rec: SolutionRecord, t: float, alpha: int, h: float, name: str = "u"
 ):
@@ -147,7 +158,7 @@ def derivative_profile(
     s = m * dx
     mags = _fd_stride(u, m, dx, alpha)
     w = max(1, int(round(2.0 * h / dx)))
-    mags = maximum_filter1d(mags, size=2 * w + 1, mode="nearest")
+    mags = _running_max(mags, w)
     eps_mach = np.finfo(rec.fields[name].dtype).eps
     floor = _SIG_FACTOR * eps_mach * float(np.max(np.abs(u))) / s**alpha
     floor = max(floor, _CONTRAST * float(np.max(mags)))

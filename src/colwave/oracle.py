@@ -326,32 +326,24 @@ def pair_delta_oracle(c_minus: float, c_plus: float, psi: TestFunction, n_panels
     if t_hi <= t_lo:
         return 0.0
     nodes, wts = _GL8
-
-    def x_slice(t):
-        # breakpoints of u(t, .)
-        bps = sorted({-1.0 - cm * t, -1.0 + cm * t, 1.0 - cm * t, -cp / cm + cp * t, 0.0})
-        edges = [-np.inf] + bps + [np.inf]
-        acc = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if np.isfinite(a) and np.isfinite(b):
-                midx = 0.5 * (a + b)
-            elif np.isfinite(b):
-                midx = b - 1.0
-            else:
-                midx = a + 1.0
-            val = delta_solution_eval(cm, cp, t, midx)
-            if val == 0.0:
-                continue
-            hi = psi.x_antideriv(t, b) if np.isfinite(b) else psi.x_antideriv(t, 1e30)
-            lo = psi.x_antideriv(t, a) if np.isfinite(a) else 0.0
-            acc += val * (hi - lo)
-        return acc
-
     edges = np.linspace(t_lo, t_hi, n_panels + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    t = (0.5 * (a + b) + 0.5 * (b - a) * nodes).ravel()
+    # u(t, .) is constant between the sorted breakpoints of each node
+    bps = np.sort(np.column_stack([-1.0 - cm * t, -1.0 + cm * t, 1.0 - cm * t, -cp / cm + cp * t,
+                                   np.zeros_like(t)]), axis=1)
+    mid = np.column_stack([bps[:, 0] - 1.0, 0.5 * (bps[:, :-1] + bps[:, 1:]), bps[:, -1] + 1.0])
+    val = delta_solution_eval(cm, cp, t[:, None], mid)
+    F = psi.x_antideriv(t[:, None], bps)
+    hi = np.column_stack([F, psi.x_antideriv(t, 1e30)])
+    lo = np.column_stack([np.zeros_like(t), F])
+    part = val * (hi - lo)
+    x_slice = np.zeros_like(t)
+    for j in range(part.shape[1]):  # interval by interval in x order, as a per-node loop sums
+        x_slice += part[:, j]
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        ss = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        total += 0.5 * (b - a) * np.sum(wts * np.array([x_slice(s) for s in ss]))
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        total += 0.5 * (b - a) * np.sum(wts * x_slice[i * len(nodes) : (i + 1) * len(nodes)])
     return total
 
 

@@ -18,7 +18,10 @@
   exp(-+ i k int c dt) and applies the coupling mu(t) = c'/(2c) by its exact
   2x2 matrix exponential (int mu dt = log(c_b/c_a)/2), Strang-split inside
   every kernel window of the time breakpoints and skipped entirely between
-  and outside them, where mu = 0.
+  and outside them, where mu = 0.  The Yoshida triple jump of the Strang
+  step makes each window substep fourth order, u follows by the
+  end-corrected trapezoid, and the substeps are sized by the data scale eps
+  (capped by the grid spacing), not by the window width.
 * solve_radial_odd: d = 2n+1 spherical waves via the auxiliary 1D problem and
   u = [(-1/r) dr]^n v; implemented for d = 3.
 * abel_forward / abel_invert: the half-integral pair linking radial profiles
@@ -28,11 +31,9 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,8 +59,6 @@ __all__ = [
     "abel_invert",
     "save_family",
     "load_family",
-    "default_threads",
-    "ladder_map",
 ]
 
 
@@ -184,22 +183,6 @@ def _resolve(profile, rc):
     if isinstance(profile, PerEps):
         return profile(rc)
     return profile
-
-
-def default_threads() -> int:
-    env = os.environ.get("COLWAVE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def ladder_map(fn: Callable, args: Sequence, threads: Optional[int] = None) -> list:
-    """Run fn over ladder members concurrently; results in input order."""
-    threads = threads or default_threads()
-    if threads <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args))
 
 
 def _default_store_times(t_end: float, n: int = 9) -> np.ndarray:
@@ -448,7 +431,6 @@ def solve_wave_x(
     store_dtype=np.float64,
     store_vw: bool = False,
     scenario_id: str = "wave_x",
-    threads: Optional[int] = None,
 ) -> SolutionFamily:
     """V/W characteristic solve of dtt u = c^2 dxx u (or dx(c dx u)).
 
@@ -523,13 +505,24 @@ def solve_wave_x(
             meta={"conservative": conservative, "limiter": limiter, "h": rc.h},
         )
 
-    records = ladder_map(run, list(rcs), threads)
-    return SolutionFamily(scenario_id, "wave_x", records)
+    return SolutionFamily(scenario_id, "wave_x", [run(rc) for rc in rcs])
 
 
 # --- wave equation, t-dependent speed (spectral in x) ----------------------
 
-_WINDOW_SUBSTEPS = 4000  # Strang substeps per kernel width 2h
+# Window substep size: c_max dt <= min(_SIGMA eps, _RHO dx).  The splitting error
+# of mode k grows like (k c dt)^4 and delta data put their energy at k ~ 1/eps, so
+# the data scale eps sizes the substep (h only sets the window length); 0.0125 is
+# 320 substeps per 2h at the standard scale.  The polynomial mollifier's spectrum
+# decays only algebraically, so every mode the grid carries holds some data, and
+# past k c dt ~ pi the substeps alias their coupling: the dx cap keeps the highest
+# mode at k c dt <= 0.4 pi.  Both from halving studies (CHANGES.md).
+_SIGMA = 0.0125
+_RHO = 0.4
+# Yoshida triple jump: the three stages of a substep start at these fractions of
+# it and last g1, 1 - 2 g1 (< 0: backward in time) and g1
+_GAMMA1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_STAGES = np.array([0.0, _GAMMA1, 1.0 - _GAMMA1])
 
 
 def solve_wave_t(
@@ -541,16 +534,20 @@ def solve_wave_t(
     store_times=None,
     store_vw: bool = False,
     scenario_id: str = "wave_t",
-    threads: Optional[int] = None,
 ) -> SolutionFamily:
     """dtt u = c(t)^2 dxx u on a periodic window via exact per-mode advance.
 
     Between and outside the kernel windows rc.windows the speed is exactly
     constant and each Fourier mode advances by a closed-form phase (and its
-    closed-form time integral feeds u).  Inside every window, _WINDOW_SUBSTEPS
-    Strang substeps per 2h alternate the exact phase with the exact 2x2
-    coupling exponential exp(theta M), theta = log(c_b/c_a)/2,
-    M = [[1,-1],[-1,1]].
+    closed-form time integral feeds u).  Inside every window the substeps
+    obey c_max dt <= min(_SIGMA eps, _RHO dx).  Each substep is the Yoshida
+    triple jump of the symmetric Strang step (half phase, exact 2x2 coupling
+    exponential exp(theta M), half phase; theta = log(c_b/c_a)/2,
+    M = [[1,-1],[-1,1]]) over the fractions g1, 1 - 2 g1, g1 with
+    g1 = 1/(2 - 2^(1/3)), the middle one backward in time, which makes it
+    fourth order.  u integrates u_t = (v+w)/2 by the end-corrected trapezoid
+    with the exact d(v+w)/dt = -i k c (v-w) (the coupling cancels), so u is
+    fourth order too.
     """
     if not isinstance(rcs, (list, tuple)):
         rcs = [rcs]
@@ -559,12 +556,18 @@ def solve_wave_t(
     )
     xs = grid.xs_periodic()
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.nx, grid.dx)
+    # exp(-i k p) with k = (span a + b) k[1] is the outer product of two short
+    # exponential tables: one complex multiply per mode instead of one exp
+    span = 1 << int(np.ceil(0.5 * np.log2(len(k))))
+    k_lo = k[1] * np.arange(span)
+    k_hi = k[1] * span * np.arange(-(-len(k) // span))[:, None]
+    table = np.empty((len(k_hi), span), dtype=complex)
+    ph = table.reshape(-1)[: len(k)]
 
     def run(rc: RegularizedCoeff) -> SolutionRecord:
         if rc.base.variable != "time":
             raise ValueError("solve_wave_t needs a time-dependent coefficient")
         grid.check_resolution(rc.h)
-        h = rc.h
         u0f = _resolve(u0, rc)
         u1f = _resolve(u1, rc)
         uh = np.fft.rfft(u0f(xs).astype(float))
@@ -596,36 +599,42 @@ def solve_wave_t(
             vh = vh * phase
             wh = wh * np.conj(phase)
 
-        mk = -0.5j * k
+        c_max = max(rc.base.values)
 
-        def advance_window(t0, t1, n_sub):
-            """Strang substeps, updating vh, wh and uh in place."""
+        def advance_window(t0, t1):
+            """Triple-jump substeps, updating vh, wh and uh in place."""
             nonlocal vh, wh, uh
-            edges = np.linspace(t0, t1, n_sub + 1)
-            Ts = time_integral(rc, edges)
-            cs = rc(edges)
-            half, half_c, dvw, acc, ut_b = (np.empty_like(vh) for _ in range(5))
-            ut_a = 0.5 * (vh + wh)
+            n_sub = int(np.ceil((t1 - t0) * c_max / min(_SIGMA * rc.eps, _RHO * grid.dx)))
+            dt = (t1 - t0) / n_sub
+            stages = np.append((t0 + dt * (np.arange(n_sub)[:, None] + _STAGES)).ravel(), t1)
+            cs = rc(stages)
+            f = (0.5 * (cs[1:] / cs[:-1] - 1.0)).reshape(n_sub, 3)  # exp(theta M) = I + f M
+            half = (0.5 * np.diff(time_integral(rc, stages))).reshape(n_sub, 3)
+            # the four phases of a substep: adjacent half phases of two stages merged
+            phases = np.column_stack([half[:, 0], half[:, :2].sum(1), half[:, 1:].sum(1), half[:, 2]])
+            ph_c, dvw = np.empty_like(vh), np.empty_like(vh)
+            # trapezoid sum of v + w over the substep ends; the end corrections
+            # dt^2/12 (ut'_a - ut'_b), ut' = -i k c (v - w)/2, telescope to the
+            # window ends: dq = c_a (v_a - w_a) - c_b (v_b - w_b)
+            acc = 0.5 * (vh + wh)
+            dq = cs[0] * (vh - wh)
             for i in range(n_sub):
-                np.multiply(mk, Ts[i + 1] - Ts[i], out=half)
-                np.exp(half, out=half)
-                np.conjugate(half, out=half_c)
-                vh *= half
-                wh *= half_c
-                theta = 0.5 * np.log(cs[i + 1] / cs[i])
-                f = 0.5 * (np.exp(2.0 * theta) - 1.0)
-                np.subtract(vh, wh, out=dvw)
-                dvw *= f
-                vh += dvw
-                wh -= dvw
-                vh *= half
-                wh *= half_c
-                np.add(vh, wh, out=ut_b)
-                ut_b *= 0.5
-                np.add(ut_a, ut_b, out=acc)
-                acc *= 0.5 * (edges[i + 1] - edges[i])
-                uh += acc
-                ut_a, ut_b = ut_b, ut_a
+                for j in range(4):
+                    p = -1j * phases[i, j]
+                    np.multiply(np.exp(p * k_hi), np.exp(p * k_lo), out=table)
+                    np.conjugate(ph, out=ph_c)
+                    vh *= ph
+                    wh *= ph_c
+                    if j < 3:
+                        np.subtract(vh, wh, out=dvw)
+                        dvw *= f[i, j]
+                        vh += dvw
+                        wh -= dvw
+                acc += vh
+                acc += wh
+            acc -= 0.5 * (vh + wh)
+            dq -= cs[-1] * (vh - wh)
+            uh += 0.5 * dt * acc - 1j * k * (dt * dt / 24.0) * dq
 
         def advance(t0, t1):
             for lo, hi in rc.windows:
@@ -634,7 +643,7 @@ def solve_wave_t(
                     continue
                 if t0 < a:
                     advance_const(t0, a)
-                advance_window(a, b, max(64, int(np.ceil(_WINDOW_SUBSTEPS * (b - a) / (2.0 * h)))))
+                advance_window(a, b)
                 t0 = b
             if t0 < t1:
                 advance_const(t0, t1)
@@ -660,8 +669,7 @@ def solve_wave_t(
             eps=rc.eps, grid=grid, times=times, fields=fields, meta={"h": rc.h}
         )
 
-    records = ladder_map(run, list(rcs), threads)
-    return SolutionFamily(scenario_id, "wave_t", records)
+    return SolutionFamily(scenario_id, "wave_t", [run(rc) for rc in rcs])
 
 
 # --- odd-dimensional radial reduction --------------------------------------
@@ -691,7 +699,6 @@ def solve_radial_odd(
     grid: Grid1D,
     store_times=None,
     scenario_id: str = "radial_odd",
-    threads: Optional[int] = None,
 ) -> SolutionFamily:
     """Spherical wave in d = 2n+1 dimensions with U0 = 0, U1 = phi_h(|x|).
 
@@ -715,7 +722,6 @@ def solve_radial_odd(
         grid,
         store_times=store_times,
         scenario_id=scenario_id,
-        threads=threads,
     )
     xs = grid.xs_periodic()
     dx = grid.dx

@@ -77,7 +77,7 @@ def _solve_xjump(scale):
     rcs = [RegularizedCoeff(X_BASE, MOLL, scale, e) for e in XJUMP_LADDER]
     return solve_wave_x(
         rcs, None, delta_profile(-1.0), grid, store_times=XJUMP_TIMES,
-        limiter="vanleer", store_dtype=np.float32, threads=1,
+        limiter="vanleer", store_dtype=np.float32,
     )
 
 
@@ -102,7 +102,7 @@ def _solve_tjump(scale, u0, u1):
     nx += nx % 2
     grid = Grid1D(-5.0, 5.0, nx, 2.0)
     rcs = [RegularizedCoeff(T_BASE, MOLL, scale, e) for e in TJUMP_LADDER]
-    return solve_wave_t(rcs, u0, u1, grid, store_times=TJUMP_TIMES, threads=1)
+    return solve_wave_t(rcs, u0, u1, grid, store_times=TJUMP_TIMES)
 
 
 @pytest.fixture(scope="session")
@@ -131,7 +131,7 @@ def fam_radial():
     grid = Grid1D(-4.0, 4.0, nx, 1.6)
     rcs = [RegularizedCoeff(T_BASE, MOLL, STD, e) for e in ladder]
     times = sorted(set(np.round(np.linspace(0.0, 1.6, 33), 10)) | {0.5, 0.8, 1.2, 1.5})
-    return solve_radial_odd(rcs, 3, grid, store_times=times, threads=1)
+    return solve_radial_odd(rcs, 3, grid, store_times=times)
 
 
 # --- criteria ----------------------------------------------------------------
@@ -213,7 +213,7 @@ def test_criterion_04_energy_conservation():
         grid = Grid1D(-6.5, 5.5, nx, 3.0)
         fam = solve_wave_x(
             [rc], None, lambda x: _bump(x, -1.0, 0.3), grid, conservative=True,
-            limiter="fromm", store_times=np.linspace(0.0, 3.0, 61), store_vw=True, threads=1,
+            limiter="fromm", store_times=np.linspace(0.0, 3.0, 61), store_vw=True,
         )
         drifts[nx] = energy_trace(fam.records[0], "conservative_x").max_relative_drift
     ratio = drifts[4096] / drifts[8192]

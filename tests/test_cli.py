@@ -183,6 +183,7 @@ REJECTED = {
     "detect_t_skip_past_store_times": ("thm43a", {"detect.times": None, "detect.t_skip": "5"}, "'detect.t_skip'"),
     "malformed_store_times": ("thm43a", {"solver.store_times": "0,1,y"}, "'solver.store_times'"),
     "malformed_corner_times": ("corner36", {"corner.times": "a"}, "'corner.times'"),
+    "conservative_not_boolean": ("thm41", {"solver.conservative": "yes"}, "'solver.conservative'"),
 }
 
 

@@ -18,6 +18,7 @@ from colwave.detector import (
     slope_excess,
     verdict_text,
 )
+from colwave.detector import _running_max
 from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_antideriv, phi_eval
 from colwave.solvers import Grid1D, SolutionFamily, SolutionRecord, solve_radial_odd
@@ -129,6 +130,16 @@ def test_derivative_profile_contrast_floor():
     assert mags.max() > floor
 
 
+@pytest.mark.parametrize("n", [5, 100, 2423, 10667])
+def test_running_max_matches_scipy_maximum_filter(n):
+    from scipy.ndimage import maximum_filter1d
+
+    rng = np.random.default_rng(n)
+    a = rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    for w in range(1, 201):
+        assert np.array_equal(_running_max(a, w), maximum_filter1d(a, size=2 * w + 1, mode="nearest")), w
+
+
 def test_point_fits_off_ray_degenerate():
     fam = _synthetic_family()
     fits = point_fits(fam, (0.5, -1.5), h_fn=ScaleFn("standard"))
@@ -210,7 +221,7 @@ def test_classify_scores_radial_family_in_abs_x():
     base = PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time")
     rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
     times = [0.5, 0.8, 1.2, 1.5]
-    fam = solve_radial_odd(rcs, 3, Grid1D(-4.0, 4.0, nx, 1.6), store_times=times, threads=1)
+    fam = solve_radial_odd(rcs, 3, Grid1D(-4.0, 4.0, nx, 1.6), store_times=times)
     rays = predict_singsupp("radial_odd", c0=1.0, c1=2.0)
     rep = classify(fam, rays, h_fn=ScaleFn("standard"), times=times)
     ft, fx = rep.points[rep.flags, 0], rep.points[rep.flags, 1]

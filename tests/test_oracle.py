@@ -229,6 +229,40 @@ def test_pair_delta_oracle_plateau_region():
     assert pair_delta_oracle(1.0, 2.0, psi) == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
+def _pair_delta_oracle_loop(cm, cp, psi, n_panels):
+    """Node-by-node, interval-by-interval reference of pair_delta_oracle."""
+    t_lo, t_hi = max(psi.t_support[0], 0.0), psi.t_support[1]
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+
+    def x_slice(t):
+        bps = sorted({-1.0 - cm * t, -1.0 + cm * t, 1.0 - cm * t, -cp / cm + cp * t, 0.0})
+        edges = [-np.inf] + bps + [np.inf]
+        acc = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            midx = 0.5 * (a + b) if np.isfinite(a) and np.isfinite(b) else (b - 1.0 if np.isfinite(b) else a + 1.0)
+            val = delta_solution_eval(cm, cp, t, midx)
+            if val == 0.0:
+                continue
+            hi = psi.x_antideriv(t, b if np.isfinite(b) else 1e30)
+            lo = psi.x_antideriv(t, a) if np.isfinite(a) else 0.0
+            acc += val * (hi - lo)
+        return acc
+
+    edges = np.linspace(t_lo, t_hi, n_panels + 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        ss = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+        total += 0.5 * (b - a) * np.sum(wts * np.array([x_slice(s) for s in ss]))
+    return total
+
+
+@pytest.mark.parametrize("psi", [(1.8, 0.3, 0.15), (1.4, 0.8, 0.3), (1.4, -0.5, 0.3), (0.9, -0.2, 0.4)])
+@pytest.mark.parametrize("speeds", [(1.0, 2.0), (2.0, 1.0)])
+def test_pair_delta_oracle_matches_loop_reference(psi, speeds):
+    got = pair_delta_oracle(*speeds, TestFunction(*psi), n_panels=25)
+    assert got == _pair_delta_oracle_loop(*speeds, TestFunction(*psi), n_panels=25)
+
+
 def test_associate_check_pass_and_fail():
     eps = 0.1 * 0.7 ** np.arange(10)
     good = 1.0 + 0.05 * eps

@@ -13,6 +13,7 @@ from colwave.solvers import (
     abel_forward,
     abel_invert,
     delta_profile,
+    delta_profile_deriv,
     load_family,
     save_family,
     solve_radial_odd,
@@ -22,6 +23,7 @@ from colwave.solvers import (
     solve_wave_x,
     spherical_oracle,
 )
+from colwave import solvers
 from colwave.solvers import _upwind_deriv
 
 
@@ -185,6 +187,55 @@ def test_wave_t_steps_every_jump_window():
     assert err < 1.5e-2
 
 
+def _t_jump_u(eps, scale, grid, matched=False):
+    """u at grid.t_end for the speed jump 1 -> 2 at t = 1 with delta data:
+    u1 = delta (matched: u0 = delta and u1 = u0', which cancels the
+    left-moving component)."""
+    rc = RegularizedCoeff(PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time"), Mollifier(), scale, eps)
+    if matched:
+        du0 = delta_profile_deriv(0.0)
+        fam = solve_wave_t(rc, delta_profile(0.0), du0, grid, u0_deriv=du0, store_times=[grid.t_end])
+    else:
+        fam = solve_wave_t(rc, None, delta_profile(0.0), grid, store_times=[grid.t_end])
+    return fam.records[0].fields["u"][-1]
+
+
+def _rel(u, ref):
+    return float(np.max(np.abs(u - ref)) / np.max(np.abs(ref)))
+
+
+def test_wave_t_window_step_is_fourth_order(monkeypatch):
+    g = Grid1D(-3.0, 3.0, 2048, 1.5)
+    assert solvers._SIGMA * 0.05 < solvers._RHO * g.dx  # the data-scale rule sets the substeps
+    sigma = solvers._SIGMA
+    u = {}
+    for div in (1, 2, 8):
+        monkeypatch.setattr(solvers, "_SIGMA", sigma / div)
+        u[div] = _t_jump_u(0.05, ScaleFn("standard"), g)
+    assert _rel(u[1], u[8]) / _rel(u[2], u[8]) >= 12.0
+
+
+def test_wave_t_substeps_follow_the_data_scale_not_the_window(monkeypatch):
+    # slow scale: the window 2h = 0.86 is 25 data widths eps long
+    g = Grid1D(-4.0, 4.0, 3840, 2.0)
+    u = _t_jump_u(0.0343, ScaleFn("slow_scale", 4.0), g)
+    monkeypatch.setattr(solvers, "_SIGMA", solvers._SIGMA / 4)
+    monkeypatch.setattr(solvers, "_RHO", solvers._RHO / 4)
+    ref = _t_jump_u(0.0343, ScaleFn("slow_scale", 4.0), g)
+    assert _rel(u, ref) <= 1e-6
+
+
+def test_wave_t_substeps_resolve_every_grid_mode(monkeypatch):
+    # a grid 100 cells per data width carries modes far above k ~ 1/eps; without
+    # the dx cap the substeps alias their coupling
+    g = Grid1D(-1.5, 1.5, 3000, 1.3)
+    u = _t_jump_u(0.1, ScaleFn("standard"), g, matched=True)
+    monkeypatch.setattr(solvers, "_SIGMA", solvers._SIGMA / 4)
+    monkeypatch.setattr(solvers, "_RHO", solvers._RHO / 4)
+    ref = _t_jump_u(0.1, ScaleFn("standard"), g, matched=True)
+    assert _rel(u, ref) <= 5e-7
+
+
 def test_radial_matches_spherical_oracle():
     m = Mollifier()
     base = PiecewiseConstantCoeff((), (1.5,), "time")
@@ -289,7 +340,7 @@ def test_wave_x_step_bitwise_matches_generic_engine(rc_space, limiter, conservat
     times = [0.0, 0.35, 0.7]
     fam = solve_wave_x(
         rc_space, u0, u1, g, conservative=conservative, limiter=limiter,
-        store_times=times, store_vw=True, threads=1,
+        store_times=times, store_vw=True,
     )
     ref = _reference_wave_x(rc_space, u0, u1, g, conservative, limiter, times)
     rec = fam.records[0]
