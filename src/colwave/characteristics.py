@@ -1,17 +1,17 @@
-"""Characteristic curves for x- and t-dependent speeds, plus tanh closed forms.
+"""Characteristic curves for x-dependent and tanh speeds; T(t) for t-dependent ones.
 
 x-dependent speed:  gamma(t,x,tau) = C^{-1}(C(x) + tau - t) with C the
 reciprocal antiderivative of c_eps; its partials at tau=0 follow from the
 chain rule, e.g. d/dx gamma = c(gamma)/c(x).
 
-t-dependent speed:  gamma_pm(t,x,tau) = x +- (T(tau) - T(t)),  T(t) = int_0^t c_eps.
+t-dependent speed:  the characteristics x +- (T(tau) - T(t)) are straight
+lines in T(t) = int_0^t c_eps, which time_integral tabulates for solve_wave_t.
 
 tanh speeds c = -+tanh(x/eps):  gamma(t,x,tau) = eps*Arsinh(e^{s} sinh(x/eps))
 with s = (t-tau)/eps for the minus sign and s = (tau-t)/eps for the plus sign.
 e^{s} overflows double precision long before the quantities of interest stop
 being meaningful, so Arsinh(e^s sinh r) is evaluated through its logarithmic
-asymptotic form once s + |r| is large, and the x-derivative is exposed both
-in value and in log magnitude.
+asymptotic form once s + |r| is large, and so are its x-derivatives.
 """
 
 from __future__ import annotations
@@ -65,14 +65,13 @@ def arsinh_exp(s, r):
     return res if res.ndim else float(res)
 
 
-def _tanh_gamma_x_partials(eps: float, s, r, want_log: bool = False):
+def _tanh_gamma_x_partials(eps: float, s, r):
     """(d/dx gamma, d2/dx2 gamma) for gamma = eps*Arsinh(e^s sinh r), r = x/eps.
 
     With q = e^s sinh r:
         g1 = e^s cosh r / sqrt(1+q^2)
         g2 = (e^s/eps) [ sinh r / sqrt(1+q^2) - e^s cosh^2 r * q / (1+q^2)^{3/2} ]
     Evaluated by regime (q tiny / moderate / huge) to stay in double range.
-    If want_log, returns (log g1, None) instead (g1 > 0 always).
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -89,10 +88,7 @@ def _tanh_gamma_x_partials(eps: float, s, r, want_log: bool = False):
         log_sh = np.where(R > 0.0, R + log_em - _LOG2, -np.inf)  # log |sinh r|
     # log sqrt(1+q^2) = 0.5*logaddexp(0, 2 lq)
     log_root = 0.5 * np.logaddexp(0.0, 2.0 * lq)
-    log_g1 = s + log_ch - log_root
-    if want_log:
-        return log_g1, None
-    g1 = np.exp(log_g1)
+    g1 = np.exp(s + log_ch - log_root)
     # second derivative, piecewise by q magnitude
     g2 = np.empty_like(g1)
     huge = lq > _ASYMPTOTIC
@@ -118,20 +114,13 @@ def _tanh_gamma_x_partials(eps: float, s, r, want_log: bool = False):
 class CharCurve:
     """Characteristic flow (t,x) -> gamma(t,x,tau)."""
 
-    kind: str  # "x_dependent" | "t_dependent" | "tanh_minus" | "tanh_plus"
+    kind: str  # "x_dependent" | "tanh_minus" | "tanh_plus"
     antideriv: Optional[CoeffAntideriv] = None
-    tintegral: Optional[CumulativeIntegral] = None
-    sign: float = 1.0  # t_dependent: +1 right-moving family, -1 left-moving
     eps: float = 0.0
 
     @staticmethod
     def x_dependent(ca: CoeffAntideriv) -> "CharCurve":
         return CharCurve(kind="x_dependent", antideriv=ca)
-
-    @staticmethod
-    def t_dependent(rc: RegularizedCoeff, sign: float = 1.0) -> "CharCurve":
-        ti = CumulativeIntegral(rc, integrand="value")
-        return CharCurve(kind="t_dependent", tintegral=ti, sign=float(np.sign(sign)))
 
     @staticmethod
     def tanh_minus(eps: float) -> "CharCurve":
@@ -153,9 +142,6 @@ def gamma(cc: CharCurve, t, x, tau):
     if cc.kind == "x_dependent":
         ca = cc.antideriv
         out = ca.invert(ca(x) + tau - t)
-    elif cc.kind == "t_dependent":
-        T = cc.tintegral
-        out = x + cc.sign * (T(tau) - T(t))
     elif cc.kind in ("tanh_minus", "tanh_plus"):
         sgn = 1.0 if cc.kind == "tanh_minus" else -1.0
         out = cc.eps * arsinh_exp(sgn * (t - tau) / cc.eps, x / cc.eps)
@@ -165,15 +151,15 @@ def gamma(cc: CharCurve, t, x, tau):
     return out if out.ndim else float(out)
 
 
-def gamma_x_partials(cc: CharCurve, t, x, tau=0.0, want_log: bool = False):
-    """(d/dx gamma, d2/dx2 gamma) for the tanh kinds (want_log: log of the first)."""
+def gamma_x_partials(cc: CharCurve, t, x, tau=0.0):
+    """(d/dx gamma, d2/dx2 gamma) for the tanh kinds."""
     if cc.kind not in ("tanh_minus", "tanh_plus"):
         raise ValueError("gamma_x_partials: tanh kinds only; use gamma_partials")
     sgn = 1.0 if cc.kind == "tanh_minus" else -1.0
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     s = sgn * (t - np.asarray(tau, dtype=float)) / cc.eps
-    return _tanh_gamma_x_partials(cc.eps, s, x / cc.eps, want_log=want_log)
+    return _tanh_gamma_x_partials(cc.eps, s, x / cc.eps)
 
 
 def gamma_partials(cc: CharCurve, t, x, k: int = 3):

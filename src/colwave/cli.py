@@ -132,8 +132,11 @@ def _detect(scn: Scenario, fam, outdir: Path) -> str:
 
 def _energy(scn: Scenario, fam, outdir: Path) -> str:
     lines = []
+    if scn.coefficient.variable == "time":
+        form = "nonconservative_t"
+    else:
+        form = "conservative_x" if scn.opts["solver.conservative"] else "nonconservative_x"
     for rec, rc in zip(fam, scn.rcs):
-        form = "conservative_x" if rc.base.variable == "space" else "nonconservative_t"
         tr = energy_trace(rec, form)
         trace_csv(tr, outdir / f"energy_eps{rec.eps:.6g}.csv")
         line = f"energy eps={rec.eps:.4g} drift={tr.max_relative_drift:.3e}"

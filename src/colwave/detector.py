@@ -38,7 +38,6 @@ __all__ = [
     "GrowthFit",
     "RaySegment",
     "SingSuppReport",
-    "local_derivative",
     "derivative_profile",
     "fit_growth",
     "sample_growth",
@@ -165,24 +164,6 @@ def derivative_profile(
     return mags, floor
 
 
-def local_derivative(
-    family: SolutionFamily,
-    eps: float,
-    point: tuple,
-    alpha: int,
-    h: Optional[float] = None,
-    name: str = "u",
-) -> float:
-    """Max |d^alpha u_eps| over the 2h-neighborhood of point = (t, x)."""
-    rec = family.record_for(eps)
-    if h is None:
-        h = rec.meta.get("h", eps)
-    t, x = point
-    mags, _ = derivative_profile(rec, t, alpha, h, name)
-    i = int(np.argmin(np.abs(rec.xs - x)))
-    return float(mags[i])
-
-
 # --- growth fitting ---------------------------------------------------------
 
 def _lsq_loglog(eps: np.ndarray, mags: np.ndarray):
@@ -250,8 +231,8 @@ def point_fits(
     }
 
 
-def slope_excess(fits: dict, alpha_hi: int = 2, r2_min: float = 0.98) -> float:
-    """slope(alpha_hi) - slope(alpha_ref), alpha_ref the smallest clean fit."""
+def slope_excess(fits: dict, alpha_hi: int = 2) -> float:
+    """slope(alpha_hi) - slope(alpha_ref), alpha_ref the smallest clean fit (r2 >= 0.98)."""
     hi = fits[alpha_hi]
     if hi.degenerate:
         return 0.0
@@ -260,7 +241,7 @@ def slope_excess(fits: dict, alpha_hi: int = 2, r2_min: float = 0.98) -> float:
         if a >= alpha_hi:
             break
         f = fits[a]
-        if not f.degenerate and f.r2 >= r2_min:
+        if not f.degenerate and f.r2 >= 0.98:
             ref = f
             break
     if ref is None:

@@ -1,22 +1,24 @@
 """Discrete energy functionals and their conservation / growth checks.
 
-For the conservative x-dependent form dtt u = dx(c dx u) the energy
-E(t) = sum (|dt u|^2 + c |dx u|^2) dx is exactly conserved; in the V/W
-variables with a = sqrt(c) this is sum (V^2 + W^2)/2 dx, which is what the
-solver stores, so no re-differencing of u is involved.
+Each form is a trapezoid sum over the V/W slices the solver stores
+(V = dt u - a dx u, W = dt u + a dx u), so no re-differencing of u is involved.
 
-For the t-dependent speed, E(t) = sum (|dt u|^2 + c(t)^2 |dx u|^2) dx obeys
-dE/dt = 2 c c' int |dx u|^2 <= (2|c'|/c) E, hence the Gronwall bound
+* conservative_x, dtt u = dx(c dx u) with a = sqrt(c):
+  E(t) = sum (|dt u|^2 + c |dx u|^2) dx = sum (V^2 + W^2)/2 dx, exactly conserved.
+* nonconservative_x, dtt u = c^2 dxx u with a = c:
+  E(t) = sum (|dt u|^2/c^2 + |dx u|^2) dx = sum (V^2 + W^2)/(2 c^2) dx, exactly
+  conserved (multiply by dt u/c^2 and integrate by parts); the functional of
+  the conservative form is not, and grows across the interface.
+* nonconservative_t, dtt u = c(t)^2 dxx u with a = c(t):
+  E(t) = sum (|dt u|^2 + c(t)^2 |dx u|^2) dx = sum (V^2 + W^2)/2 dx obeys
+  dE/dt = 2 c c' int |dx u|^2 <= (2|c'|/c) E, hence the Gronwall bound
 
     E(t) <= E(0) * exp(int_0^t 2|c_eps'(s)|/c_eps(s) ds) = E(0) * exp(2 TV_[0,t](log c_eps)).
 
-c_eps is monotone inside each kernel neighbourhood [b_i - h, b_i + h] and
-constant between them, so while they do not overlap the total variation after
-all jumps is sum |log(v_{i+1}/v_i)|, uniform in eps: (c1/c0)^2 for one jump.
-
-The non-conservative x-dependent form dtt u = c^2 dxx u admits only the much
-weaker factor exp(t * max|dx c_eps|), which blows up like exp(K/h(eps));
-that factor is reported for illustration, never asserted.
+  c_eps is monotone inside each kernel neighbourhood [b_i - h, b_i + h] and
+  constant between them, so while they do not overlap the total variation
+  after all jumps is sum |log(v_{i+1}/v_i)|, uniform in eps: (c1/c0)^2 for one
+  jump.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "EnergyTrace",
     "energy_trace",
     "gronwall_bound",
-    "nonconservative_growth_factor",
     "trace_csv",
 ]
 
@@ -50,19 +51,24 @@ class EnergyTrace:
         return float(np.max(np.abs(self.E - self.E[0])) / self.E[0])
 
 
+FORMS = ("conservative_x", "nonconservative_x", "nonconservative_t")
+
+
 def energy_trace(rec: SolutionRecord, form: str) -> EnergyTrace:
     """E(t) from the stored V/W slices (trapezoid-in-x sums).
 
-    form "conservative_x": E = sum(V^2 + W^2)/2 dx with a = sqrt(c);
-    form "nonconservative_t": same formula with a = c(t).
+    "conservative_x" and "nonconservative_t": E = sum(V^2 + W^2)/2 dx;
+    "nonconservative_x": E = sum(V^2 + W^2)/(2 c^2) dx, c = rec.meta["a"].
     """
-    if form not in ("conservative_x", "nonconservative_t"):
+    if form not in FORMS:
         raise ValueError(f"unknown energy form {form!r}")
     if "v" not in rec.fields or "w" not in rec.fields:
         raise ValueError("record lacks v/w fields; re-run the solver with store_vw")
     v = np.asarray(rec.fields["v"], dtype=float)
     w = np.asarray(rec.fields["w"], dtype=float)
     dens = 0.5 * (v**2 + w**2)
+    if form == "nonconservative_x":
+        dens /= rec.meta["a"] ** 2
     E = np.trapezoid(dens, dx=rec.grid.dx, axis=1)
     return EnergyTrace(eps=rec.eps, form=form, times=np.asarray(rec.times), E=E)
 
@@ -82,16 +88,6 @@ def gronwall_bound(rc: RegularizedCoeff, t) -> np.ndarray:
 
     out = np.exp(2.0 * np.vectorize(tv, otypes=[float])(np.asarray(t, dtype=float)))
     return out if out.ndim else float(out)
-
-
-def nonconservative_growth_factor(rc: RegularizedCoeff, t_end: float) -> float:
-    """exp(t * max|dx c_eps|): the only available bound for dtt u = c^2 dxx u."""
-    h = rc.h
-    zs = np.linspace(-1.0, 1.0, 513)
-    sup = 0.0
-    for b in rc.base.breakpoints:
-        sup = max(sup, float(np.max(np.abs(rc.deriv(b + h * zs, 1)))))
-    return float(np.exp(t_end * sup))
 
 
 def trace_csv(trace: EnergyTrace, path):

@@ -190,13 +190,6 @@ class PiecewiseTSolution:
     def beta(self) -> float:
         return (self.c1 - self.c0) / (2.0 * self.c1)
 
-    @staticmethod
-    def from_data(c0, c1, u0, u1_antideriv, t_jump: float = 1.0):
-        """Data u(0,·) = u0, dt u(0,·) = u1 with I1 = int_0^x u1."""
-        F = lambda xi: 0.5 * u0(xi) - 0.5 / c0 * u1_antideriv(xi)
-        G = lambda xi: 0.5 * u0(xi) + 0.5 / c0 * u1_antideriv(xi)
-        return PiecewiseTSolution(c0, c1, F, G, t_jump)
-
     def __call__(self, t, x):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -290,15 +283,12 @@ class AssociationVerdict:
 
 
 def associate_check(
-    eps_values: Sequence[float],
-    pairings: Sequence[float],
-    target: float,
-    tol: float = 1e-2,
-    norm: float = 1.0,
+    eps_values: Sequence[float], pairings: Sequence[float], target: float
 ) -> AssociationVerdict:
-    """PASS when |pairing - target|/norm decreases over the last half and ends <= tol."""
+    """PASS when |pairing - target| decreases over the last half and ends <= 1e-2."""
+    tol = 1e-2
     eps = np.asarray(eps_values, dtype=float)
-    e = np.abs(np.asarray(pairings, dtype=float) - target) / norm
+    e = np.abs(np.asarray(pairings, dtype=float) - target)
     order = np.argsort(-eps)
     eps, e = eps[order], e[order]
     half = e[len(e) // 2 :]

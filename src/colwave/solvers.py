@@ -2,9 +2,6 @@
 
 * solve_transport: scalar transport, evaluated exactly through the
   characteristic flow (u_eps(t,x) = u0_eps(gamma(t,x,0))), no time stepping.
-* solve_system: diagonal first-order hyperbolic systems
-  (dt + c_i(x) dx) u_i = sum_j a_ij u_j in non-conservative (advective) form,
-  second-order MUSCL upwinding per component with Heun time stepping.
 * solve_wave_x: the 1D wave equation with x-dependent speed through the
   characteristic variables V = dt u - a dx u, W = dt u + a dx u; a = c for the
   non-conservative form dtt u = c^2 dxx u (coupling c'(V-W)/2 in both
@@ -12,7 +9,7 @@
   (coupling a'(W-V)/2); u recovered by trapezoidal time integration of
   (V+W)/2.  V moves at +a and W at -a (a > 0), so each characteristic family
   takes one upwind MUSCL stencil (backward-biased for V, forward-biased for
-  W) in a step whose buffers are allocated once per ladder member.
+  W) in a Heun step whose buffers are allocated once per ladder member.
 * solve_wave_t: time-dependent speed.  The x-advection is a uniform shift, so
   each step advances the spatial Fourier modes by the exact phase
   exp(-+ i k int c dt) and applies the coupling mu(t) = c'/(2c) by its exact
@@ -33,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .characteristics import CharCurve, gamma, time_integral
+from .characteristics import CharCurve, gamma, gamma_x_partials, time_integral
 from .coefficients import CoeffAntideriv, RegularizedCoeff
 from .mollifier import Mollifier, phi_deriv, phi_eval
 
@@ -45,13 +42,11 @@ __all__ = [
     "Grid1D",
     "SolutionRecord",
     "SolutionFamily",
-    "SystemSpec",
     "NumericalFailure",
     "PerEps",
     "delta_profile",
     "delta_profile_deriv",
     "solve_transport",
-    "solve_system",
     "solve_wave_x",
     "solve_wave_t",
     "solve_radial_odd",
@@ -134,23 +129,11 @@ class SolutionFamily:
     def eps_values(self) -> np.ndarray:
         return np.array([r.eps for r in self.records])
 
-    def record_for(self, eps: float) -> SolutionRecord:
-        i = int(np.argmin(np.abs(self.eps_values - eps)))
-        return self.records[i]
-
     def __iter__(self):
         return iter(self.records)
 
     def __len__(self):
         return len(self.records)
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    m: int
-    speeds: tuple  # callables x -> c_i(x) (vectorized)
-    coupling: Optional[Callable]  # (t, xs) -> (m, m) or (m, m, nx) array, or None
-    data: tuple  # callables x -> u_i(0, x)
 
 
 class PerEps:
@@ -197,7 +180,6 @@ def solve_transport(
     grid: Grid1D,
     store_times=None,
     scenario_id: str = "transport",
-    store_derivative: bool = False,
     u0_deriv=None,
 ) -> SolutionFamily:
     """u_eps(t,x) = u0_eps(gamma_eps(t,x,0)), evaluated on the grid nodes.
@@ -205,7 +187,7 @@ def solve_transport(
     ``curves`` is a CharCurve, a RegularizedCoeff (wrapped as its x-dependent
     flow), or a sequence of either (one per ladder member).
 
-    With ``store_derivative`` the analytic dx u = u0'(gamma) * dx gamma is
+    Given ``u0_deriv``, the analytic dx u = u0'(gamma) * dx gamma is also
     stored as field "ux" (chain rule, no differencing) -- grid differences
     cannot resolve gradient layers exponentially thinner than dx, which is
     exactly the regime of the tanh speeds.
@@ -225,127 +207,20 @@ def solve_transport(
         elif cv.kind == "x_dependent":
             rc = cv.antideriv.rc
         prof = _resolve(u0, rc)
-        if store_derivative:
-            if u0_deriv is not None:
-                dprof = _resolve(u0_deriv, rc)
-            else:
-                step = 1e-6 * (grid.x_max - grid.x_min)
-                dprof = lambda y: (prof(y + step) - prof(y - step)) / (2.0 * step)
         u = np.empty((len(times), len(xs)))
-        ux = np.empty_like(u) if store_derivative else None
+        fields = {"u": u}
+        if u0_deriv is not None:
+            dprof = _resolve(u0_deriv, rc)
+            fields["ux"] = np.empty_like(u)
         for i, t in enumerate(times):
             foot = gamma(cv, t, xs, 0.0)
             u[i] = prof(foot)
-            if store_derivative:
-                if cv.kind in ("tanh_minus", "tanh_plus"):
-                    from .characteristics import gamma_x_partials
-
-                    g1, _ = gamma_x_partials(cv, t, xs)
-                elif cv.kind == "x_dependent":
-                    g1 = rc(foot) / rc(xs)
-                else:
-                    g1 = np.ones_like(xs)
-                ux[i] = dprof(foot) * g1
+            if u0_deriv is not None:
+                g1 = rc(foot) / rc(xs) if rc is not None else gamma_x_partials(cv, t, xs)[0]
+                fields["ux"][i] = dprof(foot) * g1
         eps = rc.eps if rc is not None else cv.eps
-        fields = {"u": u}
-        if store_derivative:
-            fields["ux"] = ux
         records.append(SolutionRecord(eps=eps, grid=grid, times=times, fields=fields))
     return SolutionFamily(scenario_id, "transport", records)
-
-
-# --- MUSCL upwind engine ----------------------------------------------------
-
-def _upwind_deriv(u: np.ndarray, c: np.ndarray, dx: float, limiter: str) -> np.ndarray:
-    """Second-order upwind-biased du/dx for the advective term c * du/dx.
-
-    u: (m, nx) field rows; c: (m, nx) signed speeds.  Two zero ghost cells on
-    each side (hard zero inflow).  Fromm slope (unlimited) or van Leer.
-    """
-    m, n = u.shape
-    up = np.zeros((m, n + 4))
-    up[:, 2:-2] = u
-    dm = up[:, 1:-1] - up[:, :-2]  # backward differences at cells 1..n+2
-    dp = up[:, 2:] - up[:, 1:-1]
-    if limiter == "fromm":
-        s = 0.5 * (dm + dp)
-    elif limiter == "vanleer":
-        prod = dm * dp
-        denom = dm + dp
-        s = np.where(prod > 0.0, 2.0 * prod / np.where(denom == 0.0, 1.0, denom), 0.0)
-    else:
-        raise ValueError(f"unknown limiter {limiter!r}")
-    # s has shape (m, n+2): slopes at padded cells 1..n+2; interior cells map to 1..n
-    sj = s[:, 1:-1]  # cells 2..n+1 (the interior)
-    sjm = s[:, :-2]
-    sjp = s[:, 2:]
-    ujm = up[:, 1:-3]
-    uj = up[:, 2:-2]
-    ujp = up[:, 3:-1]
-    d_pos = (uj - ujm + 0.5 * (sj - sjm)) / dx
-    d_neg = (ujp - uj - 0.5 * (sjp - sj)) / dx
-    return np.where(c >= 0.0, d_pos, d_neg)
-
-
-def _system_rhs(t, u, speeds, coupling, dx, limiter):
-    rhs = -speeds * _upwind_deriv(u, speeds, dx, limiter)
-    if coupling is not None:
-        a = coupling(t, None)
-        if a.ndim == 2:
-            rhs = rhs + np.einsum("ij,jx->ix", a, u)
-        else:
-            rhs = rhs + np.einsum("ijx,jx->ix", a, u)
-    return rhs
-
-
-def _advance_heun(u, t, dt, speeds, coupling, dx, limiter):
-    k1 = _system_rhs(t, u, speeds, coupling, dx, limiter)
-    u1 = u + dt * k1
-    k2 = _system_rhs(t + dt, u1, speeds, coupling, dx, limiter)
-    return u + 0.5 * dt * (k1 + k2)
-
-
-def solve_system(
-    spec: SystemSpec,
-    grid: Grid1D,
-    eps: float = np.nan,
-    limiter: str = "fromm",
-    store_times=None,
-    scenario_id: str = "system",
-) -> SolutionFamily:
-    """Advance the diagonal hyperbolic system; one record (single eps)."""
-    xs = grid.xs
-    dx = grid.dx
-    speeds = np.stack([np.broadcast_to(c(xs), xs.shape) for c in spec.speeds])
-    b1 = float(np.max(np.abs(speeds)))
-    dt = grid.dt(b1)
-    if dt * b1 / dx > 1.0 + 1e-12:
-        raise NumericalFailure(f"CFL violation: dt*b1/dx = {dt * b1 / dx:.3f} > 1")
-    coupling = None
-    if spec.coupling is not None:
-        coupling = lambda t, _xs: np.asarray(spec.coupling(t, xs))
-    times = np.asarray(
-        _default_store_times(grid.t_end) if store_times is None else store_times, dtype=float
-    )
-    n_steps = int(np.ceil(grid.t_end / dt - 1e-12))
-    store_idx = np.clip(np.rint(times / dt).astype(int), 0, n_steps)
-    u = np.stack([np.broadcast_to(np.asarray(d(xs), dtype=float), xs.shape).copy() for d in spec.data])
-    stored = {}
-    t = 0.0
-    for step in range(n_steps + 1):
-        hits = np.nonzero(store_idx == step)[0]
-        for i in hits:
-            stored[int(i)] = u.copy()
-        if step == n_steps:
-            break
-        step_dt = min(dt, grid.t_end - t)
-        u = _advance_heun(u, t, step_dt, speeds, coupling, dx, limiter)
-        t += step_dt
-        if step % 200 == 0 and not np.all(np.isfinite(u)):
-            raise NumericalFailure(f"non-finite values at t={t:.4f}")
-    fields = {f"u{i}": np.stack([stored[k][i] for k in range(len(times))]) for i in range(spec.m)}
-    rec = SolutionRecord(eps=eps, grid=grid, times=times, fields=fields)
-    return SolutionFamily(scenario_id, "system", [rec])
 
 
 # --- wave equation, x-dependent speed --------------------------------------
@@ -360,8 +235,11 @@ def _vw_heun(a: np.ndarray, g: np.ndarray, dx: float, limiter: str):
     row 0 and W in row 1; step(dt) advances its interior in place.  V moves
     at +a and W at -a with a > 0, so V takes only the backward-biased
     difference and W only the forward-biased one.  Each update applies the
-    operations of _upwind_deriv / _advance_heun to the same operands in the
-    same order, so the result is bitwise that of the generic engine.
+    operations of a two-sided MUSCL derivative (Fromm or van Leer slopes, the
+    upwind side picked by the sign of the speed) and a Heun step to the same
+    operands in the same order, so the result is bitwise that of the generic
+    reference loop in tests/test_solvers.py
+    (test_wave_x_step_bitwise_matches_generic_engine).
     """
     if limiter not in LIMITERS:
         raise ValueError(f"unknown limiter {limiter!r}")
@@ -435,7 +313,7 @@ def solve_wave_x(
     """V/W characteristic solve of dtt u = c^2 dxx u (or dx(c dx u)).
 
     Fields per record: "u" time-indexed slices (store_dtype), plus "v","w"
-    when store_vw is set.
+    when store_vw is set; meta "a" holds the characteristic speed on grid.xs.
     """
     if not isinstance(rcs, (list, tuple)):
         rcs = [rcs]
@@ -502,7 +380,7 @@ def solve_wave_x(
             grid=grid,
             times=times,
             fields=fields,
-            meta={"conservative": conservative, "limiter": limiter, "h": rc.h},
+            meta={"conservative": conservative, "limiter": limiter, "h": rc.h, "a": a},
         )
 
     return SolutionFamily(scenario_id, "wave_x", [run(rc) for rc in rcs])

@@ -159,7 +159,7 @@ def test_criterion_02_non_moderate_growth():
     ladder = EpsilonLadder()
     fam = solve_transport(
         [CharCurve.tanh_minus(e) for e in ladder], np.sin, grid,
-        store_times=[0.5], store_derivative=True, u0_deriv=np.cos,
+        store_times=[0.5], u0_deriv=np.cos,
     )
     vals = []
     for rec in fam:

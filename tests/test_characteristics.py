@@ -80,14 +80,10 @@ def test_gamma_partials_match_fd(curve):
 
 
 def test_t_dependent_curve():
+    # the t-dependent characteristics are straight lines in T(t) = int_0^t c_eps
     base = PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time")
     r = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.05)
     assert time_integral(r, 2.0) == pytest.approx(3.0, abs=1e-10)
-    cv = CharCurve.t_dependent(r, sign=1.0)
-    # straight lines in x: slope c0 below the jump
-    assert gamma(cv, 0.5, 0.3, 0.0) == pytest.approx(0.3 - 0.5, abs=1e-10)
-    # through the jump: x - (T(2) - T(0)) = x - 3
-    assert gamma(cv, 2.0, 0.0, 0.0) == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_arsinh_exp_direct_regime():

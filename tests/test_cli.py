@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from colwave import cli
 from colwave.cli import ValidationError, bundled_scenarios, main, parse_scenario
-from colwave.solvers import load_family
+from colwave.solvers import NumericalFailure, load_family
 
 ABEL_SCN = """\
 id=abel_demo
@@ -225,3 +226,25 @@ def test_unknown_limiter_rejected_before_solving(tmp_path, capsys):
     scn.write_text(text.replace("solver.limiter=vanleer", "solver.limiter=minmod"))
     assert main(["validate", str(scn)]) == 2
     assert "limiter" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
+    def blow_up(*args, **kwargs):
+        raise NumericalFailure("non-finite values at t=0.5")
+
+    monkeypatch.setattr(cli, "solve_wave_x", blow_up)
+    assert main(["run", "thm41", "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 3
+    assert "numerical failure: non-finite values at t=0.5" in capsys.readouterr().err
+    assert not (tmp_path / "thm41" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("conservative", ["false", "true"])
+def test_wave_x_energy_follows_the_solved_form(conservative, tmp_path):
+    scn = tmp_path / "xenergy.scn"
+    scn.write_text(_edited("thm41", {"id": "xenergy", "analyses": "energy", "solver.conservative": conservative}))
+    assert main(["run", str(scn), "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 0
+    energy = [ln for ln in (tmp_path / "xenergy" / "report.txt").read_text().splitlines() if ln.startswith("energy")]
+    assert len(energy) == 4
+    # the conserved functional drifts only by the scheme's dissipation (the
+    # conservative_x sum on the non-conservative solve grows by 1.2-1.4x)
+    assert all(float(ln.split("drift=")[1]) < 0.2 for ln in energy)

@@ -6,7 +6,6 @@ from colwave.energy import (
     EnergyTrace,
     energy_trace,
     gronwall_bound,
-    nonconservative_growth_factor,
     trace_csv,
 )
 from colwave.mollifier import Mollifier, ScaleFn
@@ -94,15 +93,18 @@ def test_gronwall_bound_sums_total_variation_of_log_c():
     assert gronwall_bound(rc, 1.2) == pytest.approx(4.0 * (2.0 / rc(1.2)) ** 2, rel=1e-12)
 
 
-def test_nonconservative_factor_blows_up_with_eps():
-    m = Mollifier()
-    for eps in (0.1, 0.05):
-        rc = _rc("space", eps=eps)
-        expected = np.exp(1.5 * 1.0 * m.normalization / eps)
-        assert nonconservative_growth_factor(rc, 1.5) == pytest.approx(expected, rel=1e-4)
-    assert nonconservative_growth_factor(_rc("space", 0.05), 1.5) > (
-        nonconservative_growth_factor(_rc("space", 0.1), 1.5) ** 1.5
+def test_nonconservative_x_energy_is_the_conserved_one():
+    # dtt u = c^2 dxx u conserves sum (V^2 + W^2)/(2 c^2) dx, not sum (V^2 + W^2)/2 dx
+    g = Grid1D(-4.0, 4.0, 2048, 2.0)  # 51 cells per kernel width 2h
+    fam = solve_wave_x(
+        _rc("space"), None, lambda x: smooth_bump(x, -1.5, 0.4), g,
+        store_times=np.linspace(0.0, 2.0, 21), store_vw=True,
     )
+    tr = energy_trace(fam.records[0], "nonconservative_x")
+    assert tr.form == "nonconservative_x"
+    assert tr.max_relative_drift < 1e-3
+    wrong = energy_trace(fam.records[0], "conservative_x")
+    assert wrong.E[-1] > 2.0 * wrong.E[0]
 
 
 def test_trace_csv_format(tmp_path):
