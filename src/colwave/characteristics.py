@@ -206,12 +206,11 @@ def gamma_partials(cc: CharCurve, t, x, k: int = 3):
 _TI_CACHE: dict = {}
 
 
-def time_integral(rc: RegularizedCoeff, t, integrand: str = "value"):
-    """T(t) = int_0^t c_eps (or c_eps^2 with integrand='square'); cached."""
+def time_integral(rc: RegularizedCoeff, t):
+    """T(t) = int_0^t c_eps; the table is cached per coefficient."""
     if rc.base.variable != "time":
         raise ValueError("time_integral needs a time-dependent coefficient")
-    key = (rc, integrand)
-    ci = _TI_CACHE.get(key)
+    ci = _TI_CACHE.get(rc)
     if ci is None:
-        ci = _TI_CACHE.setdefault(key, CumulativeIntegral(rc, integrand=integrand))
+        ci = _TI_CACHE.setdefault(rc, CumulativeIntegral(rc, integrand="value"))
     return ci(t)

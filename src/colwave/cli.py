@@ -98,13 +98,13 @@ def _solve_transport(scn: Scenario):
 
 
 def _solve_wave(scn: Scenario):
-    kv, (u0, u0d, u1), want_vw = scn.raw, scn.data, "energy" in scn.analyses
+    (u0, u0d, u1), want_vw = scn.data, "energy" in scn.analyses
     common = dict(u0_deriv=u0d, store_times=scn.store_times, store_vw=want_vw, scenario_id=scn.id)
     if scn.coefficient.variable == "time":
         return solve_wave_t(scn.rcs, u0, u1, scn.grid, **common)
     return solve_wave_x(
         scn.rcs, u0, u1, scn.grid, conservative=scn.opts["solver.conservative"],
-        limiter=kv.get("solver.limiter", "vanleer"), store_dtype=np.float64 if want_vw else np.float32,
+        limiter=scn.opts["solver.limiter"], store_dtype=np.float64 if want_vw else np.float32,
         **common,
     )
 
@@ -242,10 +242,13 @@ def _floats(s: str):
 
 
 def _one_of(*allowed):
-    def parse(s: str) -> int:
-        if int(s) not in allowed:
+    """Parser of a value cast to the type of the allowed values."""
+    cast = type(allowed[0])
+
+    def parse(s: str):
+        if cast(s) not in allowed:
             raise ValueError(f"expected one of {', '.join(map(str, allowed))}, got {s!r}")
-        return int(s)
+        return cast(s)
     return parse
 
 
@@ -266,6 +269,7 @@ RUN_KEYS = {
     "corner.times": (_floats, (0.5, 1.0)),
     "radial.d": (_one_of(3), 3),
     "solver.conservative": (_boolean, False),
+    "solver.limiter": (_one_of(*LIMITERS), "vanleer"),
 }
 
 
@@ -317,8 +321,6 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
         if a not in prob.analyses:
             runs = ", ".join(prob.analyses) or "no analysis"
             raise ValidationError(f"field 'analyses': problem {problem!r} runs {runs}, not {a!r}")
-    if kv.get("solver.limiter", "vanleer") not in LIMITERS:
-        raise ValidationError(f"field 'solver.limiter': unknown limiter {kv['solver.limiter']!r}")
     if problem == "radial_odd" and kv.get("data.u0", "zero") != "zero":
         raise ValidationError("radial problems require data.u0=zero")
     data = _data(kv, problem, coeff, grid) if prob.grid else (None, None, None)

@@ -9,12 +9,12 @@ with Phi the mollifier antiderivative.  Derivatives follow from
 phi^{(k-1)}((x-b_i)/h) / h^k.  c_eps varies only inside the merged kernel
 windows [b_i - h, b_i + h] (RegularizedCoeff.windows) and is exactly constant
 between and outside them.  CumulativeIntegral builds one edge table on that
-split for F(x) = int_0^x f(c_eps) with f in {1/c, c, c^2}: 16-point
+split for F(x) = int_0^x f(c_eps) with f in {1/c, c}: 16-point
 Gauss-Legendre panels of width <= h/8 inside the windows, exact affine pieces
 elsewhere.  Evaluation is one table lookup plus at most one panel quadrature;
 the inverse is exact on the affine pieces and a safeguarded Newton iteration
 inside one panel.  The reciprocal antiderivative C_eps = int_0^x 1/c_eps is
-CoeffAntideriv; time-dependent coefficients use the c_eps and c_eps^2 tables.
+CoeffAntideriv; a time-dependent coefficient uses the c_eps table, T(t).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mollifier import Mollifier, ScaleFn, phi_antideriv, phi_deriv, phi_eval, scale_eval
+from .mollifier import Mollifier, ScaleFn, phi_antideriv, phi_deriv, scale_eval
 
 __all__ = [
     "PiecewiseConstantCoeff",
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "value": lambda c: c, "square": lambda c: c * c}
+_INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "value": lambda c: c}
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def coeff_deriv(rc: RegularizedCoeff, x, k: int):
 
 
 class CumulativeIntegral:
-    """F(x) = int_0^x f(c_eps(y)) dy for f in {1/c, c, c^2}, strictly increasing.
+    """F(x) = int_0^x f(c_eps(y)) dy for f in {1/c, c}, strictly increasing.
 
     One edge table over the line: GL-16 panels of width <= h/8 inside the
     windows, exact constant f(c) on every other interval, and F stored at

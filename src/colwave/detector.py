@@ -1,10 +1,12 @@
 """Growth-exponent detector for the singular support of epsilon-families.
 
-The detector estimates, per point and derivative order alpha, the exponent N
-in |d^alpha u_eps| ~ eps^(-N) by least squares of log magnitude against
-log(1/eps) over the ladder, then flags points whose high-order slope exceeds
-the low-order slope by a threshold (derivatives gain a full power of 1/eps
-per order on singular rays, but not on regular ones).
+classify estimates, per grid cell of a stored slice and derivative order
+alpha, the exponent N in |d^alpha u_eps| ~ eps^(-N) by least squares of log
+magnitude against log(1/eps) over the ladder (_slope_maps, vectorized over
+the cells), then flags cells whose slope excess slope(alpha_hi) - slope(0)
+reaches a threshold (derivatives gain a full power of 1/eps per order on
+singular rays, but not on regular ones).  That excess is the one statistic
+detect.csv, detect_verdict.txt and report.txt carry.
 
 Practical guards:
 
@@ -12,15 +14,12 @@ Practical guards:
   2h(eps)-radius neighborhood (peaks drift by O(h) along the ladder);
 * finite differences of a stored field cannot resolve magnitudes below
   ~ machine_eps * max|u| / s^alpha (catastrophic cancellation); samples under
-  32x that floor are dropped, and points with fewer than 4 significant
-  samples are reported as degenerate rather than fitted;
+  32x that floor are dropped, and cells with fewer than 4 significant
+  samples are degenerate: excess 0, never flagged;
 * grid solvers leave a dispersive wake far below the amplitude of the
   features they transport; magnitudes under a contrast threshold (1%) of the
   slice's dominant magnitude at the same order are inside the scheme's
-  demonstrated error at contract resolution and are likewise dropped;
-* growth faster than any power (e.g. e^{t/eps}) is reported as a distinct
-  super-polynomial verdict: slope of the last 4 ladder points exceeding the
-  first 4 by more than 1.
+  demonstrated error at contract resolution and are likewise dropped.
 """
 
 from __future__ import annotations
@@ -35,14 +34,9 @@ import numpy as np
 from .solvers import SolutionFamily, SolutionRecord
 
 __all__ = [
-    "GrowthFit",
     "RaySegment",
     "SingSuppReport",
     "derivative_profile",
-    "fit_growth",
-    "sample_growth",
-    "point_fits",
-    "slope_excess",
     "classify",
     "predict_singsupp",
     "report_csv",
@@ -52,18 +46,6 @@ __all__ = [
 _FLOOR = 1e-300
 _SIG_FACTOR = 32.0
 _CONTRAST = 1e-2
-
-
-@dataclass
-class GrowthFit:
-    point: tuple
-    order: int
-    slope: float
-    intercept: float
-    r2: float
-    n_points: int
-    degenerate: bool = False
-    super_polynomial: bool = False
 
 
 @dataclass(frozen=True)
@@ -141,9 +123,7 @@ def _running_max(a: np.ndarray, w: int) -> np.ndarray:
     return np.maximum(m[: len(a)], m[size - span : size - span + len(a)])
 
 
-def derivative_profile(
-    rec: SolutionRecord, t: float, alpha: int, h: float, name: str = "u"
-):
+def derivative_profile(rec: SolutionRecord, t: float, alpha: int, h: float):
     """(magnitudes, floor): neighborhood-max |d^alpha u| over the slice at t.
 
     Spacing s = max(dx, h/8); running max over radius 2h.  The floor is the
@@ -151,102 +131,17 @@ def derivative_profile(
     and 1% of the slice's dominant magnitude at this order (solver wake is
     not a measurable signal below that contrast).
     """
-    u = rec.slice_at(t, name)
+    u = rec.slice_at(t)
     dx = rec.grid.dx
     m = max(1, int(round(max(dx, h / 8.0) / dx)))
     s = m * dx
     mags = _fd_stride(u, m, dx, alpha)
     w = max(1, int(round(2.0 * h / dx)))
     mags = _running_max(mags, w)
-    eps_mach = np.finfo(rec.fields[name].dtype).eps
+    eps_mach = np.finfo(rec.fields["u"].dtype).eps
     floor = _SIG_FACTOR * eps_mach * float(np.max(np.abs(u))) / s**alpha
     floor = max(floor, _CONTRAST * float(np.max(mags)))
     return mags, floor
-
-
-# --- growth fitting ---------------------------------------------------------
-
-def _lsq_loglog(eps: np.ndarray, mags: np.ndarray):
-    X = np.log(1.0 / eps)
-    Y = np.log(np.maximum(mags, _FLOOR))
-    n = len(X)
-    sx, sy = X.sum(), Y.sum()
-    sxx, sxy, syy = (X * X).sum(), (X * Y).sum(), (Y * Y).sum()
-    den = n * sxx - sx * sx
-    slope = (n * sxy - sx * sy) / den
-    intercept = (sy - slope * sx) / n
-    var_y = n * syy - sy * sy
-    r2 = 1.0 if var_y <= 0.0 else (n * sxy - sx * sy) ** 2 / (den * var_y)
-    return slope, intercept, r2
-
-
-def fit_growth(samples: Sequence, point=(math.nan, math.nan), order: int = 0) -> GrowthFit:
-    """samples: (eps, magnitude) or (eps, magnitude, floor) tuples, >= 4 of them."""
-    arr = [tuple(s) for s in samples]
-    eps = np.array([s[0] for s in arr], dtype=float)
-    mags = np.array([s[1] for s in arr], dtype=float)
-    floors = np.array([s[2] if len(s) > 2 else 0.0 for s in arr], dtype=float)
-    order_idx = np.argsort(-eps)
-    eps, mags, floors = eps[order_idx], mags[order_idx], floors[order_idx]
-    keep = (mags > floors) & (mags > _FLOOR)
-    if keep.sum() < 4:
-        return GrowthFit(point, order, 0.0, -math.inf, 0.0, int(keep.sum()), degenerate=True)
-    eps_k, mags_k = eps[keep], mags[keep]
-    slope, intercept, r2 = _lsq_loglog(eps_k, mags_k)
-    superp = False
-    if len(eps_k) >= 8:
-        s_head, _, _ = _lsq_loglog(eps_k[:4], mags_k[:4])
-        s_tail, _, _ = _lsq_loglog(eps_k[-4:], mags_k[-4:])
-        superp = s_tail > s_head + 1.0
-    return GrowthFit(point, order, slope, intercept, r2, len(eps_k), super_polynomial=superp)
-
-
-def sample_growth(
-    family: SolutionFamily,
-    point: tuple,
-    alpha: int,
-    h_fn: Optional[Callable] = None,
-    name: str = "u",
-):
-    """(eps, magnitude, floor) triples across the ladder at one point."""
-    out = []
-    t, x = point
-    for rec in family:
-        h = h_fn(rec.eps) if h_fn is not None else rec.meta.get("h", rec.eps)
-        mags, floor = derivative_profile(rec, t, alpha, h, name)
-        i = int(np.argmin(np.abs(rec.xs - x)))
-        out.append((rec.eps, float(mags[i]), floor))
-    return out
-
-
-def point_fits(
-    family: SolutionFamily,
-    point: tuple,
-    alphas: Sequence[int] = (0, 1, 2, 3),
-    h_fn: Optional[Callable] = None,
-    name: str = "u",
-) -> dict:
-    return {
-        a: fit_growth(sample_growth(family, point, a, h_fn, name), point, a) for a in alphas
-    }
-
-
-def slope_excess(fits: dict, alpha_hi: int = 2) -> float:
-    """slope(alpha_hi) - slope(alpha_ref), alpha_ref the smallest clean fit (r2 >= 0.98)."""
-    hi = fits[alpha_hi]
-    if hi.degenerate:
-        return 0.0
-    ref = None
-    for a in sorted(fits):
-        if a >= alpha_hi:
-            break
-        f = fits[a]
-        if not f.degenerate and f.r2 >= 0.98:
-            ref = f
-            break
-    if ref is None:
-        ref = fits[min(fits)]
-    return hi.slope - ref.slope
 
 
 # --- classification against predicted rays ---------------------------------
@@ -260,8 +155,7 @@ def _slope_maps(family, t, alphas, h_fn):
         Y = []
         K = []
         for rec in family:
-            h = h_fn(rec.eps) if h_fn is not None else rec.meta.get("h", rec.eps)
-            mags, floor = derivative_profile(rec, t, a, h)
+            mags, floor = derivative_profile(rec, t, a, h_fn(rec.eps))
             Y.append(np.log(np.maximum(mags, _FLOOR)))
             K.append(mags > floor)
         Y = np.array(Y)
@@ -281,7 +175,7 @@ def _slope_maps(family, t, alphas, h_fn):
 def classify(
     family: SolutionFamily,
     predicted: Sequence[RaySegment],
-    h_fn: Optional[Callable] = None,
+    h_fn: Callable,
     times: Optional[Sequence[float]] = None,
     theta: float = 0.5,
     alpha_hi: int = 2,
@@ -297,7 +191,7 @@ def classify(
     the reported points keep their signed x.
     """
     rec0 = family.records[0]
-    tube_radius = 4.0 * (h_fn(rec0.eps) if h_fn is not None else rec0.meta.get("h", rec0.eps))
+    tube_radius = 4.0 * h_fn(rec0.eps)
     if times is None:
         times = [t for t in rec0.times if t > t_skip]
     xs = rec0.xs
@@ -379,22 +273,22 @@ def classify(
 
 # --- ray predictions --------------------------------------------------------
 
-def predict_singsupp(kind: str, **kw) -> list:
+def predict_singsupp(kind: str, *, c0: float, c1: float, standard_scale: bool,
+                     x0: Optional[float] = None, t_jump: Optional[float] = None) -> list:
     """Predicted singular-support rays for the supported scenario families.
 
-    kind = "x_jump_delta": speed jump c0 -> c1 at x=0, delta data at x0=-1.
+    kind = "x_jump_delta": speed jump c0 -> c1 at x=0, delta data at x0 < 0.
       Rays: incident left/right, reflected (standard scale only, and only when
       2 < sqrt(c0/c1) + sqrt(c1/c0) < 4), transmitted.
-    kind = "t_jump": speed jump c0 -> c1 at t=1, point data at origin.
-      Rays: transmitted +-T(t); refracted +-(2T(1) - T(t)) (standard scale
-      only).
+    kind = "t_jump": speed jump c0 -> c1 at t_jump, point data at origin.
+      Rays: transmitted +-T(t); refracted +-(2T(t_jump) - T(t)) (standard
+      scale only).
     kind = "radial_odd": same ray set in |x| = r >= 0.
+    The geometry value the kind needs (x0, or t_jump) has no default.
     """
-    c0 = kw.get("c0", 1.0)
-    c1 = kw.get("c1", 2.0)
-    standard = kw.get("standard_scale", True)
     if kind == "x_jump_delta":
-        x0 = kw.get("x0", -1.0)
+        if x0 is None:
+            raise ValueError("x_jump_delta rays need the delta position x0")
         tc = -x0 / c0  # arrival time at the interface
         rays = [
             RaySegment("incident_left", lambda t: x0 - c0 * np.asarray(t, dtype=float), 0.0, np.inf),
@@ -404,7 +298,7 @@ def predict_singsupp(kind: str, **kw) -> list:
             ),
         ]
         cond = math.sqrt(c0 / c1) + math.sqrt(c1 / c0)
-        if standard and 2.0 < cond < 4.0:
+        if standard_scale and 2.0 < cond < 4.0:
             rays.insert(
                 2,
                 RaySegment(
@@ -413,20 +307,21 @@ def predict_singsupp(kind: str, **kw) -> list:
             )
         return rays
     if kind in ("t_jump", "radial_odd"):
-        tj = kw.get("t_jump", 1.0)
+        if t_jump is None:
+            raise ValueError(f"{kind} rays need the jump time t_jump")
 
         def T(t):
             t = np.asarray(t, dtype=float)
-            return np.where(t <= tj, c0 * t, c0 * tj + c1 * (t - tj))
+            return np.where(t <= t_jump, c0 * t, c0 * t_jump + c1 * (t - t_jump))
 
         rays = [
             RaySegment("transmitted+", lambda t: T(t), 0.0, np.inf),
             RaySegment("transmitted-", lambda t: -T(t), 0.0, np.inf),
         ]
-        if standard:
+        if standard_scale:
             rays += [
-                RaySegment("refracted+", lambda t: 2.0 * T(tj) - T(t), tj, np.inf),
-                RaySegment("refracted-", lambda t: -(2.0 * T(tj) - T(t)), tj, np.inf),
+                RaySegment("refracted+", lambda t: 2.0 * T(t_jump) - T(t), t_jump, np.inf),
+                RaySegment("refracted-", lambda t: -(2.0 * T(t_jump) - T(t)), t_jump, np.inf),
             ]
         if kind == "radial_odd":
             # r >= 0: keep the positive-side rays; the refracted shell collapses

@@ -4,16 +4,19 @@ A mollifier here is a symmetric bump phi with supp phi in [-1, 1],
 integral 1 and phi' >= 0 on [-1, 0].  Two families are provided:
 
 * ``polynomial(n)``: phi(x) = C_n (1 - x^2)^n_+ with the exact normalizer
-  C_n = (2n+1)! / (2^{2n+1} (n!)^2).  Derivatives and the antiderivative
-  are exact polynomials, so nothing downstream is polluted by quadrature
-  error.
+  C_n = (2n+1)! / (2^{2n+1} (n!)^2).  Derivatives, the antiderivative and
+  the first moment are exact polynomials, so nothing downstream is polluted
+  by quadrature error.
 * ``bump``: the classical C-infinity bump N exp(-1/(1-x^2)).  Its
   antiderivative has no closed form and is tabulated once (4097-point
   cosine-spaced grid, panelwise Gauss-Legendre) and evaluated by monotone
-  cubic interpolation.
+  cubic interpolation; its first moment is exact through the exponential
+  integral E1.
 
-Scaled copies phi_h(x) = phi(x/h)/h are generated through the three
-regularization scales h(eps) = eps, 1/|log eps|, eps^(1/p).
+The first moment M(z) = int_{-1}^z y phi(y) dy (phi_moment) gives the d = 3
+radial data and the spherical oracle.  Scaled copies phi_h(x) = phi(x/h)/h
+are generated through the three regularization scales h(eps) = eps,
+1/|log eps|, eps^(1/p).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "phi_eval",
     "phi_deriv",
     "phi_antideriv",
+    "phi_moment",
     "scale_eval",
 ]
 
@@ -170,6 +174,25 @@ def phi_antideriv(m: Mollifier, x):
         val = _bump_table()[1](np.clip(x, -1.0, 1.0))
     out = np.where(x <= -1.0, 0.0, np.where(x >= 1.0, 1.0, val))
     return out if out.ndim else float(out)
+
+
+def phi_moment(m: Mollifier, z):
+    """M(z) = int_{-1}^z y phi(y) dy, exact; even, 0 outside (-1, 1).
+
+    Polynomial family: a polynomial.  Bump family: with s = 1 - z^2,
+    M = -N/2 [s e^(-1/s) - E1(1/s)] (substitute s = 1 - y^2, then u = 1/s).
+    """
+    z = np.clip(np.asarray(z, dtype=float), -1.0, 1.0)
+    if m.family == "polynomial":
+        P = np.polynomial.polynomial
+        val = P.polyval(z, P.polyint(P.polymulx(_poly_coeffs(m.n)[0]), lbnd=-1.0))
+    else:
+        from scipy.special import exp1
+
+        s = 1.0 - z**2
+        r = 1.0 / np.where(s > 0.0, s, 1.0)
+        val = np.where(s > 0.0, -0.5 * m.normalization * (s * np.exp(-r) - exp1(r)), 0.0)
+    return val if val.ndim else float(val)
 
 
 @dataclass(frozen=True)

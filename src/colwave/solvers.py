@@ -36,7 +36,7 @@ import numpy as np
 
 from .characteristics import CharCurve, gamma, gamma_x_partials, time_integral
 from .coefficients import CoeffAntideriv, RegularizedCoeff
-from .mollifier import Mollifier, phi_deriv, phi_eval
+from .mollifier import Mollifier, phi_deriv, phi_eval, phi_moment
 
 __all__ = [
     "Grid1D",
@@ -555,20 +555,9 @@ def solve_wave_t(
 def radial_aux_data(m: Mollifier, h: float) -> Callable:
     """d=3 auxiliary initial velocity g(r) = int_{-h}^{r} (-s) phi_h(s) ds.
 
-    Even, supported in [-h, h]; g = h * G1(r/h) with G1(z) = int_{-1}^z (-y)phi(y) dy.
+    Even, supported in [-h, h]; g = -h * M(r/h) with M = phi_moment.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(32)
-
-    def G1(z):
-        z = np.clip(np.asarray(z, dtype=float), -1.0, 1.0)
-        out = np.zeros_like(z)
-        span = z + 1.0
-        for nd, wt in zip(nodes, wts):
-            y = -1.0 + 0.5 * span * (nd + 1.0)
-            out += 0.5 * span * wt * (-y) * phi_eval(m, y)
-        return out
-
-    return lambda r: h * G1(np.asarray(r, dtype=float) / h)
+    return lambda r: -h * phi_moment(m, np.asarray(r, dtype=float) / h)
 
 
 def solve_radial_odd(
@@ -626,24 +615,13 @@ def spherical_oracle(m: Mollifier, h: float, c: float) -> Callable:
         u(t,r) = (1/(2 c r)) int_{r-ct}^{r+ct} s phi_h(s) ds,
 
     evaluated in closed form through the moment antiderivative
-    M(z) = int_{-1}^z y phi(y) dy (so the integral is h[M(b/h) - M(a/h)]).
+    M = phi_moment (so the integral is h[M(b/h) - M(a/h)]).
     """
-    nodes, wts = np.polynomial.legendre.leggauss(48)
-
-    def M(z):
-        z = np.clip(np.asarray(z, dtype=float), -1.0, 1.0)
-        span = z + 1.0
-        out = np.zeros_like(z)
-        for nd, wt in zip(nodes, wts):
-            y = -1.0 + 0.5 * span * (nd + 1.0)
-            out += 0.5 * span * wt * y * phi_eval(m, y)
-        return out
-
     def u(t, r):
         r = np.asarray(r, dtype=float)
         a = (r - c * t) / h
         b = (r + c * t) / h
-        val = h * (M(b) - M(a))
+        val = h * (phi_moment(m, b) - phi_moment(m, a))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(np.abs(r) > 1e-12, val / (2.0 * c * r), t * phi_eval(m, c * t / h) / h)
         return out

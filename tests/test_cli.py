@@ -185,6 +185,7 @@ REJECTED = {
     "malformed_store_times": ("thm43a", {"solver.store_times": "0,1,y"}, "'solver.store_times'"),
     "malformed_corner_times": ("corner36", {"corner.times": "a"}, "'corner.times'"),
     "conservative_not_boolean": ("thm41", {"solver.conservative": "yes"}, "'solver.conservative'"),
+    "unknown_limiter": ("thm41", {"solver.limiter": "minmod"}, "'solver.limiter'"),
 }
 
 
@@ -217,15 +218,6 @@ def test_gronwall_bound_of_an_up_down_time_jump(tmp_path):
     energy = [ln for ln in (tmp_path / "updown" / "report.txt").read_text().splitlines() if ln.startswith("energy")]
     assert len(energy) == 4
     assert all(ln.endswith("gronwall=PASS bound=16") for ln in energy)
-
-
-def test_unknown_limiter_rejected_before_solving(tmp_path, capsys):
-    text = (bundled_scenarios()["thm41"]).read_text()
-    assert "solver.limiter=vanleer" in text
-    scn = tmp_path / "badlimiter.scn"
-    scn.write_text(text.replace("solver.limiter=vanleer", "solver.limiter=minmod"))
-    assert main(["validate", str(scn)]) == 2
-    assert "limiter" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_3_without_a_report(tmp_path, capsys, monkeypatch):

@@ -69,7 +69,7 @@ GEOMETRIES = {
     "merged_neighbourhoods": ((0.0, 0.05), (1.0, 2.0, 1.5), 0.05),
     "no_breakpoint": ((), (1.7,), 0.05),
 }
-INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "value": lambda c: c, "square": lambda c: c * c}
+INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "value": lambda c: c}
 
 
 def _table(geometry, integrand):
@@ -108,7 +108,7 @@ def test_antideriv_strictly_increasing(rc):
     assert np.all(np.diff(ca(xs)) > 0)
 
 
-def test_cumulative_value_and_square():
+def test_cumulative_value():
     base = PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time")
     r = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.05)
     T = CumulativeIntegral(r, integrand="value")
@@ -117,9 +117,6 @@ def test_cumulative_value_and_square():
     assert T(2.0) == pytest.approx(1.0 * 1.0 + 0.5 * (1.0 + 2.0) * 0.0 + 2.0, abs=1e-3)
     ref, _ = quad(lambda s: r(s), 0.0, 2.0, points=[0.95, 1.0, 1.05], limit=200)
     assert T(2.0) == pytest.approx(ref, abs=1e-10)
-    S = CumulativeIntegral(r, integrand="square")
-    ref2, _ = quad(lambda s: r(s) ** 2, 0.0, 2.0, points=[0.95, 1.0, 1.05], limit=200)
-    assert S(2.0) == pytest.approx(ref2, abs=1e-10)
 
 
 def test_time_variable_tagging():

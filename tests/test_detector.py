@@ -1,66 +1,19 @@
-import math
-
 import numpy as np
 import pytest
 
 from colwave.detector import (
-    GrowthFit,
     RaySegment,
     classify,
     derivative_profile,
-    fit_growth,
-    point_fits,
     predict_singsupp,
     report_csv,
     report_svg,
-    sample_growth,
-    slope_excess,
     verdict_text,
 )
 from colwave.detector import _running_max
 from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_antideriv, phi_eval
 from colwave.solvers import Grid1D, SolutionFamily, SolutionRecord, solve_radial_odd
-
-
-def test_fit_growth_exact_power_law():
-    eps = 0.1 * 0.7 ** np.arange(10)
-    fit = fit_growth([(e, e**-2.0) for e in eps])
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
-    assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-    assert not fit.degenerate and not fit.super_polynomial
-
-
-def test_fit_growth_constant():
-    eps = 0.1 * 0.7 ** np.arange(10)
-    fit = fit_growth([(e, 3.7) for e in eps])
-    assert fit.slope == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fit_growth_superpolynomial():
-    eps = 0.1 * 0.7 ** np.arange(10)
-    fit = fit_growth([(e, math.exp(0.5 / e)) for e in eps])
-    assert fit.super_polynomial
-
-
-def test_fit_growth_degenerate():
-    eps = [0.1, 0.07, 0.049, 0.0343, 0.024]
-    samples = [(e, 1.0, 2.0) for e in eps]  # all below the significance floor
-    fit = fit_growth(samples)
-    assert fit.degenerate
-    fit2 = fit_growth([(e, 0.0) for e in eps])
-    assert fit2.degenerate
-
-
-def test_slope_excess_reference_selection():
-    mk = lambda a, s, r2: GrowthFit((0, 0), a, s, 0.0, r2, 10)
-    # alpha=0 fit is unclean (flat data) -> reference falls to alpha=1
-    fits = {0: mk(0, 0.0, 0.3), 1: mk(1, 1.0, 0.999), 2: mk(2, 2.0, 0.999)}
-    assert slope_excess(fits, 2) == pytest.approx(1.0)
-    fits[0] = mk(0, 0.0, 0.999)
-    assert slope_excess(fits, 2) == pytest.approx(2.0)
-    fits[2] = GrowthFit((0, 0), 2, 0.0, -math.inf, 0.0, 1, degenerate=True)
-    assert slope_excess(fits, 2) == 0.0
 
 
 def _synthetic_family(amp=1.0):
@@ -112,13 +65,33 @@ def test_classify_zero_solution_unflagged():
     assert not rep.flags.any()
 
 
-def test_sample_growth_and_local_derivative():
+def test_classify_excess_at_and_off_the_front():
+    # the front gains about alpha_hi powers of 1/eps over alpha = 0; a cell
+    # the front never reaches has no significant sample at all
     fam = _synthetic_family()
-    s = sample_growth(fam, (0.5, 0.5), 1, ScaleFn("standard"))
-    fit = fit_growth(s, (0.5, 0.5), 1)
-    assert fit.slope == pytest.approx(1.0, abs=0.1)
+    for alpha_hi, at_front in ((1, 0.92), (2, 1.89)):
+        rep = classify(fam, [], h_fn=ScaleFn("standard"), times=[0.5], alpha_hi=alpha_hi)
+        on, off = (int(np.argmin(np.abs(rep.points[:, 1] - x))) for x in (0.5, -1.5))
+        assert rep.excess[on] == pytest.approx(at_front, abs=0.01)
+        assert rep.flags[on]
+        assert rep.excess[off] == 0.0 and not rep.flags[off]
+
+
+def test_classify_three_signal_members_degenerate():
+    # fewer than 4 ladder members above the floor: excess 0, never flagged
+    fam = _synthetic_family()
+    for rec in fam.records[3:]:
+        rec.fields["u"] = np.zeros_like(rec.fields["u"])
+    rep = classify(fam, [], h_fn=ScaleFn("standard"), times=[0.3, 0.5, 0.9])
+    assert not rep.excess.any()
+    assert not rep.flags.any()
+
+
+def test_derivative_profile_kernel_peak():
     # the neighbourhood max of |dx u| at eps = 0.1 is the kernel's peak phi(0)/eps
-    (v,) = [mag for eps, mag, _ in s if eps == 0.1]
+    rec = _synthetic_family().records[0]
+    mags, _ = derivative_profile(rec, 0.5, 1, ScaleFn("standard")(rec.eps))
+    v = mags[np.argmin(np.abs(rec.xs - 0.5))]
     assert v == pytest.approx(phi_eval(Mollifier(), 0.0) / 0.1, rel=0.05)
 
 
@@ -140,14 +113,8 @@ def test_running_max_matches_scipy_maximum_filter(n):
         assert np.array_equal(_running_max(a, w), maximum_filter1d(a, size=2 * w + 1, mode="nearest")), w
 
 
-def test_point_fits_off_ray_degenerate():
-    fam = _synthetic_family()
-    fits = point_fits(fam, (0.5, -1.5), h_fn=ScaleFn("standard"))
-    assert slope_excess(fits, 2) == 0.0
-
-
 def test_predict_x_jump_geometry():
-    rays = {r.label: r for r in predict_singsupp("x_jump_delta", c0=1.0, c1=2.0)}
+    rays = {r.label: r for r in predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=True, x0=-1.0)}
     assert set(rays) == {"incident_left", "incident_right", "reflected", "transmitted"}
     assert float(rays["incident_left"].curve(0.6)) == pytest.approx(-1.6)
     assert float(rays["incident_right"].curve(0.6)) == pytest.approx(-0.4)
@@ -159,24 +126,24 @@ def test_predict_x_jump_geometry():
 
 def test_predict_x_jump_condition_gates_reflection():
     # sqrt(20) + sqrt(1/20) > 4: no reflected ray predicted
-    labels = {r.label for r in predict_singsupp("x_jump_delta", c0=1.0, c1=20.0)}
+    labels = {r.label for r in predict_singsupp("x_jump_delta", c0=1.0, c1=20.0, standard_scale=True, x0=-1.0)}
     assert "reflected" not in labels
     # slow scale: no reflected ray either
-    labels = {r.label for r in predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=False)}
+    labels = {r.label for r in predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=False, x0=-1.0)}
     assert "reflected" not in labels
 
 
 def test_predict_t_jump_geometry():
-    rays = {r.label: r for r in predict_singsupp("t_jump", c0=1.0, c1=2.0)}
+    rays = {r.label: r for r in predict_singsupp("t_jump", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0)}
     assert float(rays["transmitted+"].curve(1.5)) == pytest.approx(2.0)
     assert float(rays["refracted+"].curve(1.5)) == pytest.approx(0.0)
     assert float(rays["refracted-"].curve(1.8)) == pytest.approx(0.6)
-    slow = {r.label for r in predict_singsupp("t_jump", c0=1.0, c1=2.0, standard_scale=False)}
+    slow = {r.label for r in predict_singsupp("t_jump", c0=1.0, c1=2.0, standard_scale=False, t_jump=1.0)}
     assert slow == {"transmitted+", "transmitted-"}
 
 
 def test_predict_radial_positive_rays_only():
-    rays = predict_singsupp("radial_odd", c0=1.0, c1=2.0)
+    rays = predict_singsupp("radial_odd", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0)
     labels = {r.label for r in rays}
     assert labels == {"transmitted+", "refracted+"}
     for r in rays:
@@ -185,8 +152,16 @@ def test_predict_radial_positive_rays_only():
 
 
 def test_predict_unknown_kind():
-    with pytest.raises(ValueError):
-        predict_singsupp("spherical_harmonics")
+    with pytest.raises(ValueError, match="unsupported scenario kind"):
+        predict_singsupp("spherical_harmonics", c0=1.0, c1=2.0, standard_scale=True)
+
+
+@pytest.mark.parametrize("kind, missing", [("x_jump_delta", "x0"), ("t_jump", "t_jump"), ("radial_odd", "t_jump")])
+def test_predict_needs_the_kind_geometry(kind, missing):
+    geometry = {"x0": -1.0, "t_jump": 1.0}
+    del geometry[missing]
+    with pytest.raises(ValueError, match=missing):
+        predict_singsupp(kind, c0=1.0, c1=2.0, standard_scale=True, **geometry)
 
 
 def test_ray_segment_sample_caps():
@@ -222,7 +197,7 @@ def test_classify_scores_radial_family_in_abs_x():
     rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
     times = [0.5, 0.8, 1.2, 1.5]
     fam = solve_radial_odd(rcs, 3, Grid1D(-4.0, 4.0, nx, 1.6), store_times=times)
-    rays = predict_singsupp("radial_odd", c0=1.0, c1=2.0)
+    rays = predict_singsupp("radial_odd", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0)
     rep = classify(fam, rays, h_fn=ScaleFn("standard"), times=times)
     ft, fx = rep.points[rep.flags, 0], rep.points[rep.flags, 1]
     assert (fx < 0).any() and (fx > 0).any()

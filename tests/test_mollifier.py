@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from colwave.mollifier import (
     EpsilonLadder,
@@ -9,6 +10,7 @@ from colwave.mollifier import (
     phi_antideriv,
     phi_deriv,
     phi_eval,
+    phi_moment,
     scale_eval,
 )
 
@@ -67,6 +69,19 @@ def test_antideriv_is_primitive(moll):
     # the bump antiderivative is tabulated + interpolated: ~1e-5 derivative accuracy
     tol = 1e-6 if moll.family == "polynomial" else 1e-4
     assert np.allclose(fd, phi_eval(moll, xs), rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("family, n", [("polynomial", 1), ("polynomial", 2), ("polynomial", 3), ("bump", 2)])
+def test_moment_vs_quadrature(family, n):
+    m = Mollifier(family, n)
+    f = lambda y: y * phi_eval(m, y)
+    for z in (-1.5, -1.0, -0.999, -0.7, -0.2, 0.0, 0.35, 0.9, 0.9999, 1.0, 2.0):
+        # M(1) = 0: integrate over the shorter side, so that no cancellation enters the reference
+        lo, hi, sign = (-1.0, z, 1.0) if z <= 0.0 else (min(z, 1.0), 1.0, -1.0)
+        ref = sign * quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13)[0]
+        assert phi_moment(m, z) == pytest.approx(ref, abs=1e-15)
+    zs = np.linspace(-1.2, 1.2, 49)
+    assert np.array_equal(phi_moment(m, zs), phi_moment(m, -zs))
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from colwave.characteristics import CharCurve, time_integral
-from colwave.coefficients import CoeffAntideriv, PiecewiseConstantCoeff, RegularizedCoeff
-from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn
+from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
+from colwave.mollifier import Mollifier, ScaleFn
 from colwave.oracle import PiecewiseTSolution
 from colwave.solvers import (
     Grid1D,
     NumericalFailure,
-    PerEps,
     abel_forward,
     abel_invert,
     delta_profile,
