@@ -9,12 +9,15 @@ with Phi the mollifier antiderivative.  Derivatives follow from
 phi^{(k-1)}((x-b_i)/h) / h^k.  c_eps varies only inside the merged kernel
 windows [b_i - h, b_i + h] (RegularizedCoeff.windows) and is exactly constant
 between and outside them.  CumulativeIntegral builds one edge table on that
-split for F(x) = int_0^x f(c_eps) with f in {1/c, c}: 16-point
-Gauss-Legendre panels of width <= h/8 inside the windows, exact affine pieces
-elsewhere.  Evaluation is one table lookup plus at most one panel quadrature;
-the inverse is exact on the affine pieces and a safeguarded Newton iteration
-inside one panel.  The reciprocal antiderivative C_eps = int_0^x 1/c_eps is
-CoeffAntideriv; a time-dependent coefficient uses the c_eps table, T(t).
+split for F(x) = int_0^x f(c_eps) with f in {1/c, c}: panels of width <= h/8
+inside the windows, exact affine pieces elsewhere.  On each panel f(c_eps) is
+sampled once at the 16 Gauss-Legendre nodes; the GL sum gives the panel total
+and the same samples give the degree-15 Legendre series of f in the panel
+variable z, integrated once to G(z) = int_{-1}^z f.  Evaluation is one table
+lookup plus at most one Clenshaw sum of G; the inverse is exact on the affine
+pieces and a safeguarded Newton iteration on G inside one panel.  The
+reciprocal antiderivative C_eps = int_0^x 1/c_eps is CoeffAntideriv; a
+time-dependent coefficient uses the c_eps table, T(t).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .mollifier import Mollifier, ScaleFn, phi_antideriv, phi_deriv, scale_eval
 
@@ -34,7 +38,10 @@ __all__ = [
     "coeff_deriv",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = legendre.leggauss(16)
+# values at the GL nodes -> coefficients of the degree-15 Legendre series through them
+_GL_PROJECT = legendre.legvander(_GL_NODES, 15) * (_GL_WEIGHTS[:, None] * (np.arange(16) + 0.5))
+_NEWTON_MAX_ITER = 60
 _INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "value": lambda c: c}
 
 
@@ -141,9 +148,13 @@ def coeff_deriv(rc: RegularizedCoeff, x, k: int):
 class CumulativeIntegral:
     """F(x) = int_0^x f(c_eps(y)) dy for f in {1/c, c}, strictly increasing.
 
-    One edge table over the line: GL-16 panels of width <= h/8 inside the
-    windows, exact constant f(c) on every other interval, and F stored at
-    every edge; 0 is an edge, so F(0) = 0 exactly.
+    One edge table over the line: panels of width <= h/8 inside the windows,
+    exact constant f(c) on every other interval, and F stored at every edge;
+    0 is an edge, so F(0) = 0 exactly.  A panel [mid - half, mid + half]
+    carries the Legendre series of f and of G(z) = int_{-1}^z f in
+    z = (x - mid)/half, fitted to its 16 GL samples, so inside it
+    F(x) = F(mid - half) + half * G(z).  The panel totals in the edge table
+    are the GL sums of the same samples.
     """
 
     def __init__(self, rc: RegularizedCoeff, integrand: str = "reciprocal"):
@@ -152,8 +163,11 @@ class CumulativeIntegral:
         self._f = _INTEGRANDS[integrand]
         self.rc = rc
         self.integrand = integrand
+        # c_eps is smooth between the kernel ends b - h, b + h, so no panel straddles one
+        ends = np.unique([b + d for b in rc.base.breakpoints for d in (-rc.h, rc.h)])
+        inside = np.searchsorted(np.ravel(rc.windows), 0.5 * (ends[:-1] + ends[1:])) % 2 == 1
         panels = [np.linspace(lo, hi, max(16, int(np.ceil((hi - lo) / (rc.h / 8.0)))) + 1)
-                  for lo, hi in rc.windows]
+                  for lo, hi in zip(ends[:-1][inside], ends[1:][inside])]
         edges = np.unique(np.concatenate([[0.0], *panels]))
         # interval k runs from x0[k] to edges[k]; k = 0 and k = len(edges) are the unbounded ends
         mid = np.concatenate([[-np.inf], 0.5 * (edges[:-1] + edges[1:]), [np.inf]])
@@ -161,35 +175,32 @@ class CumulativeIntegral:
         slope = np.where(panel, 0.0, self._f(rc.base(mid)))
         part = slope[1:-1] * np.diff(edges)
         inner = panel[1:-1]
-        part[inner] = self._gl(edges[:-1][inner], edges[1:][inner])
+        self._mid, self._half = mid[1:-1][inner], 0.5 * (edges[1:] - edges[:-1])[inner]
+        fv = self._f(coeff_eval(rc, self._mid[:, None] + self._half[:, None] * _GL_NODES))
+        part[inner] = self._half * (fv @ _GL_WEIGHTS)
+        coef = fv @ _GL_PROJECT
+        self._fser = coef.T.copy()  # one column per panel
+        self._Gser = legendre.legint(coef, lbnd=-1, axis=1).T.copy()
+        self._row = np.cumsum(panel) - 1  # interval -> panel column
         F = np.concatenate([[0.0], np.cumsum(part)])
         F -= F[np.searchsorted(edges, 0.0)]
         self._edges, self._panel, self._slope = edges, panel, slope
         self._x0 = np.concatenate([edges[:1], edges])
         self._F = np.concatenate([F[:1], F])  # F(x0[k])
 
-    def _gl(self, a, b):
-        """GL-16 of f(c_eps) over each [a_i, b_i]; vectorized over intervals."""
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xx = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        return half * (self._f(coeff_eval(self.rc, xx)) @ _GL_WEIGHTS)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         k = np.searchsorted(self._edges, x, side="right")
-        x0 = self._x0[k]
-        out = self._F[k] + self._slope[k] * (x - x0)
+        out = self._F[k] + self._slope[k] * (x - self._x0[k])
         p = self._panel[k]
         if p.any():
-            out[p] += self._gl(x0[p], x[p])
+            r = self._row[k[p]]
+            half = self._half[r]
+            z = (x[p] - self._mid[r]) / half
+            out[p] += half * legendre.legval(z, self._Gser[:, r], tensor=False)
         return float(out[0]) if scalar else out
-
-    def derivative(self, x):
-        return self._f(coeff_eval(self.rc, x))
 
     def invert(self, y):
         """x with F(x) = y: exact on constant intervals, safeguarded Newton in a panel."""
@@ -203,13 +214,20 @@ class CumulativeIntegral:
         x[flat] = self._x0[kf] + (y[flat] - self._F[kf]) / self._slope[kf]
         if not flat.all():
             kp = k[~flat]
-            lo, hi, yp = self._x0[kp], self._edges[kp], y[~flat] - self._F[kp]
-            xm = 0.5 * (lo + hi)
-            for _ in range(60):
-                step = (self._gl(lo, xm) - yp) / self.derivative(xm)
-                xm = np.clip(xm - step, lo, hi)
-                if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(xm))):
+            r = self._row[kp]
+            mid, half, G, f = self._mid[r], self._half[r], self._Gser[:, r], self._fser[:, r]
+            yp = y[~flat] - self._F[kp]
+            z = 2.0 * yp / (self._F[kp + 1] - self._F[kp]) - 1.0  # secant across the panel
+            g = yp / half  # solve G(z) = g
+            for _ in range(_NEWTON_MAX_ITER):
+                dz = (legendre.legval(z, G, tensor=False) - g) / legendre.legval(z, f, tensor=False)
+                z = np.clip(z - dz, -1.0, 1.0)
+                xm = mid + half * z
+                if np.max(np.abs(half * dz)) < 1e-14 * (1.0 + np.max(np.abs(xm))):
                     break
+            else:
+                raise FloatingPointError(
+                    f"CumulativeIntegral.invert: no convergence in {_NEWTON_MAX_ITER} Newton steps")
             x[~flat] = xm
         return float(x[0]) if scalar else x
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -240,3 +245,19 @@ def test_wave_x_energy_follows_the_solved_form(conservative, tmp_path):
     # the conserved functional drifts only by the scheme's dissipation (the
     # conservative_x sum on the non-conservative solve grows by 1.2-1.4x)
     assert all(float(ln.split("drift=")[1]) < 0.2 for ln in energy)
+
+
+@pytest.mark.parametrize("name", ["ex2_tanh", "corner36"])
+def test_run_leaves_scipy_unimported(name, tmp_path):
+    # importing scipy costs about 0.2 s per process, and neither run needs it
+    code = (
+        "import sys\n"
+        "from colwave.cli import main\n"
+        f"rc = main(['run', {name!r}, '--out', sys.argv[1], '--ladder-override', '0.1,0.7,4'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "[]"]

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from colwave import coefficients
 from colwave.coefficients import (
     CoeffAntideriv,
     CumulativeIntegral,
     PiecewiseConstantCoeff,
     RegularizedCoeff,
+    coeff_eval,
 )
 from colwave.mollifier import Mollifier, ScaleFn
 
@@ -70,20 +72,24 @@ GEOMETRIES = {
     "no_breakpoint": ((), (1.7,), 0.05),
 }
 INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "value": lambda c: c}
+# (geometry, mollifier) cases; the polynomial ones keep the bare geometry id
+MOLLIFIED = [pytest.param(g, m, id=g if m == "polynomial" else f"{g}-{m}")
+             for m in ("polynomial", "bump") for g in GEOMETRIES]
 
 
-def _table(geometry, integrand):
+def _table(geometry, integrand, mollifier="polynomial"):
     bps, vals, eps = GEOMETRIES[geometry]
-    r = RegularizedCoeff(PiecewiseConstantCoeff(bps, vals, "space"), Mollifier(), ScaleFn("standard"), eps)
+    base = PiecewiseConstantCoeff(bps, vals, "space")
+    r = RegularizedCoeff(base, Mollifier(mollifier), ScaleFn("standard"), eps)
     return r, CumulativeIntegral(r, integrand=integrand)
 
 
 @pytest.mark.parametrize("integrand", INTEGRANDS)
-@pytest.mark.parametrize("geometry", GEOMETRIES)
-def test_antideriv_vs_quadrature(geometry, integrand):
-    r, F = _table(geometry, integrand)
+@pytest.mark.parametrize("geometry, mollifier", MOLLIFIED)
+def test_antideriv_vs_quadrature(geometry, integrand, mollifier):
+    r, F = _table(geometry, integrand, mollifier)
     f = INTEGRANDS[integrand]
-    if (geometry, integrand) == ("jump_at_0", "reciprocal"):
+    if (geometry, integrand, mollifier) == ("jump_at_0", "reciprocal", "polynomial"):
         # frozen from an independent adaptive quadrature of 1/c_eps
         assert F(1.0) == pytest.approx(0.5023214370944632, abs=1e-11)
     assert abs(F(0.0)) <= 1e-15
@@ -95,11 +101,58 @@ def test_antideriv_vs_quadrature(geometry, integrand):
 
 
 @pytest.mark.parametrize("integrand", INTEGRANDS)
-@pytest.mark.parametrize("geometry", GEOMETRIES)
-def test_antideriv_inverse_roundtrip(geometry, integrand):
-    _, F = _table(geometry, integrand)
+@pytest.mark.parametrize("geometry, mollifier", MOLLIFIED)
+def test_antideriv_inverse_roundtrip(geometry, integrand, mollifier):
+    _, F = _table(geometry, integrand, mollifier)
     xs = np.concatenate([np.linspace(-2.0, 2.0, 101), np.linspace(-0.2, 0.2, 40001)])
     assert np.max(np.abs(F.invert(F(xs)) - xs)) < 1e-12
+
+
+def _gl(f, rc, a, b):
+    """GL-16 of f(c_eps) over each [a_i, b_i], sampled afresh: the reference for the panel series."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * (f(coeff_eval(rc, mid[:, None] + half[:, None] * nodes[None, :])) @ weights)
+
+
+def _panels(F):
+    """(left, right, F at left, F at right) of every panel of the edge table."""
+    k = np.flatnonzero(F._panel[1:-1]) + 1  # interval k runs from edges[k-1] to edges[k]
+    return F._edges[k - 1], F._edges[k], F._F[k], F._F[k + 1]
+
+
+@pytest.mark.parametrize("integrand", INTEGRANDS)
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_panel_series_matches_gl_quadrature(geometry, integrand):
+    r, F = _table(geometry, integrand)
+    lo, hi, F_lo, _ = _panels(F)
+    if not len(lo):
+        assert not r.base.breakpoints  # no kernel window, no panel
+        return
+    rng = np.random.default_rng(7)
+    i = rng.integers(len(lo), size=10_000)
+    x = lo[i] + rng.random(10_000) * (hi[i] - lo[i])
+    ref = F_lo[i] + _gl(INTEGRANDS[integrand], r, lo[i], x)
+    assert np.max(np.abs(F(x) - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("integrand", INTEGRANDS)
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_panel_series_meets_edge_table(geometry, integrand):
+    _, F = _table(geometry, integrand)
+    lo, hi, F_lo, F_hi = _panels(F)
+    assert np.max(np.abs(F(np.nextafter(lo, hi)) - F_lo), initial=0.0) < 1e-15
+    assert np.max(np.abs(F(np.nextafter(hi, lo)) - F_hi), initial=0.0) < 1e-15
+
+
+def test_invert_raises_without_convergence(rc, monkeypatch):
+    ca = CoeffAntideriv(rc)
+    y = ca(0.01)  # inside a kernel panel
+    assert ca.invert(y) == pytest.approx(0.01, abs=1e-15)
+    monkeypatch.setattr(coefficients, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(FloatingPointError):
+        ca.invert(y)
+    assert ca.invert(ca(0.5)) == 0.5  # the affine pieces take no Newton step
 
 
 def test_antideriv_strictly_increasing(rc):
