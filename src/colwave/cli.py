@@ -53,6 +53,8 @@ from .solvers import (
     solve_wave_x,
 )
 
+CORNER_TOL = 0.005  # relative error of the corner flow derivatives (Criterion 1)
+
 # tanh transport examples: characteristic flow per eps and the distributional limit of u0
 TANH = {
     "tanh_example_2": (CharCurve.tanh_minus, two_region_limit),  # converging: u0(x+t) / u0(x-t)
@@ -178,17 +180,17 @@ def _oracle_compare(scn: Scenario, fam, outdir: Path) -> str:
 def _corner(scn: Scenario, fam, outdir: Path) -> str:
     rows = ["eps,t,dgamma,expected1,d2gamma,expected2,d3gamma,expected3"]
     a = phi_eval(scn.mollifier, 0.0)
+    worst = 0.0
     for rc in scn.rcs:
         cv = CharCurve.x_dependent(CoeffAntideriv(rc))
         h = rc.h
         for t in scn.opts["corner.times"]:
-            (g1, g2, g3), _ = gamma_partials(cv, t, 0.0)
-            rows.append(
-                f"{float(rc.eps)!r},{t},{g1!r},{2 / 3},{g2!r},{-4 * a / (9 * h)!r},"
-                f"{g3!r},{16 * a * a / (27 * h * h)!r}"
-            )
+            got, _ = gamma_partials(cv, t, 0.0)
+            want = (2 / 3, -4 * a / (9 * h), 16 * a * a / (27 * h * h))
+            rows.append(f"{float(rc.eps)!r},{t}," + ",".join(f"{g!r},{w!r}" for g, w in zip(got, want)))
+            worst = max(worst, *(abs(g - w) / abs(w) for g, w in zip(got, want)))
     (outdir / "corner.csv").write_text("\n".join(rows) + "\n")
-    return "corner=written"
+    return f"corner={'PASS' if worst <= CORNER_TOL else 'FAIL'} worst_rel_err={worst:.3e}"
 
 
 def _abel(scn: Scenario, fam, outdir: Path) -> str:
@@ -359,6 +361,8 @@ def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float):
             raise ValidationError("detect.kind=t_jump rays need point data at x = 0")
     if "energy" in asked and coeff.variable == "time" and np.any(np.diff(bps) < 2.0 * h0):
         raise ValidationError("energy: kernel neighbourhoods of the time breakpoints overlap at ladder.eps0")
+    if "corner" in asked and (bps, coeff.values) != ((0.0,), (1.0, 2.0)):
+        raise ValidationError("corner closed forms need the 1 -> 2 jump at x = 0 (coefficient.values=1,2)")
     if problem in TANH:
         if "associate" in asked and (u0 is None or isinstance(u0, PerEps)):
             raise ValidationError("associate on a tanh example needs data.u0=bump:x0,w or quadratic")

@@ -24,10 +24,18 @@
 * abel_forward / abel_invert: the half-integral pair linking radial profiles
   across consecutive even/odd dimensions, with the endpoint singularity
   absorbed by the rho = sin(theta) substitution.
+
+The members of a wave_x or wave_t ladder (and so of a radial one) are
+independent, and ladder_map solves them in forked worker processes, one per
+usable CPU; there is no setting.  Each member runs the same code on the same
+operands as in the serial loop, which is what runs on one usable CPU, so the
+records are bitwise the same either way.
 """
 
 from __future__ import annotations
 
+import ast
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -50,6 +58,7 @@ __all__ = [
     "solve_wave_x",
     "solve_wave_t",
     "solve_radial_odd",
+    "ladder_map",
     "abel_forward",
     "abel_invert",
     "save_family",
@@ -170,6 +179,54 @@ def _resolve(profile, rc):
 
 def _default_store_times(t_end: float, n: int = 9) -> np.ndarray:
     return np.linspace(0.0, t_end, n)
+
+
+# (run, members) of the ladder that ladder_map is solving, set before its pool
+# forks: the workers inherit it, so only a member index goes out to them
+_LADDER = None
+
+
+def _solve_member(i: int):
+    run, members = _LADDER
+    return run(members[i])
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def ladder_map(run: Callable, members) -> list:
+    """[run(m) for m in members], in min(len(members), usable CPUs) processes.
+
+    With one worker this is that serial loop.  Otherwise forked workers solve
+    the members, smallest eps first (the costliest wave_t member), and the
+    results come back pickled, in ladder order.  ``run`` may be a closure:
+    the workers read it from _LADDER instead of unpickling it.  That needs
+    the fork start method (a spawned worker re-imports and could not see
+    it); colwave starts no threads that a fork would copy.  The first
+    failure in ladder order is raised, and members not yet started are
+    cancelled.
+    """
+    global _LADDER
+    members = list(members)
+    workers = min(len(members), _usable_cpus())
+    if workers <= 1:
+        return [run(m) for m in members]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _LADDER = (run, members)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        order = sorted(range(len(members)), key=lambda i: members[i].eps)
+        futures = {i: pool.submit(_solve_member, i) for i in order}
+        return [futures[i].result() for i in range(len(members))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _LADDER = None
 
 
 # --- transport (exact via characteristics) ---------------------------------
@@ -341,7 +398,9 @@ def solve_wave_x(
         b1 = float(np.max(a))
         dt = grid.dt(b1)
         n_steps = int(np.ceil(grid.t_end / dt - 1e-12))
-        store_idx = np.clip(np.rint(times / dt).astype(int), 0, n_steps)
+        fills = {}  # step -> the store slots filled before it
+        for i, k in enumerate(np.clip(np.rint(times / dt).astype(int), 0, n_steps).tolist()):
+            fills.setdefault(k, []).append(i)
         q, heun = _vw_heun(a, g, dx, limiter)
         V, W = q[0, 2:-2], q[1, 2:-2]
         V[:] = u1v - a * u0x
@@ -353,11 +412,11 @@ def solve_wave_x(
         slices_u, slices_v, slices_w = {}, {}, {}
         t = 0.0
         for step in range(n_steps + 1):
-            for i in np.nonzero(store_idx == step)[0]:
-                slices_u[int(i)] = u.astype(store_dtype)
+            for i in fills.get(step, ()):
+                slices_u[i] = u.astype(store_dtype)
                 if store_vw:
-                    slices_v[int(i)] = V.astype(store_dtype)
-                    slices_w[int(i)] = W.astype(store_dtype)
+                    slices_v[i] = V.astype(store_dtype)
+                    slices_w[i] = W.astype(store_dtype)
             if step == n_steps:
                 break
             step_dt = min(dt, grid.t_end - t)
@@ -383,7 +442,7 @@ def solve_wave_x(
             meta={"conservative": conservative, "limiter": limiter, "h": rc.h, "a": a},
         )
 
-    return SolutionFamily(scenario_id, "wave_x", [run(rc) for rc in rcs])
+    return SolutionFamily(scenario_id, "wave_x", ladder_map(run, rcs))
 
 
 # --- wave equation, t-dependent speed (spectral in x) ----------------------
@@ -547,7 +606,7 @@ def solve_wave_t(
             eps=rc.eps, grid=grid, times=times, fields=fields, meta={"h": rc.h}
         )
 
-    return SolutionFamily(scenario_id, "wave_t", [run(rc) for rc in rcs])
+    return SolutionFamily(scenario_id, "wave_t", ladder_map(run, rcs))
 
 
 # --- odd-dimensional radial reduction --------------------------------------
@@ -669,7 +728,11 @@ def abel_invert(v_t0: Callable, fd_step: float = 1e-4) -> Callable:
 # --- serialization ----------------------------------------------------------
 
 def save_family(family: SolutionFamily, outdir) -> Path:
-    """Binary dumps (little-endian float64, row-major time x space) + manifest."""
+    """Binary dumps (little-endian float64, row-major time x space) + manifest.
+
+    Record meta goes to the manifest too: scalars as Python literals, arrays
+    as binary dumps of their own (not fields: those are all time x space).
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -680,6 +743,12 @@ def save_family(family: SolutionFamily, outdir) -> Path:
         "layout=row_major_time_by_space",
         f"n_records={len(family.records)}",
     ]
+
+    def dump(arr, fname):
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        arr.tofile(outdir / fname)
+        return "x".join(map(str, arr.shape))
+
     for i, rec in enumerate(family.records):
         g = rec.grid
         lines += [
@@ -691,10 +760,15 @@ def save_family(family: SolutionFamily, outdir) -> Path:
         ]
         for name in sorted(rec.fields):
             fname = f"{family.scenario_id}_{i}_{name}.bin"
-            arr = np.ascontiguousarray(rec.fields[name], dtype="<f8")
-            arr.tofile(outdir / fname)
             lines.append(f"record.{i}.file.{name}={fname}")
-            lines.append(f"record.{i}.shape.{name}={arr.shape[0]}x{arr.shape[1]}")
+            lines.append(f"record.{i}.shape.{name}={dump(rec.fields[name], fname)}")
+        for name, val in sorted(rec.meta.items()):
+            if isinstance(val, np.ndarray):
+                fname = f"{family.scenario_id}_{i}_meta_{name}.bin"
+                lines.append(f"record.{i}.meta_file.{name}={fname}")
+                lines.append(f"record.{i}.meta_shape.{name}={dump(val, fname)}")
+            else:
+                lines.append(f"record.{i}.meta.{name}={val.item() if isinstance(val, np.generic) else val!r}")
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
     return outdir
 
@@ -706,16 +780,30 @@ def load_family(indir) -> SolutionFamily:
         if "=" in line:
             key, val = line.split("=", 1)
             kv[key] = val
+
+    def load(file_key, shape_key):
+        shape = tuple(int(s) for s in kv[shape_key].split("x"))
+        return np.fromfile(indir / kv[file_key], dtype="<f8").reshape(shape)
+
     records = []
     for i in range(int(kv["n_records"])):
         gx = kv[f"record.{i}.grid"].split(",")
         grid = Grid1D(float(gx[0]), float(gx[1]), int(gx[2]), float(gx[3]), float(gx[4]))
         times = np.array([float(t) for t in kv[f"record.{i}.times"].split(",")])
-        fields = {}
-        for name in kv[f"record.{i}.fields"].split(","):
-            shape = tuple(int(s) for s in kv[f"record.{i}.shape.{name}"].split("x"))
-            fields[name] = np.fromfile(indir / kv[f"record.{i}.file.{name}"], dtype="<f8").reshape(shape)
+        fields = {
+            name: load(f"record.{i}.file.{name}", f"record.{i}.shape.{name}")
+            for name in kv[f"record.{i}.fields"].split(",")
+        }
+        meta, prefix = {}, f"record.{i}."
+        for key, val in kv.items():
+            kind, _, name = key[len(prefix):].partition(".")
+            if not key.startswith(prefix):
+                continue
+            if kind == "meta":
+                meta[name] = ast.literal_eval(val)
+            elif kind == "meta_file":
+                meta[name] = load(key, f"record.{i}.meta_shape.{name}")
         records.append(
-            SolutionRecord(eps=float(kv[f"record.{i}.eps"]), grid=grid, times=times, fields=fields)
+            SolutionRecord(eps=float(kv[f"record.{i}.eps"]), grid=grid, times=times, fields=fields, meta=meta)
         )
     return SolutionFamily(kv["scenario"], kv["solver"], records)

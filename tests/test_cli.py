@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colwave import cli
+from colwave import cli, solvers
 from colwave.cli import ValidationError, bundled_scenarios, main, parse_scenario
 from colwave.solvers import NumericalFailure, load_family
 
@@ -191,6 +191,7 @@ REJECTED = {
     "malformed_corner_times": ("corner36", {"corner.times": "a"}, "'corner.times'"),
     "conservative_not_boolean": ("thm41", {"solver.conservative": "yes"}, "'solver.conservative'"),
     "unknown_limiter": ("thm41", {"solver.limiter": "minmod"}, "'solver.limiter'"),
+    "corner_other_jump": ("corner36", {"coefficient.values": "1.0,3.0"}, "1 -> 2 jump at x = 0"),
 }
 
 
@@ -235,6 +236,38 @@ def test_numerical_failure_exits_3_without_a_report(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "thm41" / "report.txt").exists()
 
 
+def test_numerical_failure_in_a_ladder_worker_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
+    # every member's V row turns non-finite in its first step, inside the solver
+    heun = solvers._vw_heun
+
+    def poisoned(*args):
+        q, step = heun(*args)
+
+        def bad_step(dt):
+            step(dt)
+            q[0, 2] = np.nan
+        return q, bad_step
+
+    monkeypatch.setattr(solvers, "_vw_heun", poisoned)
+    assert main(["run", "thm41", "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 3
+    assert "numerical failure: non-finite values at t=" in capsys.readouterr().err
+    assert not (tmp_path / "thm41" / "report.txt").exists()
+
+
+def test_corner_verdict_against_the_criterion_1_tolerance(tmp_path):
+    assert main(["run", "corner36", "--out", str(tmp_path / "a"), "--ladder-override", "0.1,0.7,4"]) == 0
+    line = (tmp_path / "a" / "corner36" / "report.txt").read_text().splitlines()[-1]
+    verdict, err = line.split()
+    assert verdict == "corner=PASS"
+    assert 0.0 <= float(err.removeprefix("worst_rel_err=")) <= cli.CORNER_TOL
+    # at t = 0.02 the backward characteristic is still inside the kernel,
+    # where the closed forms do not hold
+    scn = tmp_path / "early.scn"
+    scn.write_text(_edited("corner36", {"id": "early", "corner.times": "0.02"}))
+    assert main(["run", str(scn), "--out", str(tmp_path / "b"), "--ladder-override", "0.1,0.7,4"]) == 0
+    assert "corner=FAIL" in (tmp_path / "b" / "early" / "report.txt").read_text()
+
+
 @pytest.mark.parametrize("conservative", ["false", "true"])
 def test_wave_x_energy_follows_the_solved_form(conservative, tmp_path):
     scn = tmp_path / "xenergy.scn"
@@ -261,3 +294,21 @@ def test_run_leaves_scipy_unimported(name, tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["0", "[]"]
+
+
+def test_validate_leaves_the_process_pool_unimported():
+    # the ladder pool imports them only when it forks workers: neither
+    # `import colwave.cli` nor `colwave validate` pays for them
+    code = (
+        "import sys\n"
+        "pool = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+        "from colwave.cli import main\n"
+        "after_import = pool()\n"
+        "rc = main(['validate', 'thm41'])\n"
+        "print(rc, after_import, pool())\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split()[-3:] == ["0", "[]", "[]"]

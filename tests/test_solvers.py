@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from colwave.characteristics import CharCurve, time_integral
 from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
+from colwave.energy import energy_trace
 from colwave.mollifier import Mollifier, ScaleFn
 from colwave.oracle import PiecewiseTSolution
 from colwave.solvers import (
@@ -254,7 +257,7 @@ def test_abel_pair_roundtrip():
 def test_save_load_roundtrip(tmp_path, rc_space):
     g = Grid1D(-2.0, 2.0, 1280, 0.5)
     fam = solve_wave_x(
-        [rc_space], lambda x: smooth_bump(x, -1.0, 0.5), None, g, store_times=[0.0, 0.5]
+        [rc_space], lambda x: smooth_bump(x, -1.0, 0.5), None, g, store_times=[0.0, 0.5], store_vw=True
     )
     out = save_family(fam, tmp_path / "fam")
     fam2 = load_family(out)
@@ -263,6 +266,13 @@ def test_save_load_roundtrip(tmp_path, rc_space):
     r1, r2 = fam.records[0], fam2.records[0]
     assert np.array_equal(np.asarray(r1.fields["u"], dtype="<f8"), r2.fields["u"])
     assert r2.grid.nx == g.nx and r2.grid.dx == g.dx
+    # meta survives, and its array is not listed as a time x space field
+    assert r2.meta.keys() == r1.meta.keys() == {"a", "conservative", "h", "limiter"}
+    assert np.array_equal(r2.meta["a"], r1.meta["a"])
+    assert [r2.meta[k] for k in ("conservative", "h", "limiter")] == [False, rc_space.h, "fromm"]
+    assert sorted(r2.fields) == ["u", "v", "w"]
+    E = energy_trace(r2, "nonconservative_x").E  # raised KeyError: 'a' without the meta
+    assert np.array_equal(E, energy_trace(r1, "nonconservative_x").E)
 
 
 def test_family_ladder_ordering(rc_space):
@@ -353,7 +363,7 @@ def test_wave_x_step_bitwise_matches_generic_engine(rc_space, limiter, conservat
     g = Grid1D(-2.0, 2.0, 1280, 0.7)
     u0 = lambda x: smooth_bump(x, -0.6, 0.4)
     u1 = lambda x: 0.5 * smooth_bump(x, 0.3, 0.3)
-    times = [0.0, 0.35, 0.7]
+    times = [0.7, 0.0, 0.35, 0.3501]  # unsorted; the last two share a step
     fam = solve_wave_x(
         rc_space, u0, u1, g, conservative=conservative, limiter=limiter,
         store_times=times, store_vw=True,
@@ -377,3 +387,70 @@ def test_time_integral_vectorized_matches_scalar(rc_time):
     scalar = np.array([time_integral(rc_time, e) for e in edges])
     assert vec.shape == edges.shape
     np.testing.assert_allclose(vec, scalar, rtol=1e-14, atol=0.0)
+
+
+def _ladder(variable, breakpoint, eps_values):
+    base = PiecewiseConstantCoeff((breakpoint,), (1.0, 2.0), variable)
+    return [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in eps_values]
+
+
+def _assert_same_records(ladder_fam, single_fams):
+    assert len(ladder_fam) == len(single_fams)
+    for rec, single in zip(ladder_fam, single_fams):
+        (one,) = single.records
+        assert rec.eps == one.eps
+        assert sorted(rec.fields) == sorted(one.fields)
+        for name in rec.fields:
+            assert np.array_equal(rec.fields[name], one.fields[name]), name
+
+
+def test_wave_x_ladder_matches_one_member_solves():
+    rcs = _ladder("space", 0.0, (0.1, 0.08, 0.064))
+    g = Grid1D(-2.0, 2.0, 1024, 0.6)
+    kw = dict(limiter="vanleer", store_times=[0.0, 0.3, 0.6], store_vw=True)
+    u1 = delta_profile(-0.5)
+    fam = solve_wave_x(rcs, None, u1, g, **kw)
+    _assert_same_records(fam, [solve_wave_x(rc, None, u1, g, **kw) for rc in rcs])
+
+
+def test_wave_t_ladder_matches_one_member_solves():
+    rcs = _ladder("time", 0.3, (0.1, 0.08, 0.064))
+    g = Grid1D(-3.0, 3.0, 1536, 0.6)
+    kw = dict(store_times=[0.6, 0.0, 0.3], store_vw=True)
+    u1 = delta_profile(0.0)
+    fam = solve_wave_t(rcs, None, u1, g, **kw)
+    _assert_same_records(fam, [solve_wave_t(rc, None, u1, g, **kw) for rc in rcs])
+
+
+class _Member:
+    def __init__(self, eps):
+        self.eps = eps
+
+
+def test_ladder_map_is_the_serial_loop_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {0})
+    members = [_Member(e) for e in (0.1, 0.07, 0.049)]
+    seen = []
+    out = solvers.ladder_map(lambda m: seen.append(m) or (m.eps, os.getpid()), members)
+    assert seen == members  # run in this process, in ladder order
+    assert out == [(m.eps, os.getpid()) for m in members]
+
+
+@pytest.mark.skipif(solvers._usable_cpus() < 2, reason="one usable CPU: the ladder is solved serially")
+def test_ladder_map_solves_in_worker_processes_in_ladder_order():
+    members = [_Member(e) for e in (0.1, 0.07, 0.049, 0.0343)]
+    out = solvers.ladder_map(lambda m: (m.eps, os.getpid()), members)
+    assert [eps for eps, _ in out] == [m.eps for m in members]
+    assert os.getpid() not in {pid for _, pid in out}
+    assert solvers._LADDER is None
+
+
+def test_ladder_map_raises_the_first_failure_in_ladder_order():
+    def run(m):
+        if m.eps < 0.08:
+            raise NumericalFailure(f"eps={m.eps}")
+        return m.eps
+
+    with pytest.raises(NumericalFailure, match="eps=0.07$"):
+        solvers.ladder_map(run, [_Member(e) for e in (0.1, 0.07, 0.049)])
+    assert solvers._LADDER is None
