@@ -208,15 +208,14 @@ class CumulativeIntegral:
         scalar = y.ndim == 0
         y = np.atleast_1d(y).astype(float)
         k = np.searchsorted(self._F[1:], y, side="right")
-        flat = ~self._panel[k]
-        x = np.empty_like(y)
-        kf = k[flat]
-        x[flat] = self._x0[kf] + (y[flat] - self._F[kf]) / self._slope[kf]
-        if not flat.all():
-            kp = k[~flat]
+        with np.errstate(divide="ignore", invalid="ignore"):  # slope 0 on the panels
+            x = self._x0[k] + (y - self._F[k]) / self._slope[k]
+        p = np.flatnonzero(self._panel[k])
+        if p.size:
+            kp = k[p]
             r = self._row[kp]
             mid, half, G, f = self._mid[r], self._half[r], self._Gser[:, r], self._fser[:, r]
-            yp = y[~flat] - self._F[kp]
+            yp = y[p] - self._F[kp]
             z = 2.0 * yp / (self._F[kp + 1] - self._F[kp]) - 1.0  # secant across the panel
             g = yp / half  # solve G(z) = g
             for _ in range(_NEWTON_MAX_ITER):
@@ -228,7 +227,7 @@ class CumulativeIntegral:
             else:
                 raise FloatingPointError(
                     f"CumulativeIntegral.invert: no convergence in {_NEWTON_MAX_ITER} Newton steps")
-            x[~flat] = xm
+            x[p] = xm
         return float(x[0]) if scalar else x
 
 

@@ -339,7 +339,8 @@ def predict_singsupp(kind: str, *, c0: float, c1: float, standard_scale: bool,
 
 def report_csv(report: SingSuppReport, path):
     lines = ["t,x,flagged,slope_excess"]
-    for (t, x), fl, ex in zip(report.points, report.flags, report.excess):
+    # Python floats format faster than numpy scalars, to the same text
+    for (t, x), fl, ex in zip(report.points.tolist(), report.flags.tolist(), report.excess.tolist()):
         lines.append(f"{t:.10g},{x:.10g},{int(fl)},{ex:.6g}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -25,7 +25,7 @@
   across consecutive even/odd dimensions, with the endpoint singularity
   absorbed by the rho = sin(theta) substitution.
 
-The members of a wave_x or wave_t ladder (and so of a radial one) are
+The members of every ladder (transport, wave_x, wave_t and so radial) are
 independent, and ladder_map solves them in forked worker processes, one per
 usable CPU; there is no setting.  Each member runs the same code on the same
 operands as in the serial loop, which is what runs on one usable CPU, so the
@@ -202,7 +202,9 @@ def ladder_map(run: Callable, members) -> list:
     """[run(m) for m in members], in min(len(members), usable CPUs) processes.
 
     With one worker this is that serial loop.  Otherwise forked workers solve
-    the members, smallest eps first (the costliest wave_t member), and the
+    the members, smallest eps first (the costliest wave_t member; the
+    costliest transport member is the coarsest, whose wider kernel windows
+    put more nodes under Newton, but one order serves every solver), and the
     results come back pickled, in ladder order.  ``run`` may be a closure:
     the workers read it from _LADDER instead of unpickling it.  That needs
     the fork start method (a spawned worker re-imports and could not see
@@ -255,14 +257,18 @@ def solve_transport(
         _default_store_times(grid.t_end) if store_times is None else store_times, dtype=float
     )
     xs = grid.xs
-    records = []
-    for cv in curves:
+
+    def run(cv) -> SolutionRecord:
         rc = None
         if isinstance(cv, RegularizedCoeff):
             rc = cv
             cv = CharCurve.x_dependent(CoeffAntideriv(rc))
         elif cv.kind == "x_dependent":
             rc = cv.antideriv.rc
+        if rc is not None:  # gamma(t, x, 0) = C^-1(C(x) - t), C(x) taken once
+            ca = cv.antideriv
+            Cx = ca(xs)
+            cx = rc(xs) if u0_deriv is not None else None
         prof = _resolve(u0, rc)
         u = np.empty((len(times), len(xs)))
         fields = {"u": u}
@@ -270,14 +276,15 @@ def solve_transport(
             dprof = _resolve(u0_deriv, rc)
             fields["ux"] = np.empty_like(u)
         for i, t in enumerate(times):
-            foot = gamma(cv, t, xs, 0.0)
+            foot = ca.invert(Cx - t) if rc is not None else gamma(cv, t, xs, 0.0)
             u[i] = prof(foot)
             if u0_deriv is not None:
-                g1 = rc(foot) / rc(xs) if rc is not None else gamma_x_partials(cv, t, xs)[0]
+                g1 = rc(foot) / cx if rc is not None else gamma_x_partials(cv, t, xs)[0]
                 fields["ux"][i] = dprof(foot) * g1
         eps = rc.eps if rc is not None else cv.eps
-        records.append(SolutionRecord(eps=eps, grid=grid, times=times, fields=fields))
-    return SolutionFamily(scenario_id, "transport", records)
+        return SolutionRecord(eps=eps, grid=grid, times=times, fields=fields)
+
+    return SolutionFamily(scenario_id, "transport", ladder_map(run, curves))
 
 
 # --- wave equation, x-dependent speed --------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colwave import cli, solvers
+from colwave import cli, coefficients, solvers
 from colwave.cli import ValidationError, bundled_scenarios, main, parse_scenario
 from colwave.solvers import NumericalFailure, load_family
 
@@ -252,6 +252,20 @@ def test_numerical_failure_in_a_ladder_worker_exits_3_without_a_report(tmp_path,
     assert main(["run", "thm41", "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 3
     assert "numerical failure: non-finite values at t=" in capsys.readouterr().err
     assert not (tmp_path / "thm41" / "report.txt").exists()
+
+
+def test_newton_failure_in_a_transport_worker_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
+    scn = tmp_path / "tr.scn"
+    scn.write_text(
+        "id=tr\nproblem=transport\ncoefficient.variable=space\ncoefficient.breakpoints=0.0\n"
+        "coefficient.values=1.0,2.0\nladder.eps0=0.1\nladder.ratio=0.7\nladder.count=4\n"
+        "grid.x_min=-2.0\ngrid.x_max=2.0\ngrid.nx=auto\ngrid.t_end=0.5\ndata.u0=bump:-0.5,0.5\n"
+    )
+    # the feet that land in a kernel panel need more than one Newton step
+    monkeypatch.setattr(coefficients, "_NEWTON_MAX_ITER", 1)
+    assert main(["run", str(scn), "--out", str(tmp_path), "--ladder-override", "0.1,0.7,4"]) == 3
+    assert "numerical failure: CumulativeIntegral.invert: no convergence" in capsys.readouterr().err
+    assert not (tmp_path / "tr" / "report.txt").exists()
 
 
 def test_corner_verdict_against_the_criterion_1_tolerance(tmp_path):

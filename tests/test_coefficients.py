@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 from scipy.integrate import quad
 
 from colwave import coefficients
@@ -143,6 +146,55 @@ def test_panel_series_meets_edge_table(geometry, integrand):
     lo, hi, F_lo, F_hi = _panels(F)
     assert np.max(np.abs(F(np.nextafter(lo, hi)) - F_lo), initial=0.0) < 1e-15
     assert np.max(np.abs(F(np.nextafter(hi, lo)) - F_hi), initial=0.0) < 1e-15
+
+
+def _masked_invert(F, y):
+    """The gather/scatter form of CumulativeIntegral.invert: the bitwise reference."""
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 0
+    y = np.atleast_1d(y).astype(float)
+    k = np.searchsorted(F._F[1:], y, side="right")
+    flat = ~F._panel[k]
+    x = np.empty_like(y)
+    kf = k[flat]
+    x[flat] = F._x0[kf] + (y[flat] - F._F[kf]) / F._slope[kf]
+    if not flat.all():
+        kp = k[~flat]
+        r = F._row[kp]
+        mid, half, G, f = F._mid[r], F._half[r], F._Gser[:, r], F._fser[:, r]
+        yp = y[~flat] - F._F[kp]
+        z = 2.0 * yp / (F._F[kp + 1] - F._F[kp]) - 1.0
+        g = yp / half
+        for _ in range(coefficients._NEWTON_MAX_ITER):
+            dz = (legendre.legval(z, G, tensor=False) - g) / legendre.legval(z, f, tensor=False)
+            z = np.clip(z - dz, -1.0, 1.0)
+            xm = mid + half * z
+            if np.max(np.abs(half * dz)) < 1e-14 * (1.0 + np.max(np.abs(xm))):
+                break
+        x[~flat] = xm
+    return float(x[0]) if scalar else x
+
+
+@pytest.mark.parametrize("integrand", INTEGRANDS)
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_invert_bitwise_matches_masked_form(geometry, integrand):
+    _, F = _table(geometry, integrand)
+    edges = F._edges
+    lo, hi, _, _ = _panels(F)
+    flat = ~F._panel[1:-1]  # bounded intervals off the panels
+    x = np.concatenate([
+        [edges[0] - 5.0, edges[0] - 1e-3, edges[-1] + 1e-3, edges[-1] + 5.0],  # unbounded ends
+        0.5 * (edges[:-1] + edges[1:])[flat],
+        *(lo + q * (hi - lo) for q in (0.1, 0.5, 0.9)),  # inside every panel
+    ])
+    ys = [F(x), F._F[1:], np.nextafter(F._F[1:], np.inf)]  # exact edge values and just above
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the slope-0 division on the panels must stay silent
+        for y in ys:
+            assert F.invert(y).tobytes() == _masked_invert(F, y).tobytes()
+        y0 = float(F(x[-1]))
+        assert type(F.invert(y0)) is float
+        assert F.invert(y0) == _masked_invert(F, y0)
 
 
 def test_invert_raises_without_convergence(rc, monkeypatch):

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from colwave.characteristics import CharCurve, time_integral
-from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
+from colwave.characteristics import CharCurve, gamma, gamma_x_partials, time_integral
+from colwave.coefficients import CoeffAntideriv, PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.energy import energy_trace
 from colwave.mollifier import Mollifier, ScaleFn
 from colwave.oracle import PiecewiseTSolution
@@ -401,7 +401,7 @@ def _assert_same_records(ladder_fam, single_fams):
         assert rec.eps == one.eps
         assert sorted(rec.fields) == sorted(one.fields)
         for name in rec.fields:
-            assert np.array_equal(rec.fields[name], one.fields[name]), name
+            assert rec.fields[name].tobytes() == one.fields[name].tobytes(), name
 
 
 def test_wave_x_ladder_matches_one_member_solves():
@@ -420,6 +420,31 @@ def test_wave_t_ladder_matches_one_member_solves():
     u1 = delta_profile(0.0)
     fam = solve_wave_t(rcs, None, u1, g, **kw)
     _assert_same_records(fam, [solve_wave_t(rc, None, u1, g, **kw) for rc in rcs])
+
+
+def test_transport_ladder_matches_one_member_solves():
+    times = [0.0, 0.4, 0.9]
+    rcs = _ladder("space", 0.0, (0.1, 0.08, 0.064))
+    g = Grid1D(-2.0, 2.0, 1024, 0.9)
+    u0, u0d = (lambda x: smooth_bump(x, -0.5, 0.5)), np.cos
+    fam = solve_transport(rcs, u0, g, store_times=times, u0_deriv=u0d)
+    _assert_same_records(fam, [solve_transport(rc, u0, g, store_times=times, u0_deriv=u0d) for rc in rcs])
+    # the foot C^-1(C(x) - t), with C(x) taken once per member, is the flow gamma(t, x, 0)
+    for rec, rc in zip(fam, rcs):
+        cv = CharCurve.x_dependent(CoeffAntideriv(rc))
+        for i, t in enumerate(times):
+            foot = gamma(cv, t, g.xs, 0.0)
+            assert rec.fields["u"][i].tobytes() == u0(foot).tobytes()
+            assert rec.fields["ux"][i].tobytes() == (u0d(foot) * (rc(foot) / rc(g.xs))).tobytes()
+
+    cvs = [CharCurve.tanh_plus(e) for e in (0.1, 0.07, 0.049)]
+    fam = solve_transport(cvs, np.sin, g, store_times=times, u0_deriv=np.cos)
+    _assert_same_records(fam, [solve_transport(cv, np.sin, g, store_times=times, u0_deriv=np.cos) for cv in cvs])
+    for rec, cv in zip(fam, cvs):
+        for i, t in enumerate(times):
+            foot = gamma(cv, t, g.xs, 0.0)
+            assert rec.fields["u"][i].tobytes() == np.sin(foot).tobytes()
+            assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * gamma_x_partials(cv, t, g.xs)[0]).tobytes()
 
 
 class _Member:
