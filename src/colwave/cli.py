@@ -331,7 +331,7 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
         try:
             psi = TestFunction(*(float(kv[f"associate.{k}"]) for k in ("t0", "x0", "radius")))
         except (KeyError, ValueError) as exc:
-            raise ValidationError("associate needs associate.t0, associate.x0 and associate.radius") from exc
+            raise ValidationError("associate needs associate.t0, associate.x0 and associate.radius > 0") from exc
     _check_geometry(kv, problem, coeff, data[0], set(analyses), scale(ladder.eps0))
     opts = {}
     for key, (parse, default) in RUN_KEYS.items():
@@ -339,6 +339,9 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
             opts[key] = parse(kv[key]) if key in kv else default
         except ValueError as exc:
             raise ValidationError(f"field {key!r}: {exc}") from exc
+    for key in ("solver.store_times", "detect.times"):
+        if grid is not None and opts[key] is not None and not all(0.0 <= t <= grid.t_end for t in opts[key]):
+            raise ValidationError(f"field {key!r}: every time must lie in [0, grid.t_end = {grid.t_end:g}]")
     scn = Scenario(kv.get("id") or path.stem, problem, kv, coeff, moll, scale, ladder, grid, analyses, data, psi,
                    opts)
     if "detect" in analyses and opts["detect.times"] is None and max(scn.store_times) <= opts["detect.t_skip"]:

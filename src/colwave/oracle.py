@@ -243,6 +243,10 @@ class TestFunction:
     radius: float
     mollifier: Mollifier = field(default_factory=Mollifier)
 
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise ValueError("radius must be positive")
+
     def __call__(self, t, x):
         m, r = self.mollifier, self.radius
         return (

@@ -7,9 +7,11 @@
   non-conservative form dtt u = c^2 dxx u (coupling c'(V-W)/2 in both
   equations) and a = sqrt(c) for the conservative form dtt u = dx(c dx u)
   (coupling a'(W-V)/2); u recovered by trapezoidal time integration of
-  (V+W)/2.  V moves at +a and W at -a (a > 0), so each characteristic family
-  takes one upwind MUSCL stencil (backward-biased for V, forward-biased for
-  W) in a Heun step whose buffers are allocated once per ladder member.
+  (V+W)/2.  V moves at +a and W at -a (a > 0).  Both live in one flat
+  buffer with W stored reversed, where it moves at +a as well, so one
+  backward-biased MUSCL stencil steps both families in a Heun step; the
+  coupling is computed only on the columns where it is nonzero, and the
+  buffers and their views are built once per ladder member.
 * solve_wave_t: time-dependent speed.  The x-advection is a uniform shift, so
   each step advances the spatial Fourier modes by the exact phase
   exp(-+ i k int c dt) and applies the coupling mu(t) = c'/(2c) by its exact
@@ -85,6 +87,8 @@ class Grid1D:
             raise ValueError("nx too small")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must lie in (0, 1)")
+        if not self.t_end > 0.0:
+            raise ValueError("t_end must be positive")
 
     @property
     def dx(self) -> float:
@@ -295,10 +299,15 @@ LIMITERS = ("fromm", "vanleer")
 def _vw_heun(a: np.ndarray, g: np.ndarray, dx: float, limiter: str):
     """Preallocated MUSCL/Heun step for the V/W pair; returns (q, step).
 
-    q is the (2, n + 4) state with two zero ghost cells on each side, V in
-    row 0 and W in row 1; step(dt) advances its interior in place.  V moves
-    at +a and W at -a with a > 0, so V takes only the backward-biased
-    difference and W only the forward-biased one.  Each update applies the
+    q is one flat state [2 ghosts | V | 2 ghosts | 2 ghosts | W reversed |
+    2 ghosts] with zero ghost cells, so V = q[2:n+2] and W = q[n+6:2n+6][::-1];
+    step(dt) advances q[2:-2] in place.  V moves at +a and W at -a (a > 0),
+    so reversed W moves at +a too and one backward-biased MUSCL stencil steps
+    both families over the speeds [-a, 0, 0, 0, 0, -a[::-1]] (the four middle
+    ghosts take speed 0 and stay zero).  Fromm and van Leer slopes only
+    change sign under the mirror, so every value is bitwise that of the
+    forward-biased W update.  The coupling g*(V - W) is computed only on the
+    columns from the first to the last g != 0.  Each update applies the
     operations of a two-sided MUSCL derivative (Fromm or van Leer slopes, the
     upwind side picked by the sign of the speed) and a Heun step to the same
     operands in the same order, so the result is bitwise that of the generic
@@ -308,22 +317,36 @@ def _vw_heun(a: np.ndarray, g: np.ndarray, dx: float, limiter: str):
     if limiter not in LIMITERS:
         raise ValueError(f"unknown limiter {limiter!r}")
     n = a.shape[0]
-    neg_a = -a
-    q = np.zeros((2, n + 4))
+    neg_speed = np.concatenate([-a, np.zeros(4), -a[::-1]])
+    q = np.zeros(2 * n + 8)
     stage = np.zeros_like(q)
-    d = np.empty((2, n + 3))  # d[:, j] = q[:, j + 1] - q[:, j]
-    s = np.empty((2, n + 2))  # slope at padded cell j + 1
+    d = np.empty(2 * n + 7)  # d[j] = q[j + 1] - q[j]
+    s = np.empty(2 * n + 6)  # slope at cell j + 1
     prod = np.empty_like(s)
     den = np.empty_like(s)
     pos = np.empty(s.shape, dtype=bool)
-    k1 = np.empty((2, n))
+    k1 = np.empty(2 * n + 4)
     k2 = np.empty_like(k1)
-    cpl = np.empty(n)
-    inner, stage_inner = q[:, 2:-2], stage[:, 2:-2]
-    dm, dp = d[:, :-1], d[:, 1:]
+    inner, stage_inner = q[2:-2], stage[2:-2]
+    dm, dp, d_back = d[:-1], d[1:], d[1:-2]
+    s_j, s_jm = s[1:-1], s[:-2]
+    cols = np.flatnonzero(g)
+    lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+    g_cols = g[lo:hi]
+    cpl = np.empty(hi - lo)
 
-    def rhs(src, k):
-        np.subtract(src[:, 1:], src[:, :-1], out=d)
+    def coupled(x):  # the V and W cells of the coupling columns of a (2n + 4)-cell interior
+        return x[lo:hi], x[n + 4:][::-1][lo:hi]
+
+    q_views = (q[1:], q[:-1], *coupled(inner))
+    stage_views = (stage[1:], stage[:-1], *coupled(stage_inner))
+    k1_views = (k1, *coupled(k1))
+    k2_views = (k2, *coupled(k2))
+
+    def rhs(src, dst):
+        upper, lower, v, w = src
+        k, kv, kw = dst
+        np.subtract(upper, lower, out=d)
         if limiter == "fromm":
             np.add(dm, dp, out=s)
             np.multiply(s, 0.5, out=s)
@@ -334,26 +357,21 @@ def _vw_heun(a: np.ndarray, g: np.ndarray, dx: float, limiter: str):
             np.multiply(prod, 2.0, out=prod)
             s.fill(0.0)
             np.divide(prod, den, out=s, where=pos)
-        kv, kw = k[0], k[1]
-        np.subtract(s[0, 1:-1], s[0, :-2], out=kv)
-        kv *= 0.5
-        np.add(d[0, 1:-2], kv, out=kv)
-        kv /= dx
-        kv *= neg_a
-        np.subtract(s[1, 2:], s[1, 1:-1], out=kw)
-        kw *= 0.5
-        np.subtract(d[1, 2:-1], kw, out=kw)
-        kw /= dx
-        kw *= a
-        np.subtract(src[0, 2:-2], src[1, 2:-2], out=cpl)
-        np.multiply(cpl, g, out=cpl)
-        k += cpl
+        np.subtract(s_j, s_jm, out=k)
+        k *= 0.5
+        np.add(d_back, k, out=k)
+        k /= dx
+        k *= neg_speed
+        np.subtract(v, w, out=cpl)
+        np.multiply(cpl, g_cols, out=cpl)
+        kv += cpl
+        kw += cpl
 
     def step(dt: float):
-        rhs(q, k1)
+        rhs(q_views, k1_views)
         np.multiply(k1, dt, out=stage_inner)
         np.add(stage_inner, inner, out=stage_inner)
-        rhs(stage, k2)
+        rhs(stage_views, k2_views)
         np.add(k1, k2, out=k1)
         np.multiply(k1, 0.5 * dt, out=k1)
         np.add(inner, k1, out=inner)
@@ -409,7 +427,8 @@ def solve_wave_x(
         for i, k in enumerate(np.clip(np.rint(times / dt).astype(int), 0, n_steps).tolist()):
             fills.setdefault(k, []).append(i)
         q, heun = _vw_heun(a, g, dx, limiter)
-        V, W = q[0, 2:-2], q[1, 2:-2]
+        n = len(xs)
+        V, W = q[2 : n + 2], q[n + 6 : 2 * n + 6][::-1]
         V[:] = u1v - a * u0x
         W[:] = u1v + a * u0x
         u = u0f(xs).astype(float)

@@ -188,6 +188,12 @@ REJECTED = {
     "malformed_detect_t_skip": ("thm41", {"detect.t_skip": "0.1s"}, "'detect.t_skip'"),
     "detect_t_skip_past_store_times": ("thm43a", {"detect.times": None, "detect.t_skip": "5"}, "'detect.t_skip'"),
     "malformed_store_times": ("thm43a", {"solver.store_times": "0,1,y"}, "'solver.store_times'"),
+    "store_times_past_t_end": ("thm41", {"solver.store_times": "0,1,3.0"}, "'solver.store_times'"),
+    "store_times_before_zero": ("thm41", {"solver.store_times": "-1,0,1"}, "'solver.store_times'"),
+    "detect_times_past_t_end": ("thm41", {"detect.times": "5.0"}, "'detect.times'"),
+    "t_end_negative": ("thm41", {"grid.t_end": "-1"}, "t_end must be positive"),
+    "t_end_zero": ("thm41", {"grid.t_end": "0"}, "t_end must be positive"),
+    "associate_radius_negative": ("thm41", {"associate.radius": "-1"}, "associate.radius > 0"),
     "malformed_corner_times": ("corner36", {"corner.times": "a"}, "'corner.times'"),
     "conservative_not_boolean": ("thm41", {"solver.conservative": "yes"}, "'solver.conservative'"),
     "unknown_limiter": ("thm41", {"solver.limiter": "minmod"}, "'solver.limiter'"),
@@ -237,7 +243,7 @@ def test_numerical_failure_exits_3_without_a_report(tmp_path, capsys, monkeypatc
 
 
 def test_numerical_failure_in_a_ladder_worker_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
-    # every member's V row turns non-finite in its first step, inside the solver
+    # every member's V turns non-finite in its first step, inside the solver
     heun = solvers._vw_heun
 
     def poisoned(*args):
@@ -245,7 +251,7 @@ def test_numerical_failure_in_a_ladder_worker_exits_3_without_a_report(tmp_path,
 
         def bad_step(dt):
             step(dt)
-            q[0, 2] = np.nan
+            q[2] = np.nan
         return q, bad_step
 
     monkeypatch.setattr(solvers, "_vw_heun", poisoned)

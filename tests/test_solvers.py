@@ -357,18 +357,35 @@ def _reference_wave_x(rc, u0, u1, grid, conservative, limiter, store_times):
     return {k: np.stack([v[i] for i in range(len(store_times))]) for k, v in out.items()}
 
 
-@pytest.mark.parametrize("limiter", ["vanleer", "fromm"])
-@pytest.mark.parametrize("conservative", [False, True])
-def test_wave_x_step_bitwise_matches_generic_engine(rc_space, limiter, conservative):
-    g = Grid1D(-2.0, 2.0, 1280, 0.7)
+_BITWISE_COEFFS = {  # id suffix: (breakpoint, values, x_max)
+    "": (0.0, (1.0, 2.0), 2.0),
+    "-equal_values": (0.0, (1.0, 1.0), 2.0),  # g = 0 everywhere: no coupling columns
+    "-interface_at_x_max": (0.98, (1.0, 2.0), 1.0),  # the coupling columns run into the ghost cells
+}
+
+
+@pytest.mark.parametrize(
+    "coeff, conservative, limiter",
+    [
+        pytest.param(coeff, conservative, limiter, id=f"{conservative}-{limiter}{suffix}")
+        for suffix, coeff in _BITWISE_COEFFS.items()
+        for conservative in (False, True)
+        for limiter in ("vanleer", "fromm")
+    ],
+)
+def test_wave_x_step_bitwise_matches_generic_engine(coeff, conservative, limiter):
+    breakpoint, values, x_max = coeff
+    base = PiecewiseConstantCoeff((breakpoint,), values, "space")
+    rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.05)
+    g = Grid1D(-2.0, x_max, int(round(320 * (x_max + 2.0))), 0.7)  # dx = 1/320
     u0 = lambda x: smooth_bump(x, -0.6, 0.4)
     u1 = lambda x: 0.5 * smooth_bump(x, 0.3, 0.3)
     times = [0.7, 0.0, 0.35, 0.3501]  # unsorted; the last two share a step
     fam = solve_wave_x(
-        rc_space, u0, u1, g, conservative=conservative, limiter=limiter,
+        rc, u0, u1, g, conservative=conservative, limiter=limiter,
         store_times=times, store_vw=True,
     )
-    ref = _reference_wave_x(rc_space, u0, u1, g, conservative, limiter, times)
+    ref = _reference_wave_x(rc, u0, u1, g, conservative, limiter, times)
     rec = fam.records[0]
     for name in ("u", "v", "w"):
         assert np.array_equal(rec.fields[name], ref[name]), name
