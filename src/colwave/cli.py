@@ -173,7 +173,8 @@ def _oracle_compare(scn: Scenario, fam, outdir: Path) -> str:
     for _, curve, (t_min, t_max) in delta_jump_locus(cm, cp):
         if t_min <= t <= t_max:
             mask &= np.abs(rec.xs - float(curve(t))) > 4 * h
-    err = float(np.max(np.abs(rec.slice_at(t) - delta_solution_eval(cm, cp, t, rec.xs))[mask]))
+    off_ray = np.abs(rec.slice_at(t) - delta_solution_eval(cm, cp, t, rec.xs))[mask]
+    err = float(np.max(off_ray)) if off_ray.size else np.nan  # nan: the masks cover the grid
     return f"oracle_compare t={t:.3g} off_ray_err={err:.3e}"
 
 
@@ -239,8 +240,22 @@ def _parse_kv(path: Path) -> dict:
     return kv
 
 
+def _float(s: str) -> float:
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return v
+
+
 def _floats(s: str):
-    return tuple(float(v) for v in s.split(",")) if s else ()
+    return tuple(_float(v) for v in s.split(",")) if s else ()
+
+
+def _positive_times(s: str):
+    times = _floats(s)
+    if not times or min(times) <= 0.0:
+        raise ValueError(f"expected a non-empty comma list of times > 0, got {s!r}")
+    return times
 
 
 def _one_of(*allowed):
@@ -265,10 +280,10 @@ def _boolean(s: str) -> bool:
 RUN_KEYS = {
     "solver.store_times": (lambda s: sorted(_floats(s)) or None, None),  # empty: 23 even steps
     "detect.times": (lambda s: _floats(s) or None, None),  # empty: the stored times after t_skip
-    "detect.theta": (float, 0.5),
+    "detect.theta": (_float, 0.5),
     "detect.alpha_hi": (_one_of(1, 2, 3), 2),
-    "detect.t_skip": (float, 0.1),
-    "corner.times": (_floats, (0.5, 1.0)),
+    "detect.t_skip": (_float, 0.1),
+    "corner.times": (_positive_times, (0.5, 1.0)),
     "radial.d": (_one_of(3), 3),
     "solver.conservative": (_boolean, False),
     "solver.limiter": (_one_of(*LIMITERS), "vanleer"),
@@ -287,10 +302,10 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
     prob = PROBLEMS[problem]
     try:
         moll = Mollifier(kv.get("mollifier.family", "polynomial"), int(kv.get("mollifier.n", 2)))
-        scale = ScaleFn(kv.get("scale.kind", "standard"), float(kv.get("scale.p", 4.0)))
+        scale = ScaleFn(kv.get("scale.kind", "standard"), _float(kv.get("scale.p", 4.0)))
         ladder_kv = (kv.get("ladder.eps0", 0.1), kv.get("ladder.ratio", 0.7), kv.get("ladder.count", 10))
         e0, r, n = ladder_override.split(",") if ladder_override else ladder_kv
-        ladder = EpsilonLadder(float(e0), float(r), int(n))
+        ladder = EpsilonLadder(_float(e0), _float(r), int(n))
     except (ValueError, TypeError) as exc:
         raise ValidationError(str(exc)) from exc
     coeff = None
@@ -309,10 +324,10 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
     if "grid.x_min" in kv:
         h_min = scale(ladder.eps_min)
         try:
-            x_min, x_max = float(kv["grid.x_min"]), float(kv["grid.x_max"])
+            x_min, x_max = _float(kv["grid.x_min"]), _float(kv["grid.x_max"])
             nx_raw = kv.get("grid.nx", "auto")
             nx = int(np.ceil((x_max - x_min) / (h_min / 16.0))) if nx_raw == "auto" else int(nx_raw)
-            grid = Grid1D(x_min, x_max, nx, float(kv["grid.t_end"]), float(kv.get("grid.cfl", 0.45)))
+            grid = Grid1D(x_min, x_max, nx, _float(kv["grid.t_end"]), _float(kv.get("grid.cfl", 0.45)))
             grid.check_resolution(h_min)
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"grid: {exc}") from exc
@@ -329,16 +344,16 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
     psi = None
     if "associate" in analyses:
         try:
-            psi = TestFunction(*(float(kv[f"associate.{k}"]) for k in ("t0", "x0", "radius")))
+            psi = TestFunction(*(_float(kv[f"associate.{k}"]) for k in ("t0", "x0", "radius")))
         except (KeyError, ValueError) as exc:
-            raise ValidationError("associate needs associate.t0, associate.x0 and associate.radius > 0") from exc
-    _check_geometry(kv, problem, coeff, data[0], set(analyses), scale(ladder.eps0))
+            raise ValidationError("associate needs finite associate.t0, associate.x0 and associate.radius > 0") from exc
     opts = {}
     for key, (parse, default) in RUN_KEYS.items():
         try:
             opts[key] = parse(kv[key]) if key in kv else default
         except ValueError as exc:
             raise ValidationError(f"field {key!r}: {exc}") from exc
+    _check_geometry(kv, problem, coeff, data[0], set(analyses), scale(ladder.eps0), opts["solver.conservative"])
     for key in ("solver.store_times", "detect.times"):
         if grid is not None and opts[key] is not None and not all(0.0 <= t <= grid.t_end for t in opts[key]):
             raise ValidationError(f"field {key!r}: every time must lie in [0, grid.t_end = {grid.t_end:g}]")
@@ -346,15 +361,24 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
                    opts)
     if "detect" in analyses and opts["detect.times"] is None and max(scn.store_times) <= opts["detect.t_skip"]:
         raise ValidationError("field 'detect.t_skip': no stored time after it is left to detect at")
+    if psi is not None:
+        (t_lo, t_hi), (x_lo, x_hi) = psi.t_support, psi.x_support
+        if not (min(scn.store_times) <= t_lo and t_hi <= max(scn.store_times) and grid.x_min <= x_lo
+                and x_hi <= grid.x_max):
+            raise ValidationError("associate: the support [t0 +- radius] x [x0 +- radius] must lie between the first"
+                                  " and last stored time and within [grid.x_min, grid.x_max]")
     return scn
 
 
-def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float):
+def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float, conservative: bool):
     """Reject analyses whose rays, oracles or bounds cannot model the scenario."""
     kind, bps = PROBLEMS[problem].detect_kind, coeff.breakpoints if coeff else None
     x0, x1 = (_delta_x0(kv.get(k, "zero")) for k in ("data.u0", "data.u1"))
     if bps is not None and asked & {"detect", "associate", "oracle_compare"} and len(bps) != 1:
         raise ValidationError("detect, associate and oracle_compare need exactly one coefficient breakpoint")
+    if problem == "wave_x" and conservative and asked & {"detect", "associate", "oracle_compare"}:
+        raise ValidationError("solver.conservative=true moves at sqrt(c), but the rays and the delta oracle of "
+                              "detect, associate and oracle_compare assume the non-conservative speed a = c")
     if "detect" in asked:
         if (kv.get("detect.kind") or kind) != kind:
             raise ValidationError(f"field 'detect.kind': problem {problem!r} is scored with {kind!r}")
@@ -399,9 +423,9 @@ def _profile(spec: str, grid: Grid1D | None):
     kind, _, args = spec.partition(":")
     try:
         if kind == "delta":
-            return delta_profile(float(args)), delta_profile_deriv(float(args))
+            return delta_profile(_float(args)), delta_profile_deriv(_float(args))
         if kind == "bump":
-            x0, w = (float(v) for v in args.split(","))
+            x0, w = (_float(v) for v in args.split(","))
     except ValueError as exc:
         raise ValidationError(f"malformed data spec {spec!r} ({exc})") from exc
     if kind == "bump":

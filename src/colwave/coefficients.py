@@ -60,6 +60,8 @@ class PiecewiseConstantCoeff:
         object.__setattr__(self, "values", vals)
         if len(vals) != len(bp) + 1:
             raise ValueError("need exactly one more value than breakpoints")
+        if not np.isfinite(bp + vals).all():
+            raise ValueError("breakpoints and values must be finite")
         if any(v <= 0.0 for v in vals):
             raise ValueError("coefficient values must be strictly positive")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):

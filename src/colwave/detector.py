@@ -2,11 +2,13 @@
 
 classify estimates, per grid cell of a stored slice and derivative order
 alpha, the exponent N in |d^alpha u_eps| ~ eps^(-N) by least squares of log
-magnitude against log(1/eps) over the ladder (_slope_maps, vectorized over
-the cells), then flags cells whose slope excess slope(alpha_hi) - slope(0)
-reaches a threshold (derivatives gain a full power of 1/eps per order on
-singular rays, but not on regular ones).  That excess is the one statistic
-detect.csv, detect_verdict.txt and report.txt carry.
+magnitude against log(1/eps) over the ladder (_slope, one fit per order and
+detect time, vectorized over the cells), then flags cells whose slope excess
+slope(alpha_hi) - slope(0) reaches a threshold (derivatives gain a full power
+of 1/eps per order on singular rays, but not on regular ones).  That excess
+is the one statistic detect.csv, detect_verdict.txt and report.txt carry;
+each predicted ray is scored in one pass over the flagged cells (precision)
+and the detect times (recall, max excess).
 
 Practical guards:
 
@@ -80,35 +82,20 @@ class SingSuppReport:
 # --- finite-difference magnitude sampling ----------------------------------
 
 def _fd_stride(u: np.ndarray, m: int, dx: float, alpha: int) -> np.ndarray:
-    """Centered FD of order alpha at spacing s = m*dx over a 1D slice."""
-    s = m * dx
-    n = len(u)
-    out = np.zeros(n)
-
-    def sh(k):
-        # shifted copy, edge-replicated (no fabricated jump at the window edge)
-        v = np.empty(n)
-        if k > 0:
-            v[:-k] = u[k:]
-            v[-k:] = u[-1]
-        elif k < 0:
-            v[-k:] = u[:k]
-            v[:-k] = u[0]
-        else:
-            v[:] = u
-        return v
-
+    """Centered FD of order alpha at spacing s = m*dx over a 1D slice, the
+    ends edge-replicated (no fabricated jump at the window edge)."""
     if alpha == 0:
-        out = np.abs(np.asarray(u, dtype=float))
-    elif alpha == 1:
-        out = np.abs(sh(m) - sh(-m)) / (2.0 * s)
-    elif alpha == 2:
-        out = np.abs(sh(m) - 2.0 * sh(0) + sh(-m)) / s**2
-    elif alpha == 3:
-        out = np.abs(sh(2 * m) - 2.0 * sh(m) + 2.0 * sh(-m) - sh(-2 * m)) / (2.0 * s**3)
-    else:
-        raise ValueError("derivative order must be 0..3")
-    return out
+        return np.abs(np.asarray(u, dtype=float))
+    s, n = m * dx, len(u)
+    p = np.pad(np.asarray(u, dtype=float), 2 * m, mode="edge")
+    um2, um1, u0, up1, up2 = (p[k * m : k * m + n] for k in range(5))  # u shifted by -2m .. 2m
+    if alpha == 1:
+        return np.abs(up1 - um1) / (2.0 * s)
+    if alpha == 2:
+        return np.abs(up1 - 2.0 * u0 + um1) / s**2
+    if alpha == 3:
+        return np.abs(up2 - 2.0 * up1 + 2.0 * um1 - um2) / (2.0 * s**3)
+    raise ValueError("derivative order must be 0..3")
 
 
 def _running_max(a: np.ndarray, w: int) -> np.ndarray:
@@ -146,30 +133,26 @@ def derivative_profile(rec: SolutionRecord, t: float, alpha: int, h: float):
 
 # --- classification against predicted rays ---------------------------------
 
-def _slope_maps(family, t, alphas, h_fn):
-    """Per-alpha arrays over the slice of u: slope, n_valid (vectorized fits)."""
-    eps = family.eps_values
-    X = np.log(1.0 / eps)
-    maps = {}
-    for a in alphas:
-        Y = []
-        K = []
-        for rec in family:
-            mags, floor = derivative_profile(rec, t, a, h_fn(rec.eps))
-            Y.append(np.log(np.maximum(mags, _FLOOR)))
-            K.append(mags > floor)
-        Y = np.array(Y)
-        K = np.array(K, dtype=float)
-        n = K.sum(0)
-        sx = (K * X[:, None]).sum(0)
-        sy = (K * Y).sum(0)
-        sxx = (K * X[:, None] ** 2).sum(0)
-        sxy = (K * X[:, None] * Y).sum(0)
-        den = n * sxx - sx * sx
-        ok = (n >= 4) & (den > 0)
-        slope = np.where(ok, (n * sxy - sx * sy) / np.where(ok, den, 1.0), 0.0)
-        maps[a] = (slope, n)
-    return maps
+def _slope(family, t, alpha, h_fn):
+    """(slope, n_valid) per cell of the slice at t: the least-squares slope of
+    log|d^alpha u_eps| against log(1/eps) over the n_valid members whose
+    magnitude clears the floor; slope 0 where n_valid < 4 or the fit is
+    degenerate."""
+    X = np.log(1.0 / family.eps_values)
+    Y = np.empty((len(X), family.records[0].xs.size))
+    K = np.empty_like(Y)
+    for j, rec in enumerate(family):
+        mags, floor = derivative_profile(rec, t, alpha, h_fn(rec.eps))
+        np.log(np.maximum(mags, _FLOOR), out=Y[j])
+        K[j] = mags > floor
+    n = K.sum(0)
+    sx = (K * X[:, None]).sum(0)
+    sy = (K * Y).sum(0)
+    sxx = (K * X[:, None] ** 2).sum(0)
+    sxy = (K * X[:, None] * Y).sum(0)
+    den = n * sxx - sx * sx
+    ok = (n >= 4) & (den > 0)
+    return np.where(ok, (n * sxy - sx * sy) / np.where(ok, den, 1.0), 0.0), n
 
 
 def classify(
@@ -195,76 +178,48 @@ def classify(
     if times is None:
         times = [t for t in rec0.times if t > t_skip]
     xs = rec0.xs
-    fold = family.solver_id == "radial_odd"
-    rs = np.abs(xs) if fold else xs
-    pts, flags, excess_all = [], [], []
-    per_time_flagged_x = {}
-    for t in times:
-        maps = _slope_maps(family, t, (0, alpha_hi), h_fn)
-        s_hi, n_hi = maps[alpha_hi]
-        s_ref, n_ref = maps[0]
+    rs = np.abs(xs) if family.solver_id == "radial_odd" else xs
+    # (time x cell); the raveled rows are the rows of detect.csv
+    excess = np.empty((len(times), xs.size))
+    flags = np.empty(excess.shape, dtype=bool)
+    for i, t in enumerate(times):
+        s_hi, n_hi = _slope(family, t, alpha_hi, h_fn)
+        s_ref, n_ref = _slope(family, t, 0, h_fn)
         valid = (n_hi >= 4) & (n_ref >= 4)
-        exc = np.where(valid, s_hi - s_ref, 0.0)
-        fl = valid & (exc >= theta)
-        pts.append(np.column_stack([np.full_like(xs, t), xs]))
-        flags.append(fl)
-        excess_all.append(exc)
-        per_time_flagged_x[float(t)] = rs[fl]
-    points = np.concatenate(pts)
-    flags = np.concatenate(flags)
-    excess_arr = np.concatenate(excess_all)
-
-    t_cap = float(max(times))
-    # precision: flagged cells near any predicted ray
-    n_flagged = int(flags.sum())
-    if n_flagged:
-        ft, fx = points[flags, 0], points[flags, 1]
-        if fold:
-            fx = np.abs(fx)
-        near = np.zeros(n_flagged, dtype=bool)
-        for ray in predicted:
-            with np.errstate(invalid="ignore"):
-                rx = np.asarray(ray.curve(ft), dtype=float)
-            inside = (ft >= ray.t_min - 1e-12) & (ft <= ray.t_max + 1e-12)
-            near |= inside & (np.abs(fx - rx) <= tube_radius)
-        precision = float(near.mean())
-    else:
-        precision = 1.0
-    # recall: per-ray coverage at the stored times
-    per_ray_recall = {}
-    per_ray_excess = {}
-    hits_total = 0
-    n_total = 0
+        excess[i] = np.where(valid, s_hi - s_ref, 0.0)
+        flags[i] = valid & (excess[i] >= theta)
+    ts = np.asarray(times, dtype=float)
+    ti, ci = np.nonzero(flags)  # the flagged cells, time-major
+    fx = rs[ci]
+    near = np.zeros(ti.size, dtype=bool)
+    per_ray_recall, per_ray_excess = {}, {}
+    hits_total = n_total = 0
     for ray in predicted:
-        hit = 0
-        cnt = 0
+        with np.errstate(invalid="ignore"):
+            rx = np.asarray(ray.curve(ts), dtype=float)
+        on = (ts >= ray.t_min - 1e-12) & (ts <= ray.t_max + 1e-12)
+        # precision: the flagged cells in this ray's tube
+        near |= on[ti] & (np.abs(fx - rx[ti]) <= tube_radius)
+        # recall: a flagged cell in the tube at each detect time the ray is on the grid
+        hit = cnt = 0
         max_exc = -np.inf
-        for t in times:
-            if not ray.t_min - 1e-12 <= t <= ray.t_max + 1e-12:
-                continue
-            rx = float(np.asarray(ray.curve(t), dtype=float))
-            if rx < rs.min() or rx > rs.max():
-                continue
+        for i in np.flatnonzero(on & ~((rx < rs.min()) | (rx > rs.max()))):
             cnt += 1
-            fx = per_time_flagged_x[float(t)]
-            if fx.size and np.min(np.abs(fx - rx)) <= tube_radius:
-                hit += 1
-            i = int(np.argmin(np.abs(rs - rx)))
-            ti = list(times).index(t)
-            max_exc = max(max_exc, float(excess_all[ti][i]))
+            fr = rs[flags[i]]
+            hit += bool(fr.size and np.min(np.abs(fr - rx[i])) <= tube_radius)
+            max_exc = max(max_exc, float(excess[i, np.argmin(np.abs(rs - rx[i]))]))
         per_ray_recall[ray.label] = hit / cnt if cnt else math.nan
         per_ray_excess[ray.label] = max_exc if cnt else math.nan
         hits_total += hit
         n_total += cnt
-    recall = hits_total / n_total if n_total else 1.0
     return SingSuppReport(
-        points=points,
-        flags=flags,
-        excess=excess_arr,
+        points=np.column_stack([np.repeat(ts, xs.size), np.tile(xs, len(ts))]),
+        flags=flags.ravel(),
+        excess=excess.ravel(),
         predicted=list(predicted),
         tube_radius=tube_radius,
-        precision=precision,
-        recall=recall,
+        precision=float(near.mean()) if near.size else 1.0,
+        recall=hits_total / n_total if n_total else 1.0,
         per_ray_recall=per_ray_recall,
         per_ray_max_excess=per_ray_excess,
         meta={"theta": theta, "alpha_hi": alpha_hi, "alpha_ref": 0, "times": list(times)},

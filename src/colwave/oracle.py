@@ -244,6 +244,8 @@ class TestFunction:
     mollifier: Mollifier = field(default_factory=Mollifier)
 
     def __post_init__(self):
+        if not np.isfinite((self.t_center, self.x_center, self.radius)).all():
+            raise ValueError("centre and radius must be finite")
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
 

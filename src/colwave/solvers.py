@@ -81,6 +81,8 @@ class Grid1D:
     cfl: float = 0.45
 
     def __post_init__(self):
+        if not np.isfinite((self.x_min, self.x_max, self.t_end, self.cfl)).all():
+            raise ValueError("x_min, x_max, t_end and cfl must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.nx < 8:

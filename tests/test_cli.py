@@ -198,6 +198,24 @@ REJECTED = {
     "conservative_not_boolean": ("thm41", {"solver.conservative": "yes"}, "'solver.conservative'"),
     "unknown_limiter": ("thm41", {"solver.limiter": "minmod"}, "'solver.limiter'"),
     "corner_other_jump": ("corner36", {"coefficient.values": "1.0,3.0"}, "1 -> 2 jump at x = 0"),
+    "conservative_detect": ("thm41", {"solver.conservative": "true", "analyses": "detect"}, "a = c"),
+    "conservative_associate": ("thm41", {"solver.conservative": "true", "analyses": "associate"}, "a = c"),
+    "conservative_oracle_compare": ("thm41", {"solver.conservative": "true", "analyses": "oracle_compare"},
+                                    "a = c"),
+    "corner_times_empty": ("corner36", {"corner.times": ""}, "'corner.times'"),
+    "corner_times_nan": ("corner36", {"corner.times": "nan"}, "'corner.times'"),
+    "corner_times_zero": ("corner36", {"corner.times": "0,0.5"}, "'corner.times'"),
+    "associate_support_off_the_grid": ("ex2_tanh", {"associate.x0": "50"}, "associate: the support"),
+    "associate_support_after_t_end": ("thm41", {"associate.t0": "100"}, "associate: the support"),
+    "associate_support_after_last_stored_time": ("thm41", {"solver.store_times": "0,0.6"},
+                                                 "associate: the support"),
+    "coefficient_value_inf": ("thm41", {"coefficient.values": "1.0,inf"}, "finite"),
+    "coefficient_value_nan": ("thm41", {"coefficient.values": "1.0,nan"}, "finite"),
+    "grid_x_min_minus_inf": ("thm41", {"grid.x_min": "-inf"}, "finite"),
+    "grid_t_end_inf": ("thm41", {"grid.t_end": "inf"}, "finite"),
+    "detect_theta_nan": ("thm41", {"detect.theta": "nan"}, "'detect.theta'"),
+    "associate_t0_nan": ("thm41", {"associate.t0": "nan"}, "finite associate.t0"),
+    "bump_width_inf": ("ex2_tanh", {"data.u0": "bump:0.0,inf"}, "'bump:0.0,inf'"),
 }
 
 
@@ -286,6 +304,14 @@ def test_corner_verdict_against_the_criterion_1_tolerance(tmp_path):
     scn.write_text(_edited("corner36", {"id": "early", "corner.times": "0.02"}))
     assert main(["run", str(scn), "--out", str(tmp_path / "b"), "--ladder-override", "0.1,0.7,4"]) == 0
     assert "corner=FAIL" in (tmp_path / "b" / "early" / "report.txt").read_text()
+
+
+def test_oracle_compare_reports_nan_when_its_masks_cover_the_grid(tmp_path):
+    # on the logarithmic scale 4 h(eps) = 1.34 masks every cell of [-3.5, 2.7]
+    scn = tmp_path / "logoracle.scn"
+    scn.write_text(_edited("thm41", {"id": "logoracle", "scale.kind": "logarithmic", "analyses": "oracle_compare"}))
+    assert main(["run", str(scn), "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 0
+    assert "oracle_compare t=1.8 off_ray_err=nan" in (tmp_path / "logoracle" / "report.txt").read_text()
 
 
 @pytest.mark.parametrize("conservative", ["false", "true"])

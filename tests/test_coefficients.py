@@ -33,6 +33,9 @@ def test_base_validation():
         PiecewiseConstantCoeff((0.0,), (1.0, -2.0))
     with pytest.raises(ValueError):
         PiecewiseConstantCoeff((1.0, 0.0), (1.0, 2.0, 3.0))
+    for bad in ((0.0,), (1.0, np.inf)), ((0.0,), (1.0, np.nan)), ((np.nan,), (1.0, 2.0)):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseConstantCoeff(*bad)
 
 
 def test_sharp_eval(jump12):

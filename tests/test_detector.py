@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,17 @@ from colwave.detector import (
     report_svg,
     verdict_text,
 )
-from colwave.detector import _running_max
+from colwave.detector import _CONTRAST, _FLOOR, _SIG_FACTOR, SingSuppReport, _running_max
 from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_antideriv, phi_eval
-from colwave.solvers import Grid1D, SolutionFamily, SolutionRecord, solve_radial_odd
+from colwave.solvers import (
+    Grid1D,
+    SolutionFamily,
+    SolutionRecord,
+    delta_profile,
+    solve_radial_odd,
+    solve_wave_x,
+)
 
 
 def _synthetic_family(amp=1.0):
@@ -207,3 +216,212 @@ def test_classify_scores_radial_family_in_abs_x():
         near |= inside & (np.abs(np.abs(fx) - ray.curve(ft)) <= rep.tube_radius)
     assert rep.precision == pytest.approx(float(near.mean()))
     assert rep.precision >= 0.9 and rep.recall >= 0.9
+
+
+# --- reference: the per-order slope maps and two scoring passes -------------
+
+def _reference_fd_stride(u, m, dx, alpha):
+    s = m * dx
+    n = len(u)
+    out = np.zeros(n)
+
+    def sh(k):
+        v = np.empty(n)
+        if k > 0:
+            v[:-k] = u[k:]
+            v[-k:] = u[-1]
+        elif k < 0:
+            v[-k:] = u[:k]
+            v[:-k] = u[0]
+        else:
+            v[:] = u
+        return v
+
+    if alpha == 0:
+        out = np.abs(np.asarray(u, dtype=float))
+    elif alpha == 1:
+        out = np.abs(sh(m) - sh(-m)) / (2.0 * s)
+    elif alpha == 2:
+        out = np.abs(sh(m) - 2.0 * sh(0) + sh(-m)) / s**2
+    elif alpha == 3:
+        out = np.abs(sh(2 * m) - 2.0 * sh(m) + 2.0 * sh(-m) - sh(-2 * m)) / (2.0 * s**3)
+    else:
+        raise ValueError("derivative order must be 0..3")
+    return out
+
+
+def _reference_profile(rec, t, alpha, h):
+    u = rec.slice_at(t)
+    dx = rec.grid.dx
+    m = max(1, int(round(max(dx, h / 8.0) / dx)))
+    s = m * dx
+    mags = _reference_fd_stride(u, m, dx, alpha)
+    w = max(1, int(round(2.0 * h / dx)))
+    mags = _running_max(mags, w)
+    eps_mach = np.finfo(rec.fields["u"].dtype).eps
+    floor = _SIG_FACTOR * eps_mach * float(np.max(np.abs(u))) / s**alpha
+    floor = max(floor, _CONTRAST * float(np.max(mags)))
+    return mags, floor
+
+
+def _reference_slope_maps(family, t, alphas, h_fn):
+    eps = family.eps_values
+    X = np.log(1.0 / eps)
+    maps = {}
+    for a in alphas:
+        Y = []
+        K = []
+        for rec in family:
+            mags, floor = _reference_profile(rec, t, a, h_fn(rec.eps))
+            Y.append(np.log(np.maximum(mags, _FLOOR)))
+            K.append(mags > floor)
+        Y = np.array(Y)
+        K = np.array(K, dtype=float)
+        n = K.sum(0)
+        sx = (K * X[:, None]).sum(0)
+        sy = (K * Y).sum(0)
+        sxx = (K * X[:, None] ** 2).sum(0)
+        sxy = (K * X[:, None] * Y).sum(0)
+        den = n * sxx - sx * sx
+        ok = (n >= 4) & (den > 0)
+        slope = np.where(ok, (n * sxy - sx * sy) / np.where(ok, den, 1.0), 0.0)
+        maps[a] = (slope, n)
+    return maps
+
+
+def _reference_classify(family, predicted, h_fn, times=None, theta=0.5, alpha_hi=2, t_skip=0.0):
+    rec0 = family.records[0]
+    tube_radius = 4.0 * h_fn(rec0.eps)
+    if times is None:
+        times = [t for t in rec0.times if t > t_skip]
+    xs = rec0.xs
+    fold = family.solver_id == "radial_odd"
+    rs = np.abs(xs) if fold else xs
+    pts, flags, excess_all = [], [], []
+    per_time_flagged_x = {}
+    for t in times:
+        maps = _reference_slope_maps(family, t, (0, alpha_hi), h_fn)
+        s_hi, n_hi = maps[alpha_hi]
+        s_ref, n_ref = maps[0]
+        valid = (n_hi >= 4) & (n_ref >= 4)
+        exc = np.where(valid, s_hi - s_ref, 0.0)
+        fl = valid & (exc >= theta)
+        pts.append(np.column_stack([np.full_like(xs, t), xs]))
+        flags.append(fl)
+        excess_all.append(exc)
+        per_time_flagged_x[float(t)] = rs[fl]
+    points = np.concatenate(pts)
+    flags = np.concatenate(flags)
+    excess_arr = np.concatenate(excess_all)
+
+    n_flagged = int(flags.sum())
+    if n_flagged:
+        ft, fx = points[flags, 0], points[flags, 1]
+        if fold:
+            fx = np.abs(fx)
+        near = np.zeros(n_flagged, dtype=bool)
+        for ray in predicted:
+            with np.errstate(invalid="ignore"):
+                rx = np.asarray(ray.curve(ft), dtype=float)
+            inside = (ft >= ray.t_min - 1e-12) & (ft <= ray.t_max + 1e-12)
+            near |= inside & (np.abs(fx - rx) <= tube_radius)
+        precision = float(near.mean())
+    else:
+        precision = 1.0
+    per_ray_recall = {}
+    per_ray_excess = {}
+    hits_total = 0
+    n_total = 0
+    for ray in predicted:
+        hit = 0
+        cnt = 0
+        max_exc = -np.inf
+        for t in times:
+            if not ray.t_min - 1e-12 <= t <= ray.t_max + 1e-12:
+                continue
+            rx = float(np.asarray(ray.curve(t), dtype=float))
+            if rx < rs.min() or rx > rs.max():
+                continue
+            cnt += 1
+            fx = per_time_flagged_x[float(t)]
+            if fx.size and np.min(np.abs(fx - rx)) <= tube_radius:
+                hit += 1
+            i = int(np.argmin(np.abs(rs - rx)))
+            ti = list(times).index(t)
+            max_exc = max(max_exc, float(excess_all[ti][i]))
+        per_ray_recall[ray.label] = hit / cnt if cnt else float("nan")
+        per_ray_excess[ray.label] = max_exc if cnt else float("nan")
+        hits_total += hit
+        n_total += cnt
+    recall = hits_total / n_total if n_total else 1.0
+    return SingSuppReport(points, flags, excess_arr, list(predicted), tube_radius, precision, recall,
+                          per_ray_recall, per_ray_excess)
+
+
+@functools.cache
+def _wave_x_family():
+    """Delta data at x = -1 through the 1 -> 2 jump at 0, stored in float32 as
+    the run does; the incident-left ray leaves [-1.8, 1.5] at t = 0.8."""
+    ladder = EpsilonLadder(0.1, 0.8, 4)
+    grid = Grid1D(-1.8, 1.5, int(np.ceil(3.3 / (ladder.eps_min / 16.0))), 1.2)
+    base = PiecewiseConstantCoeff((0.0,), (1.0, 2.0), "space")
+    rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
+    return solve_wave_x(rcs, None, delta_profile(-1.0), grid, limiter="vanleer",
+                        store_times=[0.0, 0.4, 0.7, 1.0, 1.2], store_dtype=np.float32)
+
+
+@functools.cache
+def _radial_family():
+    ladder = EpsilonLadder(0.1, 0.8, 4)
+    nx = int(np.ceil(4.0 / (ladder.eps_min / 16.0)))
+    base = PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time")
+    rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
+    return solve_radial_odd(rcs, 3, Grid1D(-2.0, 2.0, nx + nx % 2, 1.3), store_times=[0.5, 0.8, 1.2, 1.3])
+
+
+def _x_rays():
+    return predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=True, x0=-1.0)
+
+
+def _front():
+    return [RaySegment("front", lambda t: np.asarray(t, dtype=float), 0.0, np.inf)]
+
+
+# case: (family, predicted rays, classify keywords)
+REFERENCE_CASES = {
+    "wave_x_four_rays": (_wave_x_family, _x_rays, dict(times=[0.4, 0.7, 1.0, 1.2])),
+    "wave_x_alpha_hi_1": (_wave_x_family, _x_rays, dict(times=[0.4, 1.0, 1.2], alpha_hi=1)),
+    "wave_x_alpha_hi_3": (_wave_x_family, _x_rays, dict(times=[0.4, 1.0, 1.2], alpha_hi=3, theta=1.0)),
+    "wave_x_stored_times_after_t_skip": (_wave_x_family, _x_rays, dict(t_skip=0.5)),
+    "wave_x_no_predicted_ray": (_wave_x_family, list, dict(times=[0.7, 1.2])),
+    "radial_odd_in_abs_x": (
+        _radial_family,
+        lambda: predict_singsupp("radial_odd", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0),
+        dict(times=[0.5, 0.8, 1.2]),
+    ),
+    "rays_off_the_front_or_its_time": (
+        _synthetic_family,
+        lambda: [RaySegment("off", lambda t: np.asarray(t, dtype=float) + 0.5, 0.0, np.inf),
+                 RaySegment("late", lambda t: np.asarray(t, dtype=float), 0.45, np.inf)],
+        dict(times=[0.3, 0.6]),
+    ),
+    "nothing_flagged": (lambda: _synthetic_family(0.0), _front, dict(times=[0.3, 0.6])),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_classify_bitwise_matches_reference(case):
+    family, rays, kw = REFERENCE_CASES[case]
+    fam, predicted = family(), rays()
+    got = classify(fam, predicted, h_fn=ScaleFn("standard"), **kw)
+    ref = _reference_classify(fam, predicted, ScaleFn("standard"), **kw)
+    for name in ("points", "flags", "excess"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (got.precision, got.recall, got.tube_radius) == (ref.precision, ref.recall, ref.tube_radius)
+    assert type(got.precision) is type(ref.precision) and type(got.recall) is type(ref.recall)
+    for name in ("per_ray_recall", "per_ray_max_excess"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert list(a) == list(b) and repr(a) == repr(b), name
+        assert [type(v) for v in a.values()] == [float] * len(a), name
+    assert got.flags.any() == (case != "nothing_flagged")

@@ -272,3 +272,9 @@ def test_associate_check_pass_and_fail():
     assert not associate_check(eps, stuck, 1.0).passed
     growing = 1.0 + 0.05 / np.maximum(eps, 1e-12)
     assert not associate_check(eps, growing, 1.0).passed
+
+
+@pytest.mark.parametrize("args", [(np.nan, 0.0, 0.2), (1.0, np.inf, 0.2), (1.0, 0.0, np.inf)])
+def test_test_function_rejects_non_finite_geometry(args):
+    with pytest.raises(ValueError, match="finite"):
+        TestFunction(*args)

@@ -56,6 +56,9 @@ def test_grid_basics():
     with pytest.raises(ValueError):
         g.check_resolution(0.02 * 15.9)  # needs h >= 16 dx
     g.check_resolution(0.5)
+    for bad in ((-np.inf, 1.0, 100, 2.0), (-1.0, 1.0, 100, np.inf), (-1.0, np.nan, 100, 2.0)):
+        with pytest.raises(ValueError, match="finite"):
+            Grid1D(*bad)
 
 
 def test_delta_profile_standard_width(rc_space):
