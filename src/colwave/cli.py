@@ -38,7 +38,6 @@ from .oracle import (
     two_region_limit,
 )
 from .solvers import (
-    LIMITERS,
     Grid1D,
     NumericalFailure,
     PerEps,
@@ -104,11 +103,8 @@ def _solve_wave(scn: Scenario):
     common = dict(u0_deriv=u0d, store_times=scn.store_times, store_vw=want_vw, scenario_id=scn.id)
     if scn.coefficient.variable == "time":
         return solve_wave_t(scn.rcs, u0, u1, scn.grid, **common)
-    return solve_wave_x(
-        scn.rcs, u0, u1, scn.grid, conservative=scn.opts["solver.conservative"],
-        limiter=scn.opts["solver.limiter"], store_dtype=np.float64 if want_vw else np.float32,
-        **common,
-    )
+    return solve_wave_x(scn.rcs, u0, u1, scn.grid, conservative=scn.opts["solver.conservative"],
+                        store_dtype=np.float64 if want_vw else np.float32, **common)
 
 
 def _solve_radial_odd(scn: Scenario):
@@ -286,7 +282,6 @@ RUN_KEYS = {
     "corner.times": (_positive_times, (0.5, 1.0)),
     "radial.d": (_one_of(3), 3),
     "solver.conservative": (_boolean, False),
-    "solver.limiter": (_one_of(*LIMITERS), "vanleer"),
 }
 
 
@@ -295,6 +290,13 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
     if not path.exists():
         raise ValidationError(f"scenario file not found: {path}")
     kv = _parse_kv(path)
+    unknown = sorted(kv.keys() - RUN_KEYS.keys() - {  # RUN_KEYS and the keys read here
+        "id", "problem", "coefficient.variable", "coefficient.breakpoints", "coefficient.values", "mollifier.family",
+        "mollifier.n", "scale.kind", "scale.p", "ladder.eps0", "ladder.ratio", "ladder.count", "grid.x_min",
+        "grid.x_max", "grid.nx", "grid.t_end", "grid.cfl", "data.u0", "data.u1", "analyses", "detect.kind",
+        "associate.t0", "associate.x0", "associate.radius"})
+    if unknown:
+        raise ValidationError(f"unknown key(s) {', '.join(map(repr, unknown))}")
     problem = kv.get("problem", "")
     if problem not in PROBLEMS:
         kinds = ", ".join(PROBLEMS)
@@ -398,9 +400,14 @@ def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float, conservative:
 
 
 def _delta_x0(spec: str) -> float | None:
-    """x0 of validated 'delta:x0' data, None for any other data spec."""
+    """x0 of 'delta:x0' data, None for any other data spec."""
     kind, _, arg = spec.partition(":")
-    return float(arg) if kind == "delta" else None
+    if kind != "delta":
+        return None
+    try:
+        return _float(arg)
+    except ValueError as exc:
+        raise ValidationError(f"malformed data spec {spec!r} ({exc})") from exc
 
 
 def _data(kv, problem, coeff, grid):
@@ -420,10 +427,11 @@ def _profile(spec: str, grid: Grid1D | None):
     """Data profile and its derivative from 'zero' | 'delta:x0' | 'bump:x0,w' | 'quadratic'."""
     if spec in ("", "zero"):
         return None, None
+    x0 = _delta_x0(spec)
+    if x0 is not None:
+        return delta_profile(x0), delta_profile_deriv(x0)
     kind, _, args = spec.partition(":")
     try:
-        if kind == "delta":
-            return delta_profile(_float(args)), delta_profile_deriv(_float(args))
         if kind == "bump":
             x0, w = (_float(v) for v in args.split(","))
     except ValueError as exc:

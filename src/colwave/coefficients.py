@@ -9,15 +9,16 @@ with Phi the mollifier antiderivative.  Derivatives follow from
 phi^{(k-1)}((x-b_i)/h) / h^k.  c_eps varies only inside the merged kernel
 windows [b_i - h, b_i + h] (RegularizedCoeff.windows) and is exactly constant
 between and outside them.  CumulativeIntegral builds one edge table on that
-split for F(x) = int_0^x f(c_eps) with f in {1/c, c}: panels of width <= h/8
-inside the windows, exact affine pieces elsewhere.  On each panel f(c_eps) is
+split for F(x) = int_0^x f(c_eps) with f in {1/c, 1/sqrt(c), c}: panels of
+width <= h/8 inside the windows, exact affine pieces elsewhere.  On each panel f(c_eps) is
 sampled once at the 16 Gauss-Legendre nodes; the GL sum gives the panel total
 and the same samples give the degree-15 Legendre series of f in the panel
 variable z, integrated once to G(z) = int_{-1}^z f.  Evaluation is one table
 lookup plus at most one Clenshaw sum of G; the inverse is exact on the affine
 pieces and a safeguarded Newton iteration on G inside one panel.  The
-reciprocal antiderivative C_eps = int_0^x 1/c_eps is CoeffAntideriv; a
-time-dependent coefficient uses the c_eps table, T(t).
+reciprocal antiderivative C_eps = int_0^x 1/c_eps is CoeffAntideriv; 1/sqrt(c)
+gives the travel time of the conservative wave_x form; a time-dependent
+coefficient uses the c_eps table, T(t).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _GL_NODES, _GL_WEIGHTS = legendre.leggauss(16)
 # values at the GL nodes -> coefficients of the degree-15 Legendre series through them
 _GL_PROJECT = legendre.legvander(_GL_NODES, 15) * (_GL_WEIGHTS[:, None] * (np.arange(16) + 0.5))
 _NEWTON_MAX_ITER = 60
-_INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "value": lambda c: c}
+_INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "reciprocal_sqrt": lambda c: 1.0 / np.sqrt(c), "value": lambda c: c}
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def coeff_deriv(rc: RegularizedCoeff, x, k: int):
 
 
 class CumulativeIntegral:
-    """F(x) = int_0^x f(c_eps(y)) dy for f in {1/c, c}, strictly increasing.
+    """F(x) = int_0^x f(c_eps(y)) dy for f in {1/c, 1/sqrt(c), c}, strictly increasing.
 
     One edge table over the line: panels of width <= h/8 inside the windows,
     exact constant f(c) on every other interval, and F stored at every edge;

@@ -6,12 +6,12 @@
   characteristic variables V = dt u - a dx u, W = dt u + a dx u; a = c for the
   non-conservative form dtt u = c^2 dxx u (coupling c'(V-W)/2 in both
   equations) and a = sqrt(c) for the conservative form dtt u = dx(c dx u)
-  (coupling a'(W-V)/2); u recovered by trapezoidal time integration of
-  (V+W)/2.  V moves at +a and W at -a (a > 0).  Both live in one flat
-  buffer with W stored reversed, where it moves at +a as well, so one
-  backward-biased MUSCL stencil steps both families in a Heun step; the
-  coupling is computed only on the columns where it is nonzero, and the
-  buffers and their views are built once per ladder member.
+  (coupling a'(W-V)/2).  In the travel time xi = int dx/a both families move
+  at unit speed, so on a uniform xi-grid with step dxi = dt transport is an
+  exact one-cell shift (upwinding at Courant number 1; Goupillaud 1961), done
+  by indexing V by xi - t and W by xi + t.  The coupling, whose exact flow
+  keeps V - W, is Strang-split around the shift on the kernel-window nodes
+  only; u follows by the trapezoid of (W - V)/2 in xi from the left boundary.
 * solve_wave_t: time-dependent speed.  The x-advection is a uniform shift, so
   each step advances the spatial Fourier modes by the exact phase
   exp(-+ i k int c dt) and applies the coupling mu(t) = c'/(2c) by its exact
@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .characteristics import CharCurve, gamma, gamma_x_partials, time_integral
-from .coefficients import CoeffAntideriv, RegularizedCoeff
+from .coefficients import CoeffAntideriv, CumulativeIntegral, RegularizedCoeff
 from .mollifier import Mollifier, phi_deriv, phi_eval, phi_moment
 
 __all__ = [
@@ -295,92 +295,6 @@ def solve_transport(
 
 # --- wave equation, x-dependent speed --------------------------------------
 
-LIMITERS = ("fromm", "vanleer")
-
-
-def _vw_heun(a: np.ndarray, g: np.ndarray, dx: float, limiter: str):
-    """Preallocated MUSCL/Heun step for the V/W pair; returns (q, step).
-
-    q is one flat state [2 ghosts | V | 2 ghosts | 2 ghosts | W reversed |
-    2 ghosts] with zero ghost cells, so V = q[2:n+2] and W = q[n+6:2n+6][::-1];
-    step(dt) advances q[2:-2] in place.  V moves at +a and W at -a (a > 0),
-    so reversed W moves at +a too and one backward-biased MUSCL stencil steps
-    both families over the speeds [-a, 0, 0, 0, 0, -a[::-1]] (the four middle
-    ghosts take speed 0 and stay zero).  Fromm and van Leer slopes only
-    change sign under the mirror, so every value is bitwise that of the
-    forward-biased W update.  The coupling g*(V - W) is computed only on the
-    columns from the first to the last g != 0.  Each update applies the
-    operations of a two-sided MUSCL derivative (Fromm or van Leer slopes, the
-    upwind side picked by the sign of the speed) and a Heun step to the same
-    operands in the same order, so the result is bitwise that of the generic
-    reference loop in tests/test_solvers.py
-    (test_wave_x_step_bitwise_matches_generic_engine).
-    """
-    if limiter not in LIMITERS:
-        raise ValueError(f"unknown limiter {limiter!r}")
-    n = a.shape[0]
-    neg_speed = np.concatenate([-a, np.zeros(4), -a[::-1]])
-    q = np.zeros(2 * n + 8)
-    stage = np.zeros_like(q)
-    d = np.empty(2 * n + 7)  # d[j] = q[j + 1] - q[j]
-    s = np.empty(2 * n + 6)  # slope at cell j + 1
-    prod = np.empty_like(s)
-    den = np.empty_like(s)
-    pos = np.empty(s.shape, dtype=bool)
-    k1 = np.empty(2 * n + 4)
-    k2 = np.empty_like(k1)
-    inner, stage_inner = q[2:-2], stage[2:-2]
-    dm, dp, d_back = d[:-1], d[1:], d[1:-2]
-    s_j, s_jm = s[1:-1], s[:-2]
-    cols = np.flatnonzero(g)
-    lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
-    g_cols = g[lo:hi]
-    cpl = np.empty(hi - lo)
-
-    def coupled(x):  # the V and W cells of the coupling columns of a (2n + 4)-cell interior
-        return x[lo:hi], x[n + 4:][::-1][lo:hi]
-
-    q_views = (q[1:], q[:-1], *coupled(inner))
-    stage_views = (stage[1:], stage[:-1], *coupled(stage_inner))
-    k1_views = (k1, *coupled(k1))
-    k2_views = (k2, *coupled(k2))
-
-    def rhs(src, dst):
-        upper, lower, v, w = src
-        k, kv, kw = dst
-        np.subtract(upper, lower, out=d)
-        if limiter == "fromm":
-            np.add(dm, dp, out=s)
-            np.multiply(s, 0.5, out=s)
-        else:
-            np.multiply(dm, dp, out=prod)
-            np.add(dm, dp, out=den)
-            np.greater(prod, 0.0, out=pos)
-            np.multiply(prod, 2.0, out=prod)
-            s.fill(0.0)
-            np.divide(prod, den, out=s, where=pos)
-        np.subtract(s_j, s_jm, out=k)
-        k *= 0.5
-        np.add(d_back, k, out=k)
-        k /= dx
-        k *= neg_speed
-        np.subtract(v, w, out=cpl)
-        np.multiply(cpl, g_cols, out=cpl)
-        kv += cpl
-        kw += cpl
-
-    def step(dt: float):
-        rhs(q_views, k1_views)
-        np.multiply(k1, dt, out=stage_inner)
-        np.add(stage_inner, inner, out=stage_inner)
-        rhs(stage_views, k2_views)
-        np.add(k1, k2, out=k1)
-        np.multiply(k1, 0.5 * dt, out=k1)
-        np.add(inner, k1, out=inner)
-
-    return q, step
-
-
 def solve_wave_x(
     rcs,
     u0,
@@ -388,13 +302,22 @@ def solve_wave_x(
     grid: Grid1D,
     u0_deriv=None,
     conservative: bool = False,
-    limiter: str = "fromm",
     store_times=None,
     store_dtype=np.float64,
     store_vw: bool = False,
     scenario_id: str = "wave_x",
 ) -> SolutionFamily:
-    """V/W characteristic solve of dtt u = c^2 dxx u (or dx(c dx u)).
+    """V/W characteristic solve of dtt u = c^2 dxx u (or dx(c dx u)) in travel time.
+
+    In xi = int dx/a the pair reads V_t + V_xi = g (V - W), W_t - W_xi = g (V - W).
+    On the uniform xi-grid with dxi = dt (n_steps = ceil(t_end / grid.dt(max a)),
+    dt = t_end / n_steps) transport is a one-cell shift: V is stored by the label
+    xi - t and W by xi + t, so a step moves no data.  The coupling keeps V - W, so
+    its exact flow is V += tau g (V - W), W += tau g (V - W); it is applied in two
+    halves around the shift, only on the columns of the nodes where g != 0.  Inflow
+    is zero.  u follows from u_xi = (W - V)/2 by the cumulative trapezoid, from the
+    left-boundary value, the trapezoid in t of (V + W)/2 there.  u (and V, W with
+    store_vw) go onto grid.xs by linear interpolation in xi.
 
     Fields per record: "u" time-indexed slices (store_dtype), plus "v","w"
     when store_vw is set; meta "a" holds the characteristic speed on grid.xs.
@@ -405,69 +328,69 @@ def solve_wave_x(
         _default_store_times(grid.t_end) if store_times is None else store_times, dtype=float
     )
     xs = grid.xs
-    dx = grid.dx
 
     def run(rc: RegularizedCoeff) -> SolutionRecord:
         grid.check_resolution(rc.h)
-        c = rc(xs)
-        cp = rc.deriv(xs, 1)
-        if conservative:
-            a = np.sqrt(c)
-            ap = cp / (2.0 * a)
-            g = -0.5 * ap  # rhs += g*(V - W) in both equations
-        else:
-            a = c
-            g = 0.5 * cp
+        ca = CumulativeIntegral(rc, "reciprocal_sqrt") if conservative else CoeffAntideriv(rc)
+        speed = (lambda x: np.sqrt(rc(x))) if conservative else rc
+        a = speed(xs)
+        n_steps = int(np.ceil(grid.t_end / grid.dt(float(np.max(a))) - 1e-12))
+        dxi = grid.t_end / n_steps
+        Cx = ca(xs)
+        n = int(np.ceil((Cx[-1] - Cx[0]) / dxi))
+        xi = Cx[0] + dxi * np.arange(n + 1)
+        x = ca.invert(xi)
+        cp = rc.deriv(x, 1)
+        g = -0.25 * cp / speed(x) if conservative else 0.5 * cp
         u0f = _resolve(u0, rc)
-        u1f = _resolve(u1, rc)
-        u0x = _resolve(u0_deriv, rc)(xs) if u0_deriv is not None else np.gradient(u0f(xs), dx)
-        u1v = u1f(xs)
-        b1 = float(np.max(a))
-        dt = grid.dt(b1)
-        n_steps = int(np.ceil(grid.t_end / dt - 1e-12))
-        fills = {}  # step -> the store slots filled before it
-        for i, k in enumerate(np.clip(np.rint(times / dt).astype(int), 0, n_steps).tolist()):
+        u0_xi = speed(x) * _resolve(u0_deriv, rc)(x) if u0_deriv is not None else np.gradient(u0f(x), dxi)
+        u1v = _resolve(u1, rc)(x)
+        # node j at step k holds V[j - k + n_steps] and W[j + k]
+        V = np.zeros(n + 1 + n_steps)
+        W = np.zeros_like(V)
+        V[n_steps:] = u1v - u0_xi
+        W[: n + 1] = u1v + u0_xi
+        cols = np.flatnonzero(g)
+        lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+        half_g = 0.5 * dxi * g[lo:hi]
+        d = np.empty(hi - lo)
+
+        def couple(k):
+            v, w = V[lo - k + n_steps : hi - k + n_steps], W[lo + k : hi + k]
+            np.subtract(v, w, out=d)
+            np.multiply(d, half_g, out=d)
+            v += d
+            w += d
+
+        fills = {}  # step -> the store slots filled at it
+        for i, k in enumerate(np.clip(np.rint(times / dxi).astype(int), 0, n_steps).tolist()):
             fills.setdefault(k, []).append(i)
-        q, heun = _vw_heun(a, g, dx, limiter)
-        n = len(xs)
-        V, W = q[2 : n + 2], q[n + 6 : 2 * n + 6][::-1]
-        V[:] = u1v - a * u0x
-        W[:] = u1v + a * u0x
-        u = u0f(xs).astype(float)
-        ut_old = 0.5 * (V + W)
-        ut_new = np.empty_like(u)
-        du = np.empty_like(u)
-        slices_u, slices_v, slices_w = {}, {}, {}
-        t = 0.0
-        for step in range(n_steps + 1):
-            for i in fills.get(step, ()):
-                slices_u[i] = u.astype(store_dtype)
-                if store_vw:
-                    slices_v[i] = V.astype(store_dtype)
-                    slices_w[i] = W.astype(store_dtype)
-            if step == n_steps:
-                break
-            step_dt = min(dt, grid.t_end - t)
-            heun(step_dt)
-            np.add(V, W, out=ut_new)
-            ut_new *= 0.5
-            np.add(ut_old, ut_new, out=du)
-            du *= 0.5 * step_dt
-            u += du
-            ut_old, ut_new = ut_new, ut_old
-            t += step_dt
-            if step % 500 == 0 and not np.isfinite(u).all():
-                raise NumericalFailure(f"non-finite values at t={t:.4f} (eps={rc.eps})")
-        fields = {"u": np.stack([slices_u[i] for i in range(len(times))])}
-        if store_vw:
-            fields["v"] = np.stack([slices_v[i] for i in range(len(times))])
-            fields["w"] = np.stack([slices_w[i] for i in range(len(times))])
+        names = ("u", "v", "w") if store_vw else ("u",)
+        fields = {name: np.empty((len(times), len(xs)), dtype=store_dtype) for name in names}
+        u_left = float(u0f(x[:1])[0])
+        ut_left = 0.5 * (V[n_steps] + W[0])
+        for k in range(max(fills) + 1):
+            if k:
+                couple(k - 1)
+                couple(k)
+                ut = 0.5 * (V[n_steps - k] + W[k])
+                u_left += 0.5 * dxi * (ut_left + ut)
+                ut_left = ut
+            if k not in fills:
+                continue
+            v, w = V[n_steps - k : n_steps - k + n + 1], W[k : k + n + 1]
+            u_xi = 0.5 * (w - v)
+            u = np.concatenate([[u_left], u_left + 0.5 * dxi * np.cumsum(u_xi[1:] + u_xi[:-1])])
+            if not np.isfinite(u).all():
+                raise NumericalFailure(f"non-finite values at t={k * dxi:.4f} (eps={rc.eps})")
+            for name, f in zip(names, (u, v, w)):
+                fields[name][fills[k]] = np.interp(Cx, xi, f)
         return SolutionRecord(
             eps=rc.eps,
             grid=grid,
             times=times,
             fields=fields,
-            meta={"conservative": conservative, "limiter": limiter, "h": rc.h, "a": a},
+            meta={"conservative": conservative, "h": rc.h, "a": a},
         )
 
     return SolutionFamily(scenario_id, "wave_x", ladder_map(run, rcs))

@@ -77,7 +77,7 @@ def _solve_xjump(scale):
     rcs = [RegularizedCoeff(X_BASE, MOLL, scale, e) for e in XJUMP_LADDER]
     return solve_wave_x(
         rcs, None, delta_profile(-1.0), grid, store_times=XJUMP_TIMES,
-        limiter="vanleer", store_dtype=np.float32,
+        store_dtype=np.float32,
     )
 
 
@@ -218,7 +218,7 @@ def test_criterion_04_energy_conservation():
         grid = Grid1D(-6.5, 5.5, nx, 3.0)
         fam = solve_wave_x(
             [rc], None, lambda x: _bump(x, -1.0, 0.3), grid, conservative=True,
-            limiter="fromm", store_times=np.linspace(0.0, 3.0, 61), store_vw=True,
+            store_times=np.linspace(0.0, 3.0, 61), store_vw=True,
         )
         drifts[nx] = energy_trace(fam.records[0], "conservative_x").max_relative_drift
     ratio = drifts[4096] / drifts[8192]

@@ -196,7 +196,8 @@ REJECTED = {
     "associate_radius_negative": ("thm41", {"associate.radius": "-1"}, "associate.radius > 0"),
     "malformed_corner_times": ("corner36", {"corner.times": "a"}, "'corner.times'"),
     "conservative_not_boolean": ("thm41", {"solver.conservative": "yes"}, "'solver.conservative'"),
-    "unknown_limiter": ("thm41", {"solver.limiter": "minmod"}, "'solver.limiter'"),
+    "unknown_key": ("thm41", {"solver.limitr": "fromm"}, "unknown key(s) 'solver.limitr'"),
+    "malformed_delta_without_grid": ("corner36", {"data.u1": "delta:x"}, "'delta:x'"),
     "corner_other_jump": ("corner36", {"coefficient.values": "1.0,3.0"}, "1 -> 2 jump at x = 0"),
     "conservative_detect": ("thm41", {"solver.conservative": "true", "analyses": "detect"}, "a = c"),
     "conservative_associate": ("thm41", {"solver.conservative": "true", "analyses": "associate"}, "a = c"),
@@ -261,18 +262,9 @@ def test_numerical_failure_exits_3_without_a_report(tmp_path, capsys, monkeypatc
 
 
 def test_numerical_failure_in_a_ladder_worker_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
-    # every member's V turns non-finite in its first step, inside the solver
-    heun = solvers._vw_heun
-
-    def poisoned(*args):
-        q, step = heun(*args)
-
-        def bad_step(dt):
-            step(dt)
-            q[2] = np.nan
-        return q, bad_step
-
-    monkeypatch.setattr(solvers, "_vw_heun", poisoned)
+    # a NaN coupling coefficient turns every member's V and W non-finite in its
+    # first step, inside the solver: the data at t = 0 are still finite
+    monkeypatch.setattr(solvers.RegularizedCoeff, "deriv", lambda self, x, k=1: np.full_like(x, np.nan))
     assert main(["run", "thm41", "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 3
     assert "numerical failure: non-finite values at t=" in capsys.readouterr().err
     assert not (tmp_path / "thm41" / "report.txt").exists()

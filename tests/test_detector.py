@@ -366,7 +366,7 @@ def _wave_x_family():
     grid = Grid1D(-1.8, 1.5, int(np.ceil(3.3 / (ladder.eps_min / 16.0))), 1.2)
     base = PiecewiseConstantCoeff((0.0,), (1.0, 2.0), "space")
     rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
-    return solve_wave_x(rcs, None, delta_profile(-1.0), grid, limiter="vanleer",
+    return solve_wave_x(rcs, None, delta_profile(-1.0), grid,
                         store_times=[0.0, 0.4, 0.7, 1.0, 1.2], store_dtype=np.float32)
 
 
