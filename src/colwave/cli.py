@@ -434,6 +434,8 @@ def _profile(spec: str, grid: Grid1D | None):
     try:
         if kind == "bump":
             x0, w = (_float(v) for v in args.split(","))
+            if not w > 0.0:
+                raise ValueError("the width must be > 0")
     except ValueError as exc:
         raise ValidationError(f"malformed data spec {spec!r} ({exc})") from exc
     if kind == "bump":

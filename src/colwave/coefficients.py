@@ -167,11 +167,13 @@ class CumulativeIntegral:
         self.rc = rc
         self.integrand = integrand
         # c_eps is smooth between the kernel ends b - h, b + h, so no panel straddles one
-        ends = np.unique([b + d for b in rc.base.breakpoints for d in (-rc.h, rc.h)])
+        # sorted and deduplicated by hand: the first np.unique call imports numpy.ma (tens of ms)
+        ends = np.array(sorted({b + d for b in rc.base.breakpoints for d in (-rc.h, rc.h)}), dtype=float)
         inside = np.searchsorted(np.ravel(rc.windows), 0.5 * (ends[:-1] + ends[1:])) % 2 == 1
         panels = [np.linspace(lo, hi, max(16, int(np.ceil((hi - lo) / (rc.h / 8.0)))) + 1)
                   for lo, hi in zip(ends[:-1][inside], ends[1:][inside])]
-        edges = np.unique(np.concatenate([[0.0], *panels]))
+        edges = np.sort(np.concatenate([[0.0], *panels]))
+        edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
         # interval k runs from x0[k] to edges[k]; k = 0 and k = len(edges) are the unbounded ends
         mid = np.concatenate([[-np.inf], 0.5 * (edges[:-1] + edges[1:]), [np.inf]])
         panel = np.searchsorted(np.ravel(rc.windows), mid) % 2 == 1

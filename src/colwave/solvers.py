@@ -11,7 +11,9 @@
   exact one-cell shift (upwinding at Courant number 1; Goupillaud 1961), done
   by indexing V by xi - t and W by xi + t.  The coupling, whose exact flow
   keeps V - W, is Strang-split around the shift on the kernel-window nodes
-  only; u follows by the trapezoid of (W - V)/2 in xi from the left boundary.
+  only, and applied once per step from the first step at which the data can
+  reach the window; u follows by the trapezoid of (W - V)/2 in xi from the
+  left boundary.
 * solve_wave_t: time-dependent speed.  The x-advection is a uniform shift, so
   each step advances the spatial Fourier modes by the exact phase
   exp(-+ i k int c dt) and applies the coupling mu(t) = c'/(2c) by its exact
@@ -27,11 +29,13 @@
   across consecutive even/odd dimensions, with the endpoint singularity
   absorbed by the rho = sin(theta) substitution.
 
-The members of every ladder (transport, wave_x, wave_t and so radial) are
-independent, and ladder_map solves them in forked worker processes, one per
+The members of every ladder are independent.  ladder_map solves those of
+transport and wave_t (and so radial) in forked worker processes, one per
 usable CPU; there is no setting.  Each member runs the same code on the same
 operands as in the serial loop, which is what runs on one usable CPU, so the
-records are bitwise the same either way.
+records are bitwise the same either way.  wave_x ladders are solved
+in-process, one member after the other: a bundled wave_x member takes tens
+of ms, about what importing, starting and stopping the pool costs.
 """
 
 from __future__ import annotations
@@ -210,7 +214,7 @@ def ladder_map(run: Callable, members) -> list:
     With one worker this is that serial loop.  Otherwise forked workers solve
     the members, smallest eps first (the costliest wave_t member; the
     costliest transport member is the coarsest, whose wider kernel windows
-    put more nodes under Newton, but one order serves every solver), and the
+    put more nodes under Newton, but one order serves both solvers), and the
     results come back pickled, in ladder order.  ``run`` may be a closure:
     the workers read it from _LADDER instead of unpickling it.  That needs
     the fork start method (a spawned worker re-imports and could not see
@@ -313,11 +317,18 @@ def solve_wave_x(
     On the uniform xi-grid with dxi = dt (n_steps = ceil(t_end / grid.dt(max a)),
     dt = t_end / n_steps) transport is a one-cell shift: V is stored by the label
     xi - t and W by xi + t, so a step moves no data.  The coupling keeps V - W, so
-    its exact flow is V += tau g (V - W), W += tau g (V - W); it is applied in two
-    halves around the shift, only on the columns of the nodes where g != 0.  Inflow
-    is zero.  u follows from u_xi = (W - V)/2 by the cumulative trapezoid, from the
-    left-boundary value, the trapezoid in t of (V + W)/2 there.  u (and V, W with
-    store_vw) go onto grid.xs by linear interpolation in xi.
+    its exact flow is V += tau g (V - W), W += tau g (V - W); it is Strang-split in
+    two halves around the shift, only on the columns of the nodes where g != 0.  The
+    second half of one step and the first of the next act on the same labels and
+    compose exactly to one coupling with tau = dxi, so each step applies one; the
+    halves stay apart where the state is read between them (at a store step, and
+    at every step when the window holds node 0, whose V and W feed the boundary
+    value of u).  Before first contact, the first step at which a nonzero V or W
+    label of the data can sit on a window node, the coupling is the identity and
+    is skipped (one step of margin is kept).  Inflow is zero.  u follows from
+    u_xi = (W - V)/2 by the cumulative trapezoid, from the left-boundary value, the
+    trapezoid in t of (V + W)/2 there.  u (and V, W with store_vw) go onto grid.xs
+    by linear interpolation in xi.  The members are solved in this process.
 
     Fields per record: "u" time-indexed slices (store_dtype), plus "v","w"
     when store_vw is set; meta "a" holds the characteristic speed on grid.xs.
@@ -353,38 +364,51 @@ def solve_wave_x(
         cols = np.flatnonzero(g)
         lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
         half_g = 0.5 * dxi * g[lo:hi]
+        full_g = dxi * g[lo:hi]
         d = np.empty(hi - lo)
 
-        def couple(k):
+        def couple(k, tau_g):
             v, w = V[lo - k + n_steps : hi - k + n_steps], W[lo + k : hi + k]
             np.subtract(v, w, out=d)
-            np.multiply(d, half_g, out=d)
+            np.multiply(d, tau_g, out=d)
             v += d
             w += d
 
         fills = {}  # step -> the store slots filled at it
         for i, k in enumerate(np.clip(np.rint(times / dxi).astype(int), 0, n_steps).tolist()):
             fills.setdefault(k, []).append(i)
+        last = max(fills)
+        # first contact: the first alignment at which a nonzero label sits on a
+        # window node (V label p on node p - n_steps + k, W label q on q - k);
+        # before it the window holds zeros and the coupling is the identity
+        pv = np.flatnonzero(V[: hi + n_steps])
+        qw = np.flatnonzero(W[lo:])
+        first = min(lo + n_steps - pv[-1] if pv.size else last, qw[0] + lo - hi + 1 if qw.size else last)
+        start = max(first - 1, 0) if hi > lo else last + 1
+        # alignments whose two half couplings stay apart, the state being read
+        # between them; alignment 0 has only the half after its read
+        split = {0, *fills} if lo else range(last + 1)
         names = ("u", "v", "w") if store_vw else ("u",)
         fields = {name: np.empty((len(times), len(xs)), dtype=store_dtype) for name in names}
         u_left = float(u0f(x[:1])[0])
         ut_left = 0.5 * (V[n_steps] + W[0])
-        for k in range(max(fills) + 1):
+        for k in range(last + 1):
             if k:
-                couple(k - 1)
-                couple(k)
+                if k >= start:
+                    couple(k, half_g if k in split else full_g)
                 ut = 0.5 * (V[n_steps - k] + W[k])
                 u_left += 0.5 * dxi * (ut_left + ut)
                 ut_left = ut
-            if k not in fills:
-                continue
-            v, w = V[n_steps - k : n_steps - k + n + 1], W[k : k + n + 1]
-            u_xi = 0.5 * (w - v)
-            u = np.concatenate([[u_left], u_left + 0.5 * dxi * np.cumsum(u_xi[1:] + u_xi[:-1])])
-            if not np.isfinite(u).all():
-                raise NumericalFailure(f"non-finite values at t={k * dxi:.4f} (eps={rc.eps})")
-            for name, f in zip(names, (u, v, w)):
-                fields[name][fills[k]] = np.interp(Cx, xi, f)
+            if k in fills:
+                v, w = V[n_steps - k : n_steps - k + n + 1], W[k : k + n + 1]
+                u_xi = 0.5 * (w - v)
+                u = np.concatenate([[u_left], u_left + 0.5 * dxi * np.cumsum(u_xi[1:] + u_xi[:-1])])
+                if not np.isfinite(u).all():
+                    raise NumericalFailure(f"non-finite values at t={k * dxi:.4f} (eps={rc.eps})")
+                for name, f in zip(names, (u, v, w)):
+                    fields[name][fills[k]] = np.interp(Cx, xi, f)
+            if start <= k < last and k in split:
+                couple(k, half_g)
         return SolutionRecord(
             eps=rc.eps,
             grid=grid,
@@ -393,7 +417,7 @@ def solve_wave_x(
             meta={"conservative": conservative, "h": rc.h, "a": a},
         )
 
-    return SolutionFamily(scenario_id, "wave_x", ladder_map(run, rcs))
+    return SolutionFamily(scenario_id, "wave_x", [run(rc) for rc in rcs])
 
 
 # --- wave equation, t-dependent speed (spectral in x) ----------------------

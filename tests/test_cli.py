@@ -217,6 +217,8 @@ REJECTED = {
     "detect_theta_nan": ("thm41", {"detect.theta": "nan"}, "'detect.theta'"),
     "associate_t0_nan": ("thm41", {"associate.t0": "nan"}, "finite associate.t0"),
     "bump_width_inf": ("ex2_tanh", {"data.u0": "bump:0.0,inf"}, "'bump:0.0,inf'"),
+    "bump_width_zero": ("ex2_tanh", {"data.u0": "bump:0.0,0"}, "'bump:0.0,0' (the width must be > 0)"),
+    "bump_width_negative": ("ex2_tanh", {"data.u0": "bump:0.0,-0.5"}, "'bump:0.0,-0.5' (the width must be > 0)"),
 }
 
 
@@ -261,7 +263,7 @@ def test_numerical_failure_exits_3_without_a_report(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "thm41" / "report.txt").exists()
 
 
-def test_numerical_failure_in_a_ladder_worker_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
+def test_numerical_failure_in_a_ladder_member_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
     # a NaN coupling coefficient turns every member's V and W non-finite in its
     # first step, inside the solver: the data at t = 0 are still finite
     monkeypatch.setattr(solvers.RegularizedCoeff, "deriv", lambda self, x, k=1: np.full_like(x, np.nan))
@@ -318,20 +320,39 @@ def test_wave_x_energy_follows_the_solved_form(conservative, tmp_path):
     assert all(float(ln.split("drift=")[1]) < 0.2 for ln in energy)
 
 
-@pytest.mark.parametrize("name", ["ex2_tanh", "corner36"])
-def test_run_leaves_scipy_unimported(name, tmp_path):
-    # importing scipy costs about 0.2 s per process, and neither run needs it
+def _python(code: str, *args: str) -> str:
+    """Standard output of a fresh interpreter running CODE with this colwave on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def _loaded_after_run(name: str, ladder: str, packages: tuple, out) -> list:
+    """[exit code, loaded modules of PACKAGES] after `colwave run NAME` in a fresh interpreter."""
     code = (
         "import sys\n"
         "from colwave.cli import main\n"
-        f"rc = main(['run', {name!r}, '--out', sys.argv[1], '--ladder-override', '0.1,0.7,4'])\n"
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"rc = main(['run', {name!r}, '--out', sys.argv[1], '--ladder-override', {ladder!r}])\n"
+        f"print(rc, sorted(m for m in sys.modules for p in {packages!r} if m == p or m.startswith(p + '.')))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["0", "[]"]
+    return _python(code, str(out)).split()
+
+
+@pytest.mark.parametrize("name", ["ex2_tanh", "corner36"])
+def test_run_leaves_scipy_unimported(name, tmp_path):
+    # importing scipy costs about 0.2 s per process, and neither run needs it
+    assert _loaded_after_run(name, "0.1,0.7,4", ("scipy",), tmp_path) == ["0", "[]"]
+
+
+@pytest.mark.parametrize("name, ladder, unused", [
+    ("thm41", "0.1,0.8,4", ("concurrent", "multiprocessing", "numpy.ma")),
+    ("corner36", "0.1,0.7,4", ("numpy.ma",)),
+])
+def test_run_leaves_unused_modules_unimported(name, ladder, unused, tmp_path):
+    # a wave_x ladder is solved in-process, so the process pool is never
+    # imported, and no antiderivative table pulls in numpy.ma (17-52 ms)
+    assert _loaded_after_run(name, ladder, unused, tmp_path) == ["0", "[]"]
 
 
 def test_validate_leaves_the_process_pool_unimported():
@@ -345,8 +366,4 @@ def test_validate_leaves_the_process_pool_unimported():
         "rc = main(['validate', 'thm41'])\n"
         "print(rc, after_import, pool())\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert out.split()[-3:] == ["0", "[]", "[]"]
+    assert _python(code).split()[-3:] == ["0", "[]", "[]"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from colwave.characteristics import CharCurve, gamma, gamma_x_partials, time_integral
-from colwave.coefficients import CoeffAntideriv, PiecewiseConstantCoeff, RegularizedCoeff
+from colwave.coefficients import CoeffAntideriv, CumulativeIntegral, PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.energy import energy_trace
 from colwave.mollifier import Mollifier, ScaleFn
 from colwave.oracle import PiecewiseTSolution
@@ -166,6 +166,97 @@ def test_wave_x_transmitted_plateau(rc_space):
     u = fam.records[0].slice_at(1.8)
     i = int(np.argmin(np.abs(g.xs - 0.3)))
     assert u[i] == pytest.approx(2.0 / 3.0, rel=2e-3)
+
+
+def _reference_wave_x(rc, u0, u1, grid, times, conservative=False):
+    """One wave_x member the plain way: every step applies the two half
+    couplings of its Strang split, from alignment 0 on.  Returns the u, v, w
+    fields, dxi, and the first alignment whose window holds a nonzero label
+    (found by looking, at every alignment, before its couplings)."""
+    ca = CumulativeIntegral(rc, "reciprocal_sqrt") if conservative else CoeffAntideriv(rc)
+    speed = (lambda x: np.sqrt(rc(x))) if conservative else rc
+    xs = grid.xs
+    n_steps = int(np.ceil(grid.t_end / grid.dt(float(np.max(speed(xs)))) - 1e-12))
+    dxi = grid.t_end / n_steps
+    Cx = ca(xs)
+    n = int(np.ceil((Cx[-1] - Cx[0]) / dxi))
+    xi = Cx[0] + dxi * np.arange(n + 1)
+    x = ca.invert(xi)
+    cp = rc.deriv(x, 1)
+    g = -0.25 * cp / speed(x) if conservative else 0.5 * cp
+    u0f = solvers._resolve(u0, rc)
+    u0_xi = np.gradient(u0f(x), dxi)
+    u1v = solvers._resolve(u1, rc)(x)
+    V = np.zeros(n + 1 + n_steps)
+    W = np.zeros_like(V)
+    V[n_steps:] = u1v - u0_xi
+    W[: n + 1] = u1v + u0_xi
+    cols = np.flatnonzero(g)
+    lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+    half_g = 0.5 * dxi * g[lo:hi]
+    first = None
+
+    def couple(k):
+        v, w = V[lo - k + n_steps : hi - k + n_steps], W[lo + k : hi + k]
+        d = (v - w) * half_g
+        v += d
+        w += d
+
+    fills = {}
+    for i, k in enumerate(np.clip(np.rint(np.asarray(times) / dxi).astype(int), 0, n_steps).tolist()):
+        fills.setdefault(k, []).append(i)
+    fields = {name: np.empty((len(times), len(xs))) for name in "uvw"}
+    u_left = float(u0f(x[:1])[0])
+    ut_left = 0.5 * (V[n_steps] + W[0])
+    for k in range(max(fills) + 1):
+        if first is None and (V[lo - k + n_steps : hi - k + n_steps].any() or W[lo + k : hi + k].any()):
+            first = k
+        if k:
+            couple(k - 1)
+            couple(k)
+            ut = 0.5 * (V[n_steps - k] + W[k])
+            u_left += 0.5 * dxi * (ut_left + ut)
+            ut_left = ut
+        if k not in fills:
+            continue
+        v, w = V[n_steps - k : n_steps - k + n + 1], W[k : k + n + 1]
+        u_xi = 0.5 * (w - v)
+        u = np.concatenate([[u_left], u_left + 0.5 * dxi * np.cumsum(u_xi[1:] + u_xi[:-1])])
+        for name, f in zip("uvw", (u, v, w)):
+            fields[name][fills[k]] = np.interp(Cx, xi, f)
+    return fields, dxi, first
+
+
+# (breakpoints, values, grid, u0, u1): where the kernel window lies and where the data start
+WAVE_X_CASES = {
+    "window_inside": ((0.0,), (1.0, 2.0), Grid1D(-2.0, 2.0, 1280, 1.5), None, delta_profile(-1.0)),
+    "data_in_window_at_t0": ((0.0,), (1.0, 2.0), Grid1D(-2.0, 2.0, 1280, 0.5),
+                             lambda x: smooth_bump(x, 0.0, 0.3), None),
+    "window_at_x_max": ((0.98,), (2.0, 1.0), Grid1D(-2.0, 1.0, 960, 0.8), None, delta_profile(0.4)),
+    "window_at_x_min": ((-0.98,), (1.0, 2.0), Grid1D(-1.0, 2.0, 960, 1.2), None, delta_profile(0.2)),
+    "constant_c": ((), (2.0,), Grid1D(-2.0, 2.0, 1280, 0.5), None, delta_profile(-1.0)),
+}
+
+
+@pytest.mark.parametrize("conservative", [False, True], ids=["nonconservative", "conservative"])
+@pytest.mark.parametrize("case", list(WAVE_X_CASES))
+def test_wave_x_matches_the_split_coupling_reference(case, conservative):
+    # one coupling with tau = dxi per alignment, two halves only where a store
+    # step reads between them, none before first contact: the same solve up to
+    # rounding, and the same bytes when there is no coupling at all
+    bps, values, g, u0, u1 = WAVE_X_CASES[case]
+    rc = RegularizedCoeff(PiecewiseConstantCoeff(bps, values, "space"), Mollifier(), ScaleFn("standard"), 0.05)
+    _, dxi, first = _reference_wave_x(rc, u0, u1, g, [g.t_end], conservative)
+    assert (first == 0) == (case == "data_in_window_at_t0")
+    t_first = (first or 0) * dxi
+    times = [0.0, t_first, t_first + 0.05 + 0.4 * dxi, g.t_end]  # the third off the step lattice
+    ref, _, _ = _reference_wave_x(rc, u0, u1, g, times, conservative)
+    rec = solve_wave_x(rc, u0, u1, g, conservative=conservative, store_times=times, store_vw=True).records[0]
+    for name in "uvw":
+        if not bps:
+            assert rec.fields[name].tobytes() == ref[name].tobytes(), name
+        err = np.max(np.abs(rec.fields[name] - ref[name]))
+        assert err <= 1e-13 * np.max(np.abs(ref[name])), (name, err)
 
 
 def test_wave_t_exact_for_constant_speed():
