@@ -50,6 +50,7 @@ from .solvers import (
     solve_transport,
     solve_wave_t,
     solve_wave_x,
+    with_support,
 )
 
 CORNER_TOL = 0.005  # relative error of the corner flow derivatives (Criterion 1)
@@ -342,6 +343,10 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
             raise ValidationError(f"field 'analyses': problem {problem!r} runs {runs}, not {a!r}")
     if problem == "radial_odd" and kv.get("data.u0", "zero") != "zero":
         raise ValidationError("radial problems require data.u0=zero")
+    if prob.grid and prob.solve is not _solve_wave and kv.get("data.u1", "zero") not in ("", "zero"):
+        # transport has no initial velocity, and radial_odd builds in its own
+        raise ValidationError(f"problem {problem!r} does not read data.u1: leave it out or set it to zero, "
+                              f"not {kv['data.u1']!r}")
     data = _data(kv, problem, coeff, grid) if prob.grid else (None, None, None)
     psi = None
     if "associate" in analyses:
@@ -393,7 +398,9 @@ def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float, conservative:
     if "corner" in asked and (bps, coeff.values) != ((0.0,), (1.0, 2.0)):
         raise ValidationError("corner closed forms need the 1 -> 2 jump at x = 0 (coefficient.values=1,2)")
     if problem in TANH:
-        if "associate" in asked and (u0 is None or isinstance(u0, PerEps)):
+        if isinstance(u0, PerEps):  # a tanh flow has no regularized coefficient to mollify a delta with
+            raise ValidationError("a tanh example takes data.u0=bump:x0,w, quadratic or zero, not a delta")
+        if "associate" in asked and u0 is None:
             raise ValidationError("associate on a tanh example needs data.u0=bump:x0,w or quadratic")
     elif asked & {"associate", "oracle_compare"} and (bps, x1, u0) != ((0.0,), -1.0, None):
         raise ValidationError("associate and oracle_compare need interface 0, data.u1=delta:-1, data.u0=zero")
@@ -442,7 +449,7 @@ def _profile(spec: str, grid: Grid1D | None):
         bm = Mollifier()
         f = lambda x: phi_eval(bm, (np.asarray(x, dtype=float) - x0) / w)
         fd = lambda x: phi_deriv(bm, (np.asarray(x, dtype=float) - x0) / w, 1) / w
-        return f, fd
+        return with_support(f, x0 - w, x0 + w), with_support(fd, x0 - w, x0 + w)
     if kind == "quadratic":  # only problems with a grid read data
         bm = Mollifier("bump")
         span = grid.x_max - grid.x_min
@@ -453,7 +460,7 @@ def _profile(spec: str, grid: Grid1D | None):
             x = np.asarray(x, dtype=float)
             return phi_antideriv(bm, (x - lo) / w) * (1.0 - phi_antideriv(bm, (x - hi) / w))
 
-        return (lambda x: 0.5 * np.asarray(x, dtype=float) ** 2 * chi(x)), None
+        return with_support(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2 * chi(x), lo - w, hi + w), None
     raise ValidationError(f"unknown data spec {spec!r}")
 
 

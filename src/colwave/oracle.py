@@ -344,9 +344,18 @@ def pair_delta_oracle(c_minus: float, c_plus: float, psi: TestFunction, n_panels
 
 
 def pair_gridded(times, xs, u, psi: TestFunction):
-    """Trapezoid <u, psi> over a stored (time x space) field."""
+    """Trapezoid <u, psi> over a stored (time x space) field, times and xs ascending.
+
+    psi is exactly 0 off its support, so only the block of stored times and
+    nodes that covers it, with one more on each side (the ends of the first
+    and last trapezoids), enters the sums.
+    """
+    (t_lo, t_hi), (x_lo, x_hi) = psi.t_support, psi.x_support
     times = np.asarray(times, dtype=float)
     xs = np.asarray(xs, dtype=float)
+    ti = slice(max(np.searchsorted(times, t_lo) - 1, 0), np.searchsorted(times, t_hi, side="right") + 1)
+    xi = slice(max(np.searchsorted(xs, x_lo) - 1, 0), np.searchsorted(xs, x_hi, side="right") + 1)
+    times, xs = times[ti], xs[xi]
     pv = psi(times[:, None], xs[None, :])
-    vals = np.trapezoid(pv * np.asarray(u, dtype=float), xs, axis=1)
+    vals = np.trapezoid(pv * np.asarray(u, dtype=float)[ti, xi], xs, axis=1)
     return float(np.trapezoid(vals, times))

@@ -1,7 +1,8 @@
 """Regularized-PDE solvers over epsilon ladders.
 
 * solve_transport: scalar transport, evaluated exactly through the
-  characteristic flow (u_eps(t,x) = u0_eps(gamma(t,x,0))), no time stepping.
+  characteristic flow (u_eps(t,x) = u0_eps(gamma(t,x,0))), no time stepping,
+  and only on the nodes whose foot can fall in the support of the data.
 * solve_wave_x: the 1D wave equation with x-dependent speed through the
   characteristic variables V = dt u - a dx u, W = dt u + a dx u; a = c for the
   non-conservative form dtt u = c^2 dxx u (coupling c'(V-W)/2 in both
@@ -30,12 +31,12 @@
   absorbed by the rho = sin(theta) substitution.
 
 The members of every ladder are independent.  ladder_map solves those of
-transport and wave_t (and so radial) in forked worker processes, one per
-usable CPU; there is no setting.  Each member runs the same code on the same
-operands as in the serial loop, which is what runs on one usable CPU, so the
-records are bitwise the same either way.  wave_x ladders are solved
-in-process, one member after the other: a bundled wave_x member takes tens
-of ms, about what importing, starting and stopping the pool costs.
+wave_t (and so radial) in forked worker processes, one per usable CPU; there
+is no setting.  Each member runs the same code on the same operands as in the
+serial loop, which is what runs on one usable CPU, so the records are bitwise
+the same either way.  wave_x and transport ladders are solved in-process, one
+member after the other: a bundled member of either takes tens of ms or less,
+about what importing, starting and stopping the pool costs.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "SolutionFamily",
     "NumericalFailure",
     "PerEps",
+    "with_support",
     "delta_profile",
     "delta_profile_deriv",
     "solve_transport",
@@ -165,23 +167,31 @@ class PerEps:
         return self.factory(rc)
 
 
+def with_support(f: Callable, lo: float, hi: float) -> Callable:
+    """f, marked as exactly +0.0 off [lo, hi] (lo > hi: everywhere).
+
+    solve_transport evaluates a profile only where its argument can fall in
+    that support; a profile without the mark has the whole line as support.
+    """
+    f.support = (lo, hi)
+    return f
+
+
 def delta_profile(x0: float) -> PerEps:
     """Imbedded delta: phi_eps(x - x0), the point mass mollified at the standard
     scale (width eps), independent of the coefficient's scale function."""
-    return PerEps(
-        lambda rc: (lambda x: phi_eval(rc.mollifier, (np.asarray(x) - x0) / rc.eps) / rc.eps)
-    )
+    return PerEps(lambda rc: with_support(
+        lambda x: phi_eval(rc.mollifier, (np.asarray(x) - x0) / rc.eps) / rc.eps, x0 - rc.eps, x0 + rc.eps))
 
 
 def delta_profile_deriv(x0: float) -> PerEps:
-    return PerEps(
-        lambda rc: (lambda x: phi_deriv(rc.mollifier, (np.asarray(x) - x0) / rc.eps, 1) / rc.eps**2)
-    )
+    return PerEps(lambda rc: with_support(
+        lambda x: phi_deriv(rc.mollifier, (np.asarray(x) - x0) / rc.eps, 1) / rc.eps**2, x0 - rc.eps, x0 + rc.eps))
 
 
 def _resolve(profile, rc):
     if profile is None:
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        return with_support(lambda x: np.zeros_like(np.asarray(x, dtype=float)), np.inf, -np.inf)
     if isinstance(profile, PerEps):
         return profile(rc)
     return profile
@@ -212,9 +222,7 @@ def ladder_map(run: Callable, members) -> list:
     """[run(m) for m in members], in min(len(members), usable CPUs) processes.
 
     With one worker this is that serial loop.  Otherwise forked workers solve
-    the members, smallest eps first (the costliest wave_t member; the
-    costliest transport member is the coarsest, whose wider kernel windows
-    put more nodes under Newton, but one order serves both solvers), and the
+    the members, smallest eps first (the costliest wave_t member), and the
     results come back pickled, in ladder order.  ``run`` may be a closure:
     the workers read it from _LADDER instead of unpickling it.  That needs
     the fork start method (a spawned worker re-imports and could not see
@@ -254,12 +262,19 @@ def solve_transport(
     """u_eps(t,x) = u0_eps(gamma_eps(t,x,0)), evaluated on the grid nodes.
 
     ``curves`` is a CharCurve, a RegularizedCoeff (wrapped as its x-dependent
-    flow), or a sequence of either (one per ladder member).
+    flow), or a sequence of either (one per ladder member), solved in this
+    process one after the other.
 
     Given ``u0_deriv``, the analytic dx u = u0'(gamma) * dx gamma is also
     stored as field "ux" (chain rule, no differencing) -- grid differences
     cannot resolve gradient layers exponentially thinner than dx, which is
     exactly the regime of the tanh speeds.
+
+    The profiles are exactly +0.0 off the hull [lo, hi] of their supports
+    (with_support), and the flow keeps the order of points, so at time t only
+    the nodes between the images gamma(0, lo, t) and gamma(0, hi, t), widened
+    by one node on each side against rounding, can hold a nonzero value.  The
+    foot, u and ux are computed on that slice only, into zeroed rows.
     """
     if not isinstance(curves, (list, tuple)):
         curves = [curves]
@@ -275,26 +290,31 @@ def solve_transport(
             cv = CharCurve.x_dependent(CoeffAntideriv(rc))
         elif cv.kind == "x_dependent":
             rc = cv.antideriv.rc
+        prof, dprof = _resolve(u0, rc), _resolve(u0_deriv, rc)
+        sups = [getattr(f, "support", (-np.inf, np.inf)) for f in (prof, dprof)]
+        lo, hi = min(s[0] for s in sups), max(s[1] for s in sups)
+        ends = gamma(cv, 0.0, np.repeat([lo, hi], len(times)), np.tile(times, 2)).reshape(2, -1)
+        first = np.maximum(np.searchsorted(xs, ends[0], side="left") - 1, 0)
+        stop = np.minimum(np.searchsorted(xs, ends[1], side="right") + 1, len(xs))
         if rc is not None:  # gamma(t, x, 0) = C^-1(C(x) - t), C(x) taken once
             ca = cv.antideriv
             Cx = ca(xs)
             cx = rc(xs) if u0_deriv is not None else None
-        prof = _resolve(u0, rc)
-        u = np.empty((len(times), len(xs)))
+        u = np.zeros((len(times), len(xs)))
         fields = {"u": u}
         if u0_deriv is not None:
-            dprof = _resolve(u0_deriv, rc)
-            fields["ux"] = np.empty_like(u)
+            fields["ux"] = np.zeros_like(u)
         for i, t in enumerate(times):
-            foot = ca.invert(Cx - t) if rc is not None else gamma(cv, t, xs, 0.0)
-            u[i] = prof(foot)
+            sl = slice(first[i], stop[i])
+            foot = ca.invert(Cx[sl] - t) if rc is not None else gamma(cv, t, xs[sl], 0.0)
+            u[i, sl] = prof(foot)
             if u0_deriv is not None:
-                g1 = rc(foot) / cx if rc is not None else gamma_x_partials(cv, t, xs)[0]
-                fields["ux"][i] = dprof(foot) * g1
+                g1 = rc(foot) / cx[sl] if rc is not None else gamma_x_partials(cv, t, xs[sl])[0]
+                fields["ux"][i, sl] = dprof(foot) * g1
         eps = rc.eps if rc is not None else cv.eps
         return SolutionRecord(eps=eps, grid=grid, times=times, fields=fields)
 
-    return SolutionFamily(scenario_id, "transport", ladder_map(run, curves))
+    return SolutionFamily(scenario_id, "transport", [run(cv) for cv in curves])
 
 
 # --- wave equation, x-dependent speed --------------------------------------

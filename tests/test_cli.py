@@ -219,6 +219,12 @@ REJECTED = {
     "bump_width_inf": ("ex2_tanh", {"data.u0": "bump:0.0,inf"}, "'bump:0.0,inf'"),
     "bump_width_zero": ("ex2_tanh", {"data.u0": "bump:0.0,0"}, "'bump:0.0,0' (the width must be > 0)"),
     "bump_width_negative": ("ex2_tanh", {"data.u0": "bump:0.0,-0.5"}, "'bump:0.0,-0.5' (the width must be > 0)"),
+    "transport_u1": ("thm41", {"problem": "transport", "analyses": None, "data.u1": "delta:0"},
+                     "does not read data.u1"),
+    "tanh_example_2_u1": ("ex2_tanh", {"data.u1": "delta:0"}, "does not read data.u1"),
+    "tanh_example_3_u1": ("ex3_tanh", {"data.u1": "bump:0.0,0.3"}, "does not read data.u1"),
+    "radial_odd_u1": ("thm45_d3", {"data.u1": "bump:1.0,0.3"}, "does not read data.u1"),
+    "tanh_delta_data": ("ex3_tanh", {"data.u0": "delta:0.0", "analyses": None}, "not a delta"),
 }
 
 
@@ -272,14 +278,19 @@ def test_numerical_failure_in_a_ladder_member_exits_3_without_a_report(tmp_path,
     assert not (tmp_path / "thm41" / "report.txt").exists()
 
 
-def test_newton_failure_in_a_transport_worker_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
+TRANSPORT_SCN = (
+    "id=tr\nproblem=transport\ncoefficient.variable=space\ncoefficient.breakpoints=0.0\n"
+    "coefficient.values=1.0,2.0\nladder.eps0=0.1\nladder.ratio=0.7\nladder.count=4\n"
+    "grid.x_min=-2.0\ngrid.x_max=2.0\ngrid.nx=auto\ngrid.t_end=0.5\ndata.u0=bump:-0.5,0.5\n"
+)
+
+
+def test_newton_failure_in_a_transport_member_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
     scn = tmp_path / "tr.scn"
-    scn.write_text(
-        "id=tr\nproblem=transport\ncoefficient.variable=space\ncoefficient.breakpoints=0.0\n"
-        "coefficient.values=1.0,2.0\nladder.eps0=0.1\nladder.ratio=0.7\nladder.count=4\n"
-        "grid.x_min=-2.0\ngrid.x_max=2.0\ngrid.nx=auto\ngrid.t_end=0.5\ndata.u0=bump:-0.5,0.5\n"
-    )
-    # the feet that land in a kernel panel need more than one Newton step
+    scn.write_text(TRANSPORT_SCN)
+    # the data's support [-1, 0] holds the kernel window [-h, h] of the jump,
+    # so feet inside the computed slice land in a kernel panel, where they
+    # need more than one Newton step
     monkeypatch.setattr(coefficients, "_NEWTON_MAX_ITER", 1)
     assert main(["run", str(scn), "--out", str(tmp_path), "--ladder-override", "0.1,0.7,4"]) == 3
     assert "numerical failure: CumulativeIntegral.invert: no convergence" in capsys.readouterr().err
@@ -348,11 +359,16 @@ def test_run_leaves_scipy_unimported(name, tmp_path):
 @pytest.mark.parametrize("name, ladder, unused", [
     ("thm41", "0.1,0.8,4", ("concurrent", "multiprocessing", "numpy.ma")),
     ("corner36", "0.1,0.7,4", ("numpy.ma",)),
+    ("ex2_tanh", "0.1,0.7,4", ("concurrent", "multiprocessing", "numpy.ma")),
+    ("tr", "0.1,0.7,4", ("concurrent", "multiprocessing", "numpy.ma")),
 ])
 def test_run_leaves_unused_modules_unimported(name, ladder, unused, tmp_path):
-    # a wave_x ladder is solved in-process, so the process pool is never
-    # imported, and no antiderivative table pulls in numpy.ma (17-52 ms)
-    assert _loaded_after_run(name, ladder, unused, tmp_path) == ["0", "[]"]
+    # wave_x and transport ladders are solved in-process, so the process pool
+    # is never imported, and no antiderivative table pulls in numpy.ma (17-52 ms)
+    if name == "tr":
+        name = str(tmp_path / "tr.scn")
+        Path(name).write_text(TRANSPORT_SCN)
+    assert _loaded_after_run(name, ladder, unused, tmp_path / "out") == ["0", "[]"]
 
 
 def test_validate_leaves_the_process_pool_unimported():

@@ -263,6 +263,19 @@ def test_pair_delta_oracle_matches_loop_reference(psi, speeds):
     assert got == _pair_delta_oracle_loop(*speeds, TestFunction(*psi), n_panels=25)
 
 
+@pytest.mark.parametrize("psi", [
+    TestFunction(0.5, 0.0, 0.3),  # inside, no edge on a node
+    TestFunction(0.5, 0.25, 0.25),  # t and x support edges on stored times and nodes
+    TestFunction(0.25, -1.75, 0.25),  # the first stored time and the first node
+    TestFunction(0.75, 1.75, 0.25),  # the last stored time and the last node
+])
+def test_pair_gridded_sums_over_the_support_block_only(psi):
+    times, xs = np.linspace(0.0, 1.0, 17), np.linspace(-2.0, 2.0, 257)
+    u = np.cos(3.0 * xs)[None, :] * (1.0 + times)[:, None]
+    full = np.trapezoid(np.trapezoid(psi(times[:, None], xs[None, :]) * u, xs, axis=1), times)
+    assert pair_gridded(times, xs, u, psi) == pytest.approx(full, rel=1e-15, abs=0.0)
+
+
 def test_associate_check_pass_and_fail():
     eps = 0.1 * 0.7 ** np.arange(10)
     good = 1.0 + 0.05 * eps

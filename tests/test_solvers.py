@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from colwave.characteristics import CharCurve, gamma, gamma_x_partials, time_integral
+from colwave.cli import _profile
 from colwave.coefficients import CoeffAntideriv, CumulativeIntegral, PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.energy import energy_trace
 from colwave.mollifier import Mollifier, ScaleFn
@@ -22,6 +23,7 @@ from colwave.solvers import (
     solve_wave_t,
     solve_wave_x,
     spherical_oracle,
+    with_support,
 )
 from colwave import solvers
 
@@ -474,6 +476,76 @@ def test_transport_ladder_matches_one_member_solves():
             foot = gamma(cv, t, g.xs, 0.0)
             assert rec.fields["u"][i].tobytes() == np.sin(foot).tobytes()
             assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * gamma_x_partials(cv, t, g.xs)[0]).tobytes()
+
+
+# Data of the support-slice tests, as the command line builds them.  On the
+# grid below (dx = 1/256) every bump and quadratic support edge is a node.
+# At t = 0 the tanh flows map the nodes -+1.421875 one ulp into
+# [-1.421875, 1.421875], where u0' is 6e-16: only the one-node margin keeps
+# those nodes in the slice.
+SLICE_DATA = {
+    "bump": "bump:-0.5,0.25",
+    "bump_edge_rounds_inward": "bump:0.0,1.421875",
+    "bump_straddles_x_min": "bump:-2.0,0.375",
+    "bump_straddles_x_max": "bump:1.875,0.25",
+    "bump_enters_the_grid": "bump:-3.0,0.5",
+    "bump_off_the_grid": "bump:6.0,0.5",
+    "delta": "delta:-0.5",
+    "delta_at_x_max": "delta:2.0",
+    "quadratic": "quadratic",
+    "zero": "zero",
+}
+
+
+@pytest.mark.parametrize("data", list(SLICE_DATA))
+@pytest.mark.parametrize("kind", ["tanh_minus", "tanh_plus", "x_dependent"])
+def test_transport_computes_only_the_slice_the_data_can_reach(kind, data):
+    eps, times = 0.07, [0.0, 0.25, 1.0]
+    g = Grid1D(-2.0, 2.0, 1024, 1.0)
+    base = PiecewiseConstantCoeff((-0.8, 0.0, 0.9), (1.0, 2.0, 0.7, 1.4), "space")
+    rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), eps)
+    u0, u0d = _profile(SLICE_DATA[data], g)
+    if kind == "x_dependent":
+        member, cv = rc, CharCurve.x_dependent(CoeffAntideriv(rc))
+    else:  # a tanh flow has no coefficient to resolve delta data with: resolve it here
+        member = cv = getattr(CharCurve, kind)(eps)
+        u0, u0d = (solvers._resolve(f, rc) if isinstance(f, solvers.PerEps) else f for f in (u0, u0d))
+    prof = solvers._resolve(u0, rc)
+    evaluated = []
+    counted = with_support(lambda x: evaluated.append(len(x)) or prof(x), *prof.support)
+    (rec,) = solve_transport(member, counted, g, store_times=times, u0_deriv=u0d).records
+    for i, t in enumerate(times):
+        foot = gamma(cv, t, g.xs, 0.0)
+        want = {"u": prof(foot)}
+        if u0d is not None:
+            g1 = rc(foot) / rc(g.xs) if kind == "x_dependent" else gamma_x_partials(cv, t, g.xs)[0]
+            want["ux"] = solvers._resolve(u0d, rc)(foot) * g1
+        assert sorted(rec.fields) == sorted(want)
+        for name, ref in want.items():
+            got = rec.fields[name][i]
+            if kind == "x_dependent":  # Newton's stopping test sees fewer points
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+            else:
+                assert got.tobytes() == ref.tobytes(), name
+            off = ref == 0.0
+            assert not np.signbit(got[off]).any() and (got[off] == 0.0).all(), name
+        # the slice holds the nodes whose foot is in the support, and one more on each side
+        lo, hi = prof.support
+        assert evaluated[i] <= np.count_nonzero((lo <= foot) & (foot <= hi)) + 2
+    if data in ("zero", "bump_off_the_grid"):
+        assert max(evaluated) <= 1
+
+
+def test_transport_slice_is_the_hull_of_both_supports():
+    # u0' without a support mark has the whole line as its support, so ux is
+    # computed at every node even though u0 is one narrow bump
+    cv, g, times = CharCurve.tanh_plus(0.05), Grid1D(-2.0, 2.0, 512, 1.0), [0.0, 0.5]
+    u0 = with_support(lambda x: smooth_bump(x, -0.5, 0.1), -0.6, -0.4)
+    (rec,) = solve_transport(cv, u0, g, store_times=times, u0_deriv=np.cos).records
+    for i, t in enumerate(times):
+        foot = gamma(cv, t, g.xs, 0.0)
+        assert rec.fields["u"][i].tobytes() == u0(foot).tobytes()
+        assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * gamma_x_partials(cv, t, g.xs)[0]).tobytes()
 
 
 class _Member:
