@@ -28,6 +28,7 @@ from .detector import classify, predict_singsupp, report_csv, report_svg, verdic
 from .energy import energy_trace, gronwall_bound, trace_csv
 from .mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_antideriv, phi_deriv, phi_eval
 from .oracle import (
+    DeltaInterface,
     TestFunction,
     associate_check,
     delta_jump_locus,
@@ -50,6 +51,7 @@ from .solvers import (
     solve_transport,
     solve_wave_t,
     solve_wave_x,
+    speed_impedance,
     with_support,
 )
 
@@ -85,6 +87,12 @@ class Scenario:
     def rcs(self) -> list:
         return [RegularizedCoeff(self.coefficient, self.mollifier, self.scale, e) for e in self.ladder]
 
+    @cached_property
+    def interface(self) -> DeltaInterface:
+        """wave_x: speed and impedance on each side of the one breakpoint, and the data.u1 delta."""
+        (am, zm), (ap, zp) = (speed_impedance(c, self.opts["solver.conservative"]) for c in self.coefficient.values)
+        return DeltaInterface(am, ap, zm, zp, self.coefficient.breakpoints[0], _delta_x0(self.raw["data.u1"]))
+
     @property
     def store_times(self):
         times = self.opts["solver.store_times"]
@@ -116,10 +124,14 @@ def _solve_radial_odd(scn: Scenario):
 # --- analyses: Scenario, family, output directory -> report.txt line(s) -----
 
 def _detect(scn: Scenario, fam, outdir: Path) -> str:
-    kv, kind = scn.raw, PROBLEMS[scn.problem].detect_kind
-    (c0, c1), (b,) = scn.coefficient.values, scn.coefficient.breakpoints
-    where = {"x0": _delta_x0(kv["data.u1"])} if kind == "x_jump_delta" else {"t_jump": b}
-    rays = predict_singsupp(kind, c0=c0, c1=c1, standard_scale=scn.scale.kind == "standard", **where)
+    kind = PROBLEMS[scn.problem].detect_kind
+    if kind == "x_jump_delta":
+        m = scn.interface
+        where = dict(c0=m.a_minus, c1=m.a_plus, interface=m.b, x0=m.x0)
+    else:  # the point data of u0 and u1 sit at one x0 (_check_geometry); x = 0 without any
+        (c0, c1), (b,) = scn.coefficient.values, scn.coefficient.breakpoints
+        where = dict(c0=c0, c1=c1, t_jump=b, x0=min(_point_data(scn.raw), default=0.0))
+    rays = predict_singsupp(kind, standard_scale=scn.scale.kind == "standard", **where)
     o = scn.opts
     rep = classify(fam, rays, h_fn=scn.scale, times=o["detect.times"], theta=o["detect.theta"],
                    alpha_hi=o["detect.alpha_hi"], t_skip=o["detect.t_skip"])
@@ -131,15 +143,11 @@ def _detect(scn: Scenario, fam, outdir: Path) -> str:
 
 def _energy(scn: Scenario, fam, outdir: Path) -> str:
     lines = []
-    if scn.coefficient.variable == "time":
-        form = "nonconservative_t"
-    else:
-        form = "conservative_x" if scn.opts["solver.conservative"] else "nonconservative_x"
     for rec, rc in zip(fam, scn.rcs):
-        tr = energy_trace(rec, form)
+        tr = energy_trace(rec)
         trace_csv(tr, outdir / f"energy_eps{rec.eps:.6g}.csv")
         line = f"energy eps={rec.eps:.4g} drift={tr.max_relative_drift:.3e}"
-        if form == "nonconservative_t":
+        if scn.coefficient.variable == "time":
             bound = gronwall_bound(rc, scn.grid.t_end)
             ok = bool(np.all(tr.E <= tr.E[0] * bound * (1.0 + 1e-6)))
             line += f" gronwall={'PASS' if ok else 'FAIL'} bound={bound:.4g}"
@@ -155,22 +163,21 @@ def _associate(scn: Scenario, fam, outdir: Path) -> str:
         g = limit(tt[:, None], xx[None, :]) * psi(tt[:, None], xx[None, :])
         target = float(np.trapezoid(np.trapezoid(g, xx, axis=1), tt))
     else:
-        target = pair_delta_oracle(*scn.coefficient.values, psi)
+        target = pair_delta_oracle(scn.interface, psi)
     pairings = [pair_gridded(r.times, r.xs, r.fields["u"], psi) for r in fam]
     v = associate_check(fam.eps_values, pairings, target)
     return f"associate={'PASS' if v.passed else 'FAIL'} final_err={v.errors[-1]:.3e}"
 
 
 def _oracle_compare(scn: Scenario, fam, outdir: Path) -> str:
-    cm, cp = scn.coefficient.values
     rec = fam.records[-1]
     t = float(rec.times[int(0.8 * len(rec.times))])
     mask = np.ones(rec.xs.shape, dtype=bool)
     h = rec.meta.get("h", rec.eps)
-    for _, curve, (t_min, t_max) in delta_jump_locus(cm, cp):
+    for _, curve, (t_min, t_max) in delta_jump_locus(scn.interface):
         if t_min <= t <= t_max:
             mask &= np.abs(rec.xs - float(curve(t))) > 4 * h
-    off_ray = np.abs(rec.slice_at(t) - delta_solution_eval(cm, cp, t, rec.xs))[mask]
+    off_ray = np.abs(rec.slice_at(t) - delta_solution_eval(scn.interface, t, rec.xs))[mask]
     err = float(np.max(off_ray)) if off_ray.size else np.nan  # nan: the masks cover the grid
     return f"oracle_compare t={t:.3g} off_ray_err={err:.3e}"
 
@@ -380,19 +387,19 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
 def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float, conservative: bool):
     """Reject analyses whose rays, oracles or bounds cannot model the scenario."""
     kind, bps = PROBLEMS[problem].detect_kind, coeff.breakpoints if coeff else None
-    x0, x1 = (_delta_x0(kv.get(k, "zero")) for k in ("data.u0", "data.u1"))
+    x1, points = _delta_x0(kv.get("data.u1", "zero")), _point_data(kv)
     if bps is not None and asked & {"detect", "associate", "oracle_compare"} and len(bps) != 1:
         raise ValidationError("detect, associate and oracle_compare need exactly one coefficient breakpoint")
-    if problem == "wave_x" and conservative and asked & {"detect", "associate", "oracle_compare"}:
-        raise ValidationError("solver.conservative=true moves at sqrt(c), but the rays and the delta oracle of "
-                              "detect, associate and oracle_compare assume the non-conservative speed a = c")
     if "detect" in asked:
         if (kv.get("detect.kind") or kind) != kind:
             raise ValidationError(f"field 'detect.kind': problem {problem!r} is scored with {kind!r}")
-        if kind == "x_jump_delta" and not (bps == (0.0,) and x1 is not None and x1 < 0.0):
-            raise ValidationError("x_jump_delta rays need interface 0 and data.u1=delta:x0, x0 < 0")
-        if kind == "t_jump" and {x0, x1} - {None, 0.0}:
-            raise ValidationError("detect.kind=t_jump rays need point data at x = 0")
+        if kind == "x_jump_delta" and conservative:
+            raise ValidationError("solver.conservative=true moves at a = sqrt(c), and the reflected-ray rule of the "
+                                  "x_jump_delta lower set is derived only for the non-conservative form, a = c")
+        if kind == "t_jump" and len(points) > 1:
+            raise ValidationError("t_jump rays need the data.u0 and data.u1 deltas at one x0")
+    if problem == "wave_x" and asked & {"detect", "associate", "oracle_compare"} and (x1 is None or x1 >= bps[0]):
+        raise ValidationError("x_jump_delta rays and the delta oracle need data.u1=delta:x0 with x0 < b, the interface")
     if "energy" in asked and coeff.variable == "time" and np.any(np.diff(bps) < 2.0 * h0):
         raise ValidationError("energy: kernel neighbourhoods of the time breakpoints overlap at ladder.eps0")
     if "corner" in asked and (bps, coeff.values) != ((0.0,), (1.0, 2.0)):
@@ -402,8 +409,13 @@ def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float, conservative:
             raise ValidationError("a tanh example takes data.u0=bump:x0,w, quadratic or zero, not a delta")
         if "associate" in asked and u0 is None:
             raise ValidationError("associate on a tanh example needs data.u0=bump:x0,w or quadratic")
-    elif asked & {"associate", "oracle_compare"} and (bps, x1, u0) != ((0.0,), -1.0, None):
-        raise ValidationError("associate and oracle_compare need interface 0, data.u1=delta:-1, data.u0=zero")
+    elif asked & {"associate", "oracle_compare"} and u0 is not None:
+        raise ValidationError("associate and oracle_compare need data.u0=zero: the delta-data oracle starts from u = 0")
+
+
+def _point_data(kv) -> set:
+    """x0 of each 'delta:x0' spec among data.u0 and data.u1."""
+    return {x for x in (_delta_x0(kv.get(k, "zero")) for k in ("data.u0", "data.u1")) if x is not None}
 
 
 def _delta_x0(spec: str) -> float | None:

@@ -228,55 +228,48 @@ def classify(
 
 # --- ray predictions --------------------------------------------------------
 
-def predict_singsupp(kind: str, *, c0: float, c1: float, standard_scale: bool,
-                     x0: Optional[float] = None, t_jump: Optional[float] = None) -> list:
+def predict_singsupp(kind: str, *, c0: float, c1: float, standard_scale: bool, x0: Optional[float] = None,
+                     interface: Optional[float] = None, t_jump: Optional[float] = None) -> list:
     """Predicted singular-support rays for the supported scenario families.
 
-    kind = "x_jump_delta": speed jump c0 -> c1 at x=0, delta data at x0 < 0.
-      Rays: incident left/right, reflected (standard scale only, and only when
-      2 < sqrt(c0/c1) + sqrt(c1/c0) < 4), transmitted.
-    kind = "t_jump": speed jump c0 -> c1 at t_jump, point data at origin.
-      Rays: transmitted +-T(t); refracted +-(2T(t_jump) - T(t)) (standard
-      scale only).
-    kind = "radial_odd": same ray set in |x| = r >= 0.
-    The geometry value the kind needs (x0, or t_jump) has no default.
+    kind = "x_jump_delta": speed jump c0 -> c1 at x = interface, delta data at
+      x0 < interface.  Rays: incident left/right, reflected (standard scale only,
+      and only when 2 < sqrt(c0/c1) + sqrt(c1/c0) < 4), transmitted.
+    kind = "t_jump": speed jump c0 -> c1 at t_jump, point data at x0.  Rays:
+      transmitted x0 +- T(t); refracted x0 +- (2T(t_jump) - T(t)) (standard scale only).
+    kind = "radial_odd": the t_jump rays of point data at r = 0, in |x| = r >= 0.
+    The geometry values the kind needs have no default.
     """
     if kind == "x_jump_delta":
-        if x0 is None:
-            raise ValueError("x_jump_delta rays need the delta position x0")
-        tc = -x0 / c0  # arrival time at the interface
+        if x0 is None or interface is None:
+            raise ValueError("x_jump_delta rays need the interface and the delta position x0")
+        tc = (interface - x0) / c0  # arrival time at the interface
         rays = [
             RaySegment("incident_left", lambda t: x0 - c0 * np.asarray(t, dtype=float), 0.0, np.inf),
             RaySegment("incident_right", lambda t: x0 + c0 * np.asarray(t, dtype=float), 0.0, tc),
-            RaySegment(
-                "transmitted", lambda t: c1 * (np.asarray(t, dtype=float) - tc), tc, np.inf
-            ),
+            RaySegment("transmitted", lambda t: interface + c1 * (np.asarray(t, dtype=float) - tc), tc, np.inf),
         ]
-        cond = math.sqrt(c0 / c1) + math.sqrt(c1 / c0)
-        if standard_scale and 2.0 < cond < 4.0:
-            rays.insert(
-                2,
-                RaySegment(
-                    "reflected", lambda t: -x0 - c0 * np.asarray(t, dtype=float), tc, np.inf
-                ),
-            )
+        if standard_scale and 2.0 < math.sqrt(c0 / c1) + math.sqrt(c1 / c0) < 4.0:
+            reflected = lambda t: (2.0 * interface - x0) - c0 * np.asarray(t, dtype=float)
+            rays.insert(2, RaySegment("reflected", reflected, tc, np.inf))
         return rays
     if kind in ("t_jump", "radial_odd"):
-        if t_jump is None:
-            raise ValueError(f"{kind} rays need the jump time t_jump")
+        x0 = 0.0 if kind == "radial_odd" else x0
+        if t_jump is None or x0 is None:
+            raise ValueError(f"{kind} rays need the jump time t_jump and the point data position x0")
 
         def T(t):
             t = np.asarray(t, dtype=float)
             return np.where(t <= t_jump, c0 * t, c0 * t_jump + c1 * (t - t_jump))
 
         rays = [
-            RaySegment("transmitted+", lambda t: T(t), 0.0, np.inf),
-            RaySegment("transmitted-", lambda t: -T(t), 0.0, np.inf),
+            RaySegment("transmitted+", lambda t: x0 + T(t), 0.0, np.inf),
+            RaySegment("transmitted-", lambda t: x0 - T(t), 0.0, np.inf),
         ]
         if standard_scale:
             rays += [
-                RaySegment("refracted+", lambda t: 2.0 * T(t_jump) - T(t), t_jump, np.inf),
-                RaySegment("refracted-", lambda t: -(2.0 * T(t_jump) - T(t)), t_jump, np.inf),
+                RaySegment("refracted+", lambda t: x0 + (2.0 * T(t_jump) - T(t)), t_jump, np.inf),
+                RaySegment("refracted-", lambda t: x0 - (2.0 * T(t_jump) - T(t)), t_jump, np.inf),
             ]
         if kind == "radial_odd":
             # r >= 0: keep the positive-side rays; the refracted shell collapses

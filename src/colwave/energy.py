@@ -1,24 +1,23 @@
-"""Discrete energy functionals and their conservation / growth checks.
+"""Discrete energy functional and its conservation / growth checks.
 
-Each form is a trapezoid sum over the V/W slices the solver stores
-(V = dt u - a dx u, W = dt u + a dx u), so no re-differencing of u is involved.
+Every wave form here is rho u_tt = (K u_x)_x with speed a = sqrt(K/rho), and its
+energy is one trapezoid sum over the V/W slices the solver stores
+(V = dt u - a dx u, W = dt u + a dx u), so no re-differencing of u is involved:
 
-* conservative_x, dtt u = dx(c dx u) with a = sqrt(c):
-  E(t) = sum (|dt u|^2 + c |dx u|^2) dx = sum (V^2 + W^2)/2 dx, exactly conserved.
-* nonconservative_x, dtt u = c^2 dxx u with a = c:
-  E(t) = sum (|dt u|^2/c^2 + |dx u|^2) dx = sum (V^2 + W^2)/(2 c^2) dx, exactly
-  conserved (multiply by dt u/c^2 and integrate by parts); the functional of
-  the conservative form is not, and grows across the interface.
-* nonconservative_t, dtt u = c(t)^2 dxx u with a = c(t):
-  E(t) = sum (|dt u|^2 + c(t)^2 |dx u|^2) dx = sum (V^2 + W^2)/2 dx obeys
-  dE/dt = 2 c c' int |dx u|^2 <= (2|c'|/c) E, hence the Gronwall bound
+  E(t) = sum (rho |dt u|^2 + K |dx u|^2) dx = sum rho (V^2 + W^2)/2 dx,
 
-    E(t) <= E(0) * exp(int_0^t 2|c_eps'(s)|/c_eps(s) ds) = E(0) * exp(2 TV_[0,t](log c_eps)).
+with rho = Z/a from the record's meta "rho" (rho = 1 for a record without it).
 
-  c_eps is monotone inside each kernel neighbourhood [b_i - h, b_i + h] and
-  constant between them, so while they do not overlap the total variation
-  after all jumps is sum |log(v_{i+1}/v_i)|, uniform in eps: (c1/c0)^2 for one
-  jump.
+wave_x conserves E exactly in both forms: rho = 1/c^2 for dtt u = c^2 dxx u
+(multiply by dt u/c^2 and integrate by parts), rho = 1 for dtt u = dx(c dx u).
+wave_t, dtt u = c(t)^2 dxx u, has rho = 1 and dE/dt = 2 c c' int |dx u|^2
+<= (2|c'|/c) E, hence the Gronwall bound
+
+  E(t) <= E(0) * exp(int_0^t 2|c_eps'(s)|/c_eps(s) ds) = E(0) * exp(2 TV_[0,t](log c_eps)).
+
+c_eps is monotone inside each kernel neighbourhood [b_i - h, b_i + h] and
+constant between them, so while they do not overlap the total variation after
+all jumps is sum |log(v_{i+1}/v_i)|, uniform in eps: (c1/c0)^2 for one jump.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
 @dataclass
 class EnergyTrace:
     eps: float
-    form: str
     times: np.ndarray
     E: np.ndarray
 
@@ -51,26 +49,15 @@ class EnergyTrace:
         return float(np.max(np.abs(self.E - self.E[0])) / self.E[0])
 
 
-FORMS = ("conservative_x", "nonconservative_x", "nonconservative_t")
-
-
-def energy_trace(rec: SolutionRecord, form: str) -> EnergyTrace:
-    """E(t) from the stored V/W slices (trapezoid-in-x sums).
-
-    "conservative_x" and "nonconservative_t": E = sum(V^2 + W^2)/2 dx;
-    "nonconservative_x": E = sum(V^2 + W^2)/(2 c^2) dx, c = rec.meta["a"].
-    """
-    if form not in FORMS:
-        raise ValueError(f"unknown energy form {form!r}")
+def energy_trace(rec: SolutionRecord) -> EnergyTrace:
+    """E(t) = sum rho (V^2 + W^2)/2 dx (trapezoid in x) from the stored V/W slices."""
     if "v" not in rec.fields or "w" not in rec.fields:
         raise ValueError("record lacks v/w fields; re-run the solver with store_vw")
     v = np.asarray(rec.fields["v"], dtype=float)
     w = np.asarray(rec.fields["w"], dtype=float)
-    dens = 0.5 * (v**2 + w**2)
-    if form == "nonconservative_x":
-        dens /= rec.meta["a"] ** 2
+    dens = 0.5 * (v**2 + w**2) * rec.meta.get("rho", 1.0)
     E = np.trapezoid(dens, dx=rec.grid.dx, axis=1)
-    return EnergyTrace(eps=rec.eps, form=form, times=np.asarray(rec.times), E=E)
+    return EnergyTrace(eps=rec.eps, times=np.asarray(rec.times), E=E)
 
 
 def gronwall_bound(rc: RegularizedCoeff, t) -> np.ndarray:

@@ -9,8 +9,9 @@
       w_- = 2c_-/(c_+ + c_-) w_+  +  (c_+ - c_-)/(c_+ + c_-) v_-
 
   encodes the transmission/reflection coefficients.
-* delta_solution_eval: the same problem with u0 = 0, u1 = delta(x+1), reduced
-  to an explicit piecewise-Heaviside formula for u itself.
+* DeltaInterface / delta_solution_eval: u0 = 0, u1 = delta(x - x0) left of
+  one interface b of rho u_tt = (K u_x)_x, for any speeds a and impedances Z,
+  reduced to an explicit piecewise-Heaviside formula for u itself.
 * piecewise_t_solution: the speed jump in time (c0 -> c1 at t = 1); d'Alembert
   below, re-expansion above with continuity of (u, dt u).  The interface
   amplitudes follow from that 2x2 matching: each family re-expands with
@@ -21,6 +22,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,9 +33,11 @@ from .mollifier import Mollifier, phi_antideriv, phi_eval
 __all__ = [
     "ConnectedSolution",
     "connected_eval",
+    "DeltaInterface",
     "delta_solution_eval",
     "delta_jump_locus",
     "delta_plateau",
+    "reflect_transmit",
     "PiecewiseTSolution",
     "TestFunction",
     "AssociationVerdict",
@@ -133,35 +137,44 @@ def transmission_residuals(cs: ConnectedSolution, t):
     return r1, r2
 
 
-def delta_solution_eval(c_minus: float, c_plus: float, t, x):
-    """u for u0 = 0, u1 = delta(x+1) across the jump at x = 0."""
+# u0 = 0, u1 = delta(x - x0) left of x = b, where the speed a and the impedance Z jump
+# from a_minus, z_minus to a_plus, z_plus; u and K u_x are continuous at b
+DeltaInterface = namedtuple("DeltaInterface", "a_minus a_plus z_minus z_plus b x0")
+
+
+def reflect_transmit(m: DeltaInterface):
+    """(R, T) = ((Z- - Z+)/(Z- + Z+), 1 + R): the amplitudes a front of u leaves at b."""
+    R = (m.z_minus - m.z_plus) / (m.z_minus + m.z_plus)
+    return R, 1.0 + R
+
+
+def delta_solution_eval(m: DeltaInterface, t, x):
+    """u of m: the box 1/(2 a-) between x0 -+ a- t, R and T times it behind the reflected and transmitted fronts."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     t, x = np.broadcast_arrays(t, x)
-    cm, cp = c_minus, c_plus
-    S = cm + cp
-    H = _heaviside
-    left = (1.0 / (2.0 * cm)) * (
-        H(-x + cm * t - 1.0) * H(x + cm * t + 1.0) + ((cp - cm) / S) * H(x + cm * t - 1.0)
-    )
-    right = (1.0 / (2.0 * cm)) * (2.0 * cp / S) * H(-x + cp * t - cp / cm)
-    out = np.where(x < 0.0, left, np.where(x > 0.0, right, 0.5 * (left + right)))
+    am, ap, _, _, b, x0 = m
+    (R, T), H = reflect_transmit(m), _heaviside
+    left = (1.0 / (2.0 * am)) * (H(-x + am * t + x0) * H(x + am * t - x0) + R * H(x + am * t - (2.0 * b - x0)))
+    right = (1.0 / (2.0 * am)) * T * H(-x + ap * t - (ap * (b - x0) / am - b))
+    out = np.where(x < b, left, np.where(x > b, right, 0.5 * (left + right)))
     return out if out.ndim else float(out)
 
 
-def delta_plateau(c_minus: float, c_plus: float) -> float:
-    """Common value of u in the sector above the ray crossing."""
-    return c_plus / (c_minus * (c_plus + c_minus))
+def delta_plateau(m: DeltaInterface) -> float:
+    """Common value T/(2 a-) of u in the sector above the ray crossing."""
+    return reflect_transmit(m)[1] / (2.0 * m.a_minus)
 
 
-def delta_jump_locus(c_minus: float, c_plus: float):
+def delta_jump_locus(m: DeltaInterface):
     """Jump lines of delta_solution_eval as (label, x(t), t-range) triples."""
-    cm, cp = c_minus, c_plus
+    am, ap, _, _, b, x0 = m
+    L = b - x0  # the incident front reaches b at t = L/a-
     return [
-        ("incident_left", lambda t: -1.0 - cm * np.asarray(t, dtype=float), (0.0, np.inf)),
-        ("incident_right", lambda t: -1.0 + cm * np.asarray(t, dtype=float), (0.0, 1.0 / cm)),
-        ("reflected", lambda t: 1.0 - cm * np.asarray(t, dtype=float), (1.0 / cm, np.inf)),
-        ("transmitted", lambda t: -cp / cm + cp * np.asarray(t, dtype=float), (1.0 / cm, np.inf)),
+        ("incident_left", lambda t: x0 - am * np.asarray(t, dtype=float), (0.0, np.inf)),
+        ("incident_right", lambda t: x0 + am * np.asarray(t, dtype=float), (0.0, L / am)),
+        ("reflected", lambda t: (2.0 * b - x0) - am * np.asarray(t, dtype=float), (L / am, np.inf)),
+        ("transmitted", lambda t: b - ap * L / am + ap * np.asarray(t, dtype=float), (L / am, np.inf)),
     ]
 
 
@@ -308,7 +321,7 @@ def associate_check(
     return AssociationVerdict(eps, e, tol, decreasing and small, "; ".join(reason))
 
 
-def pair_delta_oracle(c_minus: float, c_plus: float, psi: TestFunction, n_panels: int = 200):
+def pair_delta_oracle(m: DeltaInterface, psi: TestFunction, n_panels: int = 200):
     """<u, psi> for the delta-data oracle by exact x-integration per time panel.
 
     For fixed t, u(t,·) is piecewise constant; the x-integral against psi is a
@@ -316,7 +329,6 @@ def pair_delta_oracle(c_minus: float, c_plus: float, psi: TestFunction, n_panels
     t-integral is piecewise smooth with a few moving-breakpoint kinks and is
     done by dense Gauss-Legendre panels.
     """
-    cm, cp = c_minus, c_plus
     t_lo, t_hi = psi.t_support
     t_lo = max(t_lo, 0.0)
     if t_hi <= t_lo:
@@ -326,10 +338,9 @@ def pair_delta_oracle(c_minus: float, c_plus: float, psi: TestFunction, n_panels
     a, b = edges[:-1, None], edges[1:, None]
     t = (0.5 * (a + b) + 0.5 * (b - a) * nodes).ravel()
     # u(t, .) is constant between the sorted breakpoints of each node
-    bps = np.sort(np.column_stack([-1.0 - cm * t, -1.0 + cm * t, 1.0 - cm * t, -cp / cm + cp * t,
-                                   np.zeros_like(t)]), axis=1)
+    bps = np.sort(np.column_stack([curve(t) for _, curve, _ in delta_jump_locus(m)] + [np.full_like(t, m.b)]), axis=1)
     mid = np.column_stack([bps[:, 0] - 1.0, 0.5 * (bps[:, :-1] + bps[:, 1:]), bps[:, -1] + 1.0])
-    val = delta_solution_eval(cm, cp, t[:, None], mid)
+    val = delta_solution_eval(m, t[:, None], mid)
     F = psi.x_antideriv(t[:, None], bps)
     hi = np.column_stack([F, psi.x_antideriv(t, 1e30)])
     lo = np.column_stack([np.zeros_like(t), F])

@@ -3,18 +3,17 @@
 * solve_transport: scalar transport, evaluated exactly through the
   characteristic flow (u_eps(t,x) = u0_eps(gamma(t,x,0))), no time stepping,
   and only on the nodes whose foot can fall in the support of the data.
-* solve_wave_x: the 1D wave equation with x-dependent speed through the
-  characteristic variables V = dt u - a dx u, W = dt u + a dx u; a = c for the
-  non-conservative form dtt u = c^2 dxx u (coupling c'(V-W)/2 in both
-  equations) and a = sqrt(c) for the conservative form dtt u = dx(c dx u)
-  (coupling a'(W-V)/2).  In the travel time xi = int dx/a both families move
-  at unit speed, so on a uniform xi-grid with step dxi = dt transport is an
-  exact one-cell shift (upwinding at Courant number 1; Goupillaud 1961), done
-  by indexing V by xi - t and W by xi + t.  The coupling, whose exact flow
-  keeps V - W, is Strang-split around the shift on the kernel-window nodes
-  only, and applied once per step from the first step at which the data can
-  reach the window; u follows by the trapezoid of (W - V)/2 in xi from the
-  left boundary.
+* solve_wave_x: rho u_tt = (K u_x)_x through V = dt u - a dx u, W = dt u + a dx u
+  with coupling g (V - W), g = -d(log Z)/dxi / 2 in both equations; its two
+  forms differ only in the speed a and impedance Z (speed_impedance): c and 1/c
+  for dtt u = c^2 dxx u, both sqrt(c) for dtt u = dx(c dx u).  In the travel
+  time xi = int dx/a both families move at unit speed, so on a uniform xi-grid
+  with step dxi = dt transport is an exact one-cell shift (upwinding at Courant
+  number 1; Goupillaud 1961), done by indexing V by xi - t and W by xi + t.
+  The coupling, whose exact flow keeps V - W, is Strang-split around the shift
+  on the kernel-window nodes only, and applied once per step from the first
+  step at which the data can reach the window; u follows by the trapezoid of
+  (W - V)/2 in xi from the left boundary.
 * solve_wave_t: time-dependent speed.  The x-advection is a uniform shift, so
   each step advances the spatial Fourier modes by the exact phase
   exp(-+ i k int c dt) and applies the coupling mu(t) = c'/(2c) by its exact
@@ -59,6 +58,7 @@ __all__ = [
     "SolutionFamily",
     "NumericalFailure",
     "PerEps",
+    "speed_impedance",
     "with_support",
     "delta_profile",
     "delta_profile_deriv",
@@ -319,6 +319,11 @@ def solve_transport(
 
 # --- wave equation, x-dependent speed --------------------------------------
 
+def speed_impedance(c, conservative: bool):
+    """(a, Z) = (sqrt(K/rho), sqrt(K rho)) at c: (c, 1/c) for dtt u = c^2 dxx u, (sqrt(c), sqrt(c)) for dx(c dx u)."""
+    return (np.sqrt(c),) * 2 if conservative else (c, 1.0 / c)
+
+
 def solve_wave_x(
     rcs,
     u0,
@@ -351,7 +356,8 @@ def solve_wave_x(
     by linear interpolation in xi.  The members are solved in this process.
 
     Fields per record: "u" time-indexed slices (store_dtype), plus "v","w"
-    when store_vw is set; meta "a" holds the characteristic speed on grid.xs.
+    when store_vw is set; meta "a" and "rho" hold the characteristic speed and
+    the density rho = Z/a of the energy functional on grid.xs.
     """
     if not isinstance(rcs, (list, tuple)):
         rcs = [rcs]
@@ -363,18 +369,17 @@ def solve_wave_x(
     def run(rc: RegularizedCoeff) -> SolutionRecord:
         grid.check_resolution(rc.h)
         ca = CumulativeIntegral(rc, "reciprocal_sqrt") if conservative else CoeffAntideriv(rc)
-        speed = (lambda x: np.sqrt(rc(x))) if conservative else rc
-        a = speed(xs)
+        a, z = speed_impedance(rc(xs), conservative)
         n_steps = int(np.ceil(grid.t_end / grid.dt(float(np.max(a))) - 1e-12))
         dxi = grid.t_end / n_steps
         Cx = ca(xs)
         n = int(np.ceil((Cx[-1] - Cx[0]) / dxi))
         xi = Cx[0] + dxi * np.arange(n + 1)
         x = ca.invert(xi)
-        cp = rc.deriv(x, 1)
-        g = -0.25 * cp / speed(x) if conservative else 0.5 * cp
+        ax, cp = speed_impedance(rc(x), conservative)[0], rc.deriv(x, 1)
+        g = -0.25 * cp / ax if conservative else 0.5 * cp
         u0f = _resolve(u0, rc)
-        u0_xi = speed(x) * _resolve(u0_deriv, rc)(x) if u0_deriv is not None else np.gradient(u0f(x), dxi)
+        u0_xi = ax * _resolve(u0_deriv, rc)(x) if u0_deriv is not None else np.gradient(u0f(x), dxi)
         u1v = _resolve(u1, rc)(x)
         # node j at step k holds V[j - k + n_steps] and W[j + k]
         V = np.zeros(n + 1 + n_steps)
@@ -434,7 +439,7 @@ def solve_wave_x(
             grid=grid,
             times=times,
             fields=fields,
-            meta={"conservative": conservative, "h": rc.h, "a": a},
+            meta={"h": rc.h, "a": a, "rho": z / a},
         )
 
     return SolutionFamily(scenario_id, "wave_x", [run(rc) for rc in rcs])

@@ -16,6 +16,7 @@ from colwave.energy import energy_trace
 from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_eval
 from colwave.oracle import (
     ConnectedSolution,
+    DeltaInterface,
     TestFunction,
     associate_check,
     delta_jump_locus,
@@ -42,6 +43,8 @@ MOLL = Mollifier()
 STD = ScaleFn("standard")
 SLOW = ScaleFn("slow_scale", p=4.0)
 X_BASE = PiecewiseConstantCoeff((0.0,), (1.0, 2.0), "space")
+# its delta-data problem, non-conservative form (a = c, Z = 1/c), delta at x = -1
+XJUMP_DELTA = DeltaInterface(1.0, 2.0, 1.0, 0.5, 0.0, -1.0)
 T_BASE = PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time")
 
 
@@ -220,7 +223,7 @@ def test_criterion_04_energy_conservation():
             [rc], None, lambda x: _bump(x, -1.0, 0.3), grid, conservative=True,
             store_times=np.linspace(0.0, 3.0, 61), store_vw=True,
         )
-        drifts[nx] = energy_trace(fam.records[0], "conservative_x").max_relative_drift
+        drifts[nx] = energy_trace(fam.records[0]).max_relative_drift
     ratio = drifts[4096] / drifts[8192]
     ok = drifts[8192] <= 1e-3 and 2.0 <= ratio <= 8.0
     _report(4, ok, f"drift {drifts[8192]:.2e} at finest grid (<= 1e-3); "
@@ -249,7 +252,7 @@ def test_criterion_05_x_jump_ray_geometry(fam_xjump_std):
         for lab, pts in XJUMP_RAY_POINTS.items()
     }
     quiet_exc = max(_excess(fam_xjump_std, STD, p) for p in XJUMP_QUIET_POINTS)
-    rays = predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=True, x0=-1.0)
+    rays = predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=True, interface=0.0, x0=-1.0)
     rep = classify(fam_xjump_std, rays, h_fn=STD, times=[0.6, 1.2, 1.5, 1.8, 2.1], t_skip=0.1)
     ok = (
         all(e >= 0.5 for e in ray_exc.values())
@@ -266,7 +269,7 @@ def test_criterion_06_slow_scale_suppresses_reflection(fam_xjump_slow):
     refl = max(_excess(fam_xjump_slow, SLOW, p) for p in XJUMP_RAY_POINTS["reflected"])
     # the surviving rays (both incident branches and the transmitted ray) must
     # still be flagged; the detector's own verdict is authoritative here
-    rays = predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=False, x0=-1.0)
+    rays = predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=False, interface=0.0, x0=-1.0)
     rep = classify(fam_xjump_slow, rays, h_fn=SLOW, times=[0.6, 1.2, 1.5, 1.8, 2.1], t_skip=0.1)
     ok = (
         refl <= 0.2
@@ -302,7 +305,7 @@ def test_criterion_07_t_jump_dichotomy(fam_tjump_singular, fam_tjump_matched, fa
 
 def test_criterion_08_association_and_amplitudes(fam_xjump_std):
     psi = TestFunction(1.4, 0.8, 0.3)  # straddles the transmitted front
-    target = pair_delta_oracle(1.0, 2.0, psi)
+    target = pair_delta_oracle(XJUMP_DELTA, psi)
     v = associate_check(
         fam_xjump_std.eps_values,
         [pair_gridded(r.times, r.xs, r.fields["u"], psi) for r in fam_xjump_std],
@@ -400,9 +403,9 @@ def test_criterion_11_oracle_self_consistency():
     res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
     identity = (cs.transmit - cs.reflect) == 1.0
 
-    locus = delta_jump_locus(1.0, 2.0)
+    locus = delta_jump_locus(XJUMP_DELTA)
     rays = {r.label: r for r in predict_singsupp(
-        "x_jump_delta", c0=1.0, c1=2.0, standard_scale=True, x0=-1.0
+        "x_jump_delta", c0=1.0, c1=2.0, standard_scale=True, interface=0.0, x0=-1.0
     )}
     same_sets = sorted(rays) == sorted(lab for lab, _, _ in locus)
     worst = 0.0

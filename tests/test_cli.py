@@ -8,6 +8,7 @@ import pytest
 
 from colwave import cli, coefficients, solvers
 from colwave.cli import ValidationError, bundled_scenarios, main, parse_scenario
+from colwave.oracle import pair_gridded
 from colwave.solvers import NumericalFailure, load_family
 
 ABEL_SCN = """\
@@ -153,7 +154,7 @@ NO_COEFF = dict.fromkeys(("coefficient.variable", "coefficient.breakpoints", "co
 
 # (bundled scenario, key changes, expected fragment of the error message)
 REJECTED = {
-    "x_interface_off_zero": ("thm41", {"coefficient.breakpoints": "0.5"}, "x_jump_delta"),
+    "detect_delta_at_interface": ("thm41", {"coefficient.breakpoints": "-1.0"}, "x0 < b"),
     "radial_energy": ("thm45_d3", {"analyses": "detect,energy"}, "'energy'"),
     "tanh_without_grid": ("ex2_tanh", NO_GRID, "grid"),
     "wave_t_space_coefficient": ("thm43a", {"coefficient.variable": "space"}, "coefficient.variable=time"),
@@ -165,14 +166,17 @@ REJECTED = {
     "wave_t_oracle_compare": ("thm43a", {"analyses": "oracle_compare"}, "'oracle_compare'"),
     "malformed_data": ("thm41", {"data.u0": "foo:1"}, "'foo:1'"),
     "malformed_delta": ("thm43a", {"data.u1": "delta:left"}, "'delta:left'"),
-    "associate_interface_off_zero": ("appendix_assoc", {"coefficient.breakpoints": "0.5"}, "interface 0"),
-    "oracle_delta_off_minus_one": ("appendix_assoc", {"data.u1": "delta:-0.5"}, "delta:-1"),
+    "associate_delta_right_of_interface": ("appendix_assoc", {"coefficient.breakpoints": "-1.5",
+                                                              "analyses": "associate"}, "x0 < b"),
+    "oracle_compare_delta_at_interface": ("appendix_assoc", {"data.u1": "delta:0.0", "analyses": "oracle_compare"},
+                                          "x0 < b"),
+    "associate_nonzero_u0": ("appendix_assoc", {"data.u0": "bump:-2.0,0.3"}, "data.u0=zero"),
     "detect_two_time_jumps": ("thm43a", {"coefficient.breakpoints": "0.6,1.2",
                                          "coefficient.values": "1.0,2.0,1.0"}, "one coefficient breakpoint"),
     "system_problem": ("thm41", {"problem": "system", "analyses": None}, "problem"),
     "x_jump_detect_bump_data": ("thm41", {"data.u1": "bump:-1.0,0.3"}, "x_jump_delta"),
     "x_jump_delta_right_of_interface": ("thm42", {"data.u1": "delta:0.5"}, "x_jump_delta"),
-    "t_jump_delta_off_origin": ("prop42", {"data.u1": "delta:0.5"}, "x = 0"),
+    "t_jump_point_data_at_two_points": ("prop42", {"data.u0": "delta:0.0", "data.u1": "delta:0.5"}, "one x0"),
     "detect_kind_of_other_problem": ("thm43a", {"detect.kind": "radial_odd"}, "detect.kind"),
     "matched_on_wave_x": ("thm41", {"data.u0": "delta:-1.0", "data.u1": "matched", "analyses": None},
                           "matched"),
@@ -200,9 +204,6 @@ REJECTED = {
     "malformed_delta_without_grid": ("corner36", {"data.u1": "delta:x"}, "'delta:x'"),
     "corner_other_jump": ("corner36", {"coefficient.values": "1.0,3.0"}, "1 -> 2 jump at x = 0"),
     "conservative_detect": ("thm41", {"solver.conservative": "true", "analyses": "detect"}, "a = c"),
-    "conservative_associate": ("thm41", {"solver.conservative": "true", "analyses": "associate"}, "a = c"),
-    "conservative_oracle_compare": ("thm41", {"solver.conservative": "true", "analyses": "oracle_compare"},
-                                    "a = c"),
     "corner_times_empty": ("corner36", {"corner.times": ""}, "'corner.times'"),
     "corner_times_nan": ("corner36", {"corner.times": "nan"}, "'corner.times'"),
     "corner_times_zero": ("corner36", {"corner.times": "0,0.5"}, "'corner.times'"),
@@ -246,6 +247,70 @@ def test_t_jump_detection_scored_at_the_scenario_jump(tmp_path):
     scn.write_text(_edited("thm43a", {"id": "tjump06", "coefficient.breakpoints": "0.6"}))
     assert main(["run", str(scn), "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 0
     assert "detect precision=1.000 recall=1.000" in (tmp_path / "tjump06" / "report.txt").read_text()
+
+
+def _run(tmp_path, name: str, changes: dict) -> Path:
+    """Output directory of `colwave run` of bundled NAME with CHANGES (which set its id) at ladder 0.1,0.8,4."""
+    scn = tmp_path / f"{changes['id']}.scn"
+    scn.write_text(_edited(name, changes))
+    assert main(["run", str(scn), "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 0
+    return tmp_path / changes["id"]
+
+
+def _detect_columns(outdir: Path):
+    """(x, flagged, slope_excess) columns of detect.csv."""
+    rows = np.loadtxt(outdir / "detect.csv", delimiter=",", skiprows=1)
+    return rows[:, 1], rows[:, 2], rows[:, 3]
+
+
+def _assert_translated(base: Path, moved: Path, s: float):
+    (x0, f0, e0), (x1, f1, e1) = _detect_columns(base), _detect_columns(moved)
+    assert np.allclose(x1, x0 + s, rtol=0.0, atol=1e-9)
+    assert np.array_equal(f1, f0) and f0.sum() > 0
+    assert np.max(np.abs(e1 - e0)) <= 1e-9
+    assert (moved / "detect_verdict.txt").read_text() == (base / "detect_verdict.txt").read_text()
+
+
+def _shift(value: str, s: float) -> str:
+    return repr(float(value) + s)
+
+
+@pytest.mark.parametrize("s", [0.4, -0.37, 1.3])
+def test_wave_x_verdicts_follow_a_translation(s, tmp_path):
+    # interface, delta, grid and test function moved by s: the same flags,
+    # slope excess and pairings, up to the rounding of the moved nodes
+    kv = dict(line.split("=", 1) for line in _edited("thm41", {}).splitlines() if "=" in line)
+    moved = {k: _shift(kv[k], s) for k in ("coefficient.breakpoints", "grid.x_min", "grid.x_max", "associate.x0")}
+    moved.update(id="moved", **{"data.u1": f"delta:{_shift(kv['data.u1'].removeprefix('delta:'), s)}"})
+    base, out = _run(tmp_path, "thm41", {"id": "base"}), _run(tmp_path, "thm41", moved)
+    _assert_translated(base, out, s)
+    scn = {d: parse_scenario(tmp_path / f"{d.name}.scn") for d in (base, out)}
+    for a, b in zip(load_family(base / "family"), load_family(out / "family")):
+        pa, pb = (pair_gridded(r.times, r.xs, r.fields["u"], scn[d].psi) for r, d in ((a, base), (b, out)))
+        assert pb == pytest.approx(pa, rel=1e-9)
+    # detect, associate and oracle_compare lines: the oracle moves with the scenario
+    assert (out / "report.txt").read_text().splitlines()[1:] == (base / "report.txt").read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("s", [0.37, 1.0, -2.5])
+def test_t_jump_verdicts_follow_a_translation(s, tmp_path):
+    # grid and point data moved by s: the rays start at the moved delta
+    moved = {"id": "moved", "data.u1": f"delta:{s!r}", "grid.x_min": repr(-8.0 + s), "grid.x_max": repr(8.0 + s)}
+    _assert_translated(_run(tmp_path, "thm43a", {"id": "base"}), _run(tmp_path, "thm43a", moved), s)
+
+
+def test_t_jump_rays_start_at_the_point_data(tmp_path):
+    out = _run(tmp_path, "thm43a", {"id": "off", "data.u1": "delta:0.37"})
+    assert "detect precision=1.000 recall=1.000" in (out / "report.txt").read_text()
+
+
+def test_conservative_delta_problem_associates_and_matches_its_oracle(tmp_path):
+    # a = Z = sqrt(c): the plateau above the crossing is T/(2 a-) = Z-/(Z- + Z+)
+    out = _run(tmp_path, "thm41", {"id": "cons", "solver.conservative": "true", "analyses": "associate,oracle_compare"})
+    _, assoc, oracle = (out / "report.txt").read_text().splitlines()[1:]
+    assert assoc.startswith("associate=PASS")
+    plateau = 1.0 / (1.0 + np.sqrt(2.0))
+    assert float(oracle.split("off_ray_err=")[1]) <= 0.01 * plateau
 
 
 def test_gronwall_bound_of_an_up_down_time_jump(tmp_path):

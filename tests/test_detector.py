@@ -123,7 +123,7 @@ def test_running_max_matches_scipy_maximum_filter(n):
 
 
 def test_predict_x_jump_geometry():
-    rays = {r.label: r for r in predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=True, x0=-1.0)}
+    rays = {r.label: r for r in _x_rays()}
     assert set(rays) == {"incident_left", "incident_right", "reflected", "transmitted"}
     assert float(rays["incident_left"].curve(0.6)) == pytest.approx(-1.6)
     assert float(rays["incident_right"].curve(0.6)) == pytest.approx(-0.4)
@@ -133,21 +133,47 @@ def test_predict_x_jump_geometry():
     assert float(rays["transmitted"].curve(1.8)) == pytest.approx(1.6)
 
 
+@pytest.mark.parametrize("interface, x0", [(0.4, -0.3), (-0.25, -1.5)])
+def test_predict_x_jump_rays_follow_the_interface_and_the_delta(interface, x0):
+    # the incident pair starts at x0, reaches the interface at tc = (b - x0)/c0,
+    # and the reflected and transmitted rays leave it there
+    got = {r.label: r for r in predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=True,
+                                                interface=interface, x0=x0)}
+    tc = interface - x0
+    assert got["incident_right"].t_max == got["reflected"].t_min == got["transmitted"].t_min == pytest.approx(tc)
+    for label in ("incident_right", "reflected", "transmitted"):
+        assert float(got[label].curve(tc)) == pytest.approx(interface, abs=1e-15), label
+    assert float(got["reflected"].curve(tc + 0.5)) == pytest.approx(interface - 0.5)
+    assert float(got["transmitted"].curve(tc + 0.5)) == pytest.approx(interface + 1.0)
+    assert float(got["incident_left"].curve(0.5)) == pytest.approx(x0 - 0.5)
+
+
+def test_predict_t_jump_rays_start_at_the_point_data():
+    at_0 = predict_singsupp("t_jump", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0, x0=0.0)
+    at_s = predict_singsupp("t_jump", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0, x0=0.37)
+    ts = np.linspace(0.0, 2.0, 9)
+    for r0, rs in zip(at_0, at_s):
+        assert (r0.label, r0.t_min, r0.t_max) == (rs.label, rs.t_min, rs.t_max)
+        assert np.allclose(rs.curve(ts), r0.curve(ts) + 0.37, rtol=0.0, atol=1e-15), r0.label
+
+
 def test_predict_x_jump_condition_gates_reflection():
     # sqrt(20) + sqrt(1/20) > 4: no reflected ray predicted
-    labels = {r.label for r in predict_singsupp("x_jump_delta", c0=1.0, c1=20.0, standard_scale=True, x0=-1.0)}
+    labels = {r.label for r in predict_singsupp("x_jump_delta", c0=1.0, c1=20.0, standard_scale=True, interface=0.0,
+                                                x0=-1.0)}
     assert "reflected" not in labels
     # slow scale: no reflected ray either
-    labels = {r.label for r in predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=False, x0=-1.0)}
+    labels = {r.label for r in predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=False, interface=0.0,
+                                                x0=-1.0)}
     assert "reflected" not in labels
 
 
 def test_predict_t_jump_geometry():
-    rays = {r.label: r for r in predict_singsupp("t_jump", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0)}
+    rays = {r.label: r for r in predict_singsupp("t_jump", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0, x0=0.0)}
     assert float(rays["transmitted+"].curve(1.5)) == pytest.approx(2.0)
     assert float(rays["refracted+"].curve(1.5)) == pytest.approx(0.0)
     assert float(rays["refracted-"].curve(1.8)) == pytest.approx(0.6)
-    slow = {r.label for r in predict_singsupp("t_jump", c0=1.0, c1=2.0, standard_scale=False, t_jump=1.0)}
+    slow = {r.label for r in predict_singsupp("t_jump", c0=1.0, c1=2.0, standard_scale=False, t_jump=1.0, x0=0.0)}
     assert slow == {"transmitted+", "transmitted-"}
 
 
@@ -165,9 +191,10 @@ def test_predict_unknown_kind():
         predict_singsupp("spherical_harmonics", c0=1.0, c1=2.0, standard_scale=True)
 
 
-@pytest.mark.parametrize("kind, missing", [("x_jump_delta", "x0"), ("t_jump", "t_jump"), ("radial_odd", "t_jump")])
+@pytest.mark.parametrize("kind, missing", [("x_jump_delta", "x0"), ("x_jump_delta", "interface"), ("t_jump", "t_jump"),
+                                           ("t_jump", "x0"), ("radial_odd", "t_jump")])
 def test_predict_needs_the_kind_geometry(kind, missing):
-    geometry = {"x0": -1.0, "t_jump": 1.0}
+    geometry = {"x0": -1.0, "interface": 0.0, "t_jump": 1.0}
     del geometry[missing]
     with pytest.raises(ValueError, match=missing):
         predict_singsupp(kind, c0=1.0, c1=2.0, standard_scale=True, **geometry)
@@ -380,7 +407,7 @@ def _radial_family():
 
 
 def _x_rays():
-    return predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=True, x0=-1.0)
+    return predict_singsupp("x_jump_delta", c0=1.0, c1=2.0, standard_scale=True, interface=0.0, x0=-1.0)
 
 
 def _front():

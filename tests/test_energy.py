@@ -42,32 +42,26 @@ def conservative_record():
 
 
 def test_conservative_energy_drift_small(conservative_record):
-    tr = energy_trace(conservative_record, "conservative_x")
+    tr = energy_trace(conservative_record)
     assert tr.E[0] > 0.0
     assert tr.max_relative_drift < 1e-3
 
 
 def test_energy_matches_direct_sum(conservative_record):
     rec = conservative_record
-    tr = energy_trace(rec, "conservative_x")
+    tr = energy_trace(rec)
     v = rec.fields["v"][3]
     w = rec.fields["w"][3]
     direct = float(np.trapezoid(0.5 * (v**2 + w**2), dx=rec.grid.dx))
     assert tr.E[3] == pytest.approx(direct, rel=1e-12)
     assert tr.eps == rec.eps
-    assert tr.form == "conservative_x"
-
-
-def test_energy_trace_rejects_unknown_form(conservative_record):
-    with pytest.raises(ValueError):
-        energy_trace(conservative_record, "conservative")
 
 
 def test_energy_trace_requires_vw():
     g = Grid1D(-4.0, 4.0, 2048, 0.2)
     fam = solve_wave_x(_rc("space"), None, lambda x: smooth_bump(x, -1.5, 0.4), g)
     with pytest.raises(ValueError):
-        energy_trace(fam.records[0], "conservative_x")
+        energy_trace(fam.records[0])
 
 
 def test_gronwall_bound_closed_form():
@@ -100,16 +94,17 @@ def test_nonconservative_x_energy_is_the_conserved_one():
         _rc("space"), None, lambda x: smooth_bump(x, -1.5, 0.4), g,
         store_times=np.linspace(0.0, 2.0, 21), store_vw=True,
     )
-    tr = energy_trace(fam.records[0], "nonconservative_x")
-    assert tr.form == "nonconservative_x"
+    rec = fam.records[0]
+    assert np.array_equal(rec.meta["rho"], 1.0 / rec.meta["a"] / rec.meta["a"])
+    tr = energy_trace(rec)
     assert tr.max_relative_drift < 1e-3
-    wrong = energy_trace(fam.records[0], "conservative_x")
-    assert wrong.E[-1] > 2.0 * wrong.E[0]
+    wrong = np.trapezoid(0.5 * (rec.fields["v"] ** 2 + rec.fields["w"] ** 2), dx=rec.grid.dx, axis=1)
+    assert wrong[-1] > 2.0 * wrong[0]
 
 
 def test_trace_csv_format(tmp_path):
     tr = EnergyTrace(
-        eps=0.1, form="conservative_x", times=np.array([0.0, 0.5]), E=np.array([1.0, 1.000001])
+        eps=0.1, times=np.array([0.0, 0.5]), E=np.array([1.0, 1.000001])
     )
     out = tmp_path / "trace.csv"
     trace_csv(tr, out)

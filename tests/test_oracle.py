@@ -4,6 +4,7 @@ import pytest
 from colwave.oracle import (
     AssociationVerdict,
     ConnectedSolution,
+    DeltaInterface,
     PiecewiseTSolution,
     TestFunction,
     associate_check,
@@ -13,10 +14,19 @@ from colwave.oracle import (
     delta_solution_eval,
     pair_delta_oracle,
     pair_gridded,
+    reflect_transmit,
     three_region_limit,
     transmission_residuals,
     two_region_limit,
 )
+
+
+def _xjump(cm, cp, b=0.0, x0=-1.0):
+    """The non-conservative delta problem: a = c, Z = 1/c."""
+    return DeltaInterface(cm, cp, 1.0 / cm, 1.0 / cp, b, x0)
+
+
+XJ = _xjump(1.0, 2.0)
 
 
 def smooth_bump(x, x0=0.0, w=1.0):
@@ -99,11 +109,42 @@ def test_connected_u_matches_independent_quadrature(cs):
 
 
 def test_delta_plateau_value():
-    assert delta_plateau(1.0, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert delta_plateau(XJ) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    # the conservative form, a = Z = sqrt(c): T/(2 a-) = Z-/(Z- + Z+)
+    cons = DeltaInterface(1.0, np.sqrt(2.0), 1.0, np.sqrt(2.0), 0.0, -1.0)
+    assert delta_plateau(cons) == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)), rel=1e-15)
+
+
+def test_delta_interface_coefficients_by_impedance():
+    # Z = 1/c gives the speed-form coefficients (c+ - c-)/(c+ + c-) and 2c+/(c+ + c-)
+    for cm, cp in ((1.0, 2.0), (2.0, 1.0), (1.0, 1.5)):
+        R, T = reflect_transmit(_xjump(cm, cp))
+        assert R == pytest.approx((cp - cm) / (cp + cm), rel=1e-15)
+        assert T == pytest.approx(2.0 * cp / (cp + cm), rel=1e-15)
+    # at the bundled speeds they are the same doubles
+    assert reflect_transmit(XJ) == (1.0 / 3.0, 4.0 / 3.0)
+
+
+@pytest.mark.parametrize("m", [_xjump(1.0, 2.0, 0.4, -0.3), DeltaInterface(1.0, 2.0**0.5, 1.0, 2.0**0.5, -0.25, -1.5)],
+                         ids=["nonconservative", "conservative"])
+def test_delta_solution_follows_the_interface_and_the_delta(m):
+    # the same solution as a problem with b = 0, shifted by b and started later by
+    # the extra travel time; on either side of each front the values agree
+    am, ap, L = m.a_minus, m.a_plus, m.b - m.x0
+    at_zero = DeltaInterface(am, ap, m.z_minus, m.z_plus, 0.0, -L)
+    ts = np.array([0.3, 0.9, 1.7, 2.4])
+    xs = np.linspace(-4.0, 4.0, 161) + 1e-3
+    assert np.array_equal(delta_solution_eval(m, ts[:, None], xs + m.b), delta_solution_eval(at_zero, ts[:, None], xs))
+    locus = {lbl: f for lbl, f, _ in delta_jump_locus(m)}
+    for lbl, f, _ in delta_jump_locus(at_zero):
+        assert np.allclose(locus[lbl](ts), f(ts) + m.b, rtol=0.0, atol=1e-14), lbl
+    psi = TestFunction(1.8, 0.3, 0.15)
+    shifted = TestFunction(1.8, 0.3 + m.b, 0.15)
+    assert pair_delta_oracle(m, shifted) == pytest.approx(pair_delta_oracle(at_zero, psi), rel=1e-12)
 
 
 def test_delta_solution_regions():
-    u = lambda t, x: delta_solution_eval(1.0, 2.0, t, x)
+    u = lambda t, x: delta_solution_eval(XJ, t, x)
     # before reaching the interface: expanding step of height 1/(2 c_minus)
     assert u(0.3, -1.0) == pytest.approx(0.5)
     assert u(0.3, -2.0) == 0.0
@@ -117,7 +158,7 @@ def test_delta_solution_regions():
 
 
 def test_delta_solution_jump_locus_matches_rays():
-    locus = dict((lbl, (f, rng)) for lbl, f, rng in delta_jump_locus(1.0, 2.0))
+    locus = dict((lbl, (f, rng)) for lbl, f, rng in delta_jump_locus(XJ))
     f, rng = locus["incident_left"]
     assert f(0.6) == pytest.approx(-1.6)
     f, rng = locus["incident_right"]
@@ -133,7 +174,7 @@ def test_delta_solution_jump_locus_matches_rays():
         t = 1.5 if rng[1] == np.inf else 0.5 * (rng[0] + rng[1])
         x = float(f(t))
         jump = abs(
-            delta_solution_eval(1.0, 2.0, t, x + 1e-6) - delta_solution_eval(1.0, 2.0, t, x - 1e-6)
+            delta_solution_eval(XJ, t, x + 1e-6) - delta_solution_eval(XJ, t, x - 1e-6)
         )
         assert jump > 0.05, lbl
 
@@ -216,17 +257,17 @@ def test_testfunction_x_antideriv():
 
 def test_pair_delta_oracle_vs_dense_quadrature():
     psi = TestFunction(1.4, -0.5, 0.3)
-    got = pair_delta_oracle(1.0, 2.0, psi)
+    got = pair_delta_oracle(XJ, psi)
     ts = np.linspace(*psi.t_support, 801)
     xs = np.linspace(-3.5, 2.7, 4001)
-    u = delta_solution_eval(1.0, 2.0, ts[:, None], xs[None, :])
+    u = delta_solution_eval(XJ, ts[:, None], xs[None, :])
     ref = pair_gridded(ts, xs, u * 0 + u, psi)
     assert got == pytest.approx(ref, abs=5e-6)
 
 
 def test_pair_delta_oracle_plateau_region():
     psi = TestFunction(1.8, 0.3, 0.15)
-    assert pair_delta_oracle(1.0, 2.0, psi) == pytest.approx(2.0 / 3.0, abs=1e-10)
+    assert pair_delta_oracle(XJ, psi) == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
 def _pair_delta_oracle_loop(cm, cp, psi, n_panels):
@@ -240,7 +281,7 @@ def _pair_delta_oracle_loop(cm, cp, psi, n_panels):
         acc = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             midx = 0.5 * (a + b) if np.isfinite(a) and np.isfinite(b) else (b - 1.0 if np.isfinite(b) else a + 1.0)
-            val = delta_solution_eval(cm, cp, t, midx)
+            val = delta_solution_eval(_xjump(cm, cp), t, midx)
             if val == 0.0:
                 continue
             hi = psi.x_antideriv(t, b if np.isfinite(b) else 1e30)
@@ -259,7 +300,7 @@ def _pair_delta_oracle_loop(cm, cp, psi, n_panels):
 @pytest.mark.parametrize("psi", [(1.8, 0.3, 0.15), (1.4, 0.8, 0.3), (1.4, -0.5, 0.3), (0.9, -0.2, 0.4)])
 @pytest.mark.parametrize("speeds", [(1.0, 2.0), (2.0, 1.0)])
 def test_pair_delta_oracle_matches_loop_reference(psi, speeds):
-    got = pair_delta_oracle(*speeds, TestFunction(*psi), n_panels=25)
+    got = pair_delta_oracle(_xjump(*speeds), TestFunction(*psi), n_panels=25)
     assert got == _pair_delta_oracle_loop(*speeds, TestFunction(*psi), n_panels=25)
 
 

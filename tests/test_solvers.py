@@ -146,6 +146,7 @@ def test_wave_x_conservative_form_moves_at_sqrt_c():
     u = fam.records[0].slice_at(1.0)
     assert float(np.max(np.abs(u - 0.5 * (u0(g.xs - 2.0) + u0(g.xs + 2.0))))) < 1e-4
     assert np.array_equal(fam.records[0].meta["a"], np.full(g.nx + 1, 2.0))
+    assert np.array_equal(fam.records[0].meta["rho"], np.ones(g.nx + 1))
 
 
 def test_wave_x_fronts_stay_in_the_domain_of_dependence(rc_space):
@@ -391,13 +392,14 @@ def test_save_load_roundtrip(tmp_path, rc_space):
     r1, r2 = fam.records[0], fam2.records[0]
     assert np.array_equal(np.asarray(r1.fields["u"], dtype="<f8"), r2.fields["u"])
     assert r2.grid.nx == g.nx and r2.grid.dx == g.dx
-    # meta survives, and its array is not listed as a time x space field
-    assert r2.meta.keys() == r1.meta.keys() == {"a", "conservative", "h"}
+    # meta survives, and its arrays are not listed as time x space fields
+    assert r2.meta.keys() == r1.meta.keys() == {"a", "h", "rho"}
     assert np.array_equal(r2.meta["a"], r1.meta["a"])
-    assert [r2.meta[k] for k in ("conservative", "h")] == [False, rc_space.h]
+    assert np.array_equal(r2.meta["rho"], r1.meta["rho"])
+    assert r2.meta["h"] == rc_space.h
     assert sorted(r2.fields) == ["u", "v", "w"]
-    E = energy_trace(r2, "nonconservative_x").E  # raised KeyError: 'a' without the meta
-    assert np.array_equal(E, energy_trace(r1, "nonconservative_x").E)
+    E = energy_trace(r2).E  # weighs by rho = 1/c^2 only with the meta
+    assert np.array_equal(E, energy_trace(r1).E)
 
 
 def test_family_ladder_ordering(rc_space):
