@@ -304,11 +304,16 @@ def test_t_jump_rays_start_at_the_point_data(tmp_path):
     assert "detect precision=1.000 recall=1.000" in (out / "report.txt").read_text()
 
 
-def test_conservative_delta_problem_associates_and_matches_its_oracle(tmp_path):
-    # a = Z = sqrt(c): the plateau above the crossing is T/(2 a-) = Z-/(Z- + Z+)
-    out = _run(tmp_path, "thm41", {"id": "cons", "solver.conservative": "true", "analyses": "associate,oracle_compare"})
-    _, assoc, oracle = (out / "report.txt").read_text().splitlines()[1:]
+def test_conservative_delta_problem_associates(tmp_path):
+    out = _run(tmp_path, "thm41", {"id": "cons", "solver.conservative": "true", "analyses": "associate"})
+    _, assoc = (out / "report.txt").read_text().splitlines()[1:]
     assert assoc.startswith("associate=PASS")
+
+
+def test_conservative_delta_problem_matches_its_oracle(tmp_path):
+    # a = Z = sqrt(c): the plateau above the crossing is T/(2 a-) = Z-/(Z- + Z+)
+    out = _run(tmp_path, "thm41", {"id": "cons", "solver.conservative": "true", "analyses": "oracle_compare"})
+    _, oracle = (out / "report.txt").read_text().splitlines()[1:]
     plateau = 1.0 / (1.0 + np.sqrt(2.0))
     assert float(oracle.split("off_ray_err=")[1]) <= 0.01 * plateau
 
