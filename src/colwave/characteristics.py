@@ -5,7 +5,8 @@ reciprocal antiderivative of c_eps; its partials at tau=0 follow from the
 chain rule, e.g. d/dx gamma = c(gamma)/c(x).
 
 t-dependent speed:  the characteristics x +- (T(tau) - T(t)) are straight
-lines in T(t) = int_0^t c_eps, which time_integral tabulates for solve_wave_t.
+lines in T(t) = int_0^t c_eps, which time_integral evaluates from a table
+cached per coefficient (solve_wave_t builds its own table for each member).
 
 tanh speeds c = -+tanh(x/eps):  gamma(t,x,tau) = eps*Arsinh(e^{s} sinh(x/eps))
 with s = (t-tau)/eps for the minus sign and s = (tau-t)/eps for the plus sign.

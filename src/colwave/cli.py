@@ -128,7 +128,7 @@ def _detect(scn: Scenario, fam, outdir: Path) -> str:
     if kind == "x_jump_delta":
         m = scn.interface
         where = dict(c0=m.a_minus, c1=m.a_plus, interface=m.b, x0=m.x0)
-    else:  # the point data of u0 and u1 sit at one x0 (_check_geometry); x = 0 without any
+    else:  # t_jump: the point data sit at one x0 (_check_geometry); radial_odd has none, its data sit at r = 0
         (c0, c1), (b,) = scn.coefficient.values, scn.coefficient.breakpoints
         where = dict(c0=c0, c1=c1, t_jump=b, x0=min(_point_data(scn.raw), default=0.0))
     rays = predict_singsupp(kind, standard_scale=scn.scale.kind == "standard", **where)
@@ -396,8 +396,10 @@ def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float, conservative:
         if kind == "x_jump_delta" and conservative:
             raise ValidationError("solver.conservative=true moves at a = sqrt(c), and the reflected-ray rule of the "
                                   "x_jump_delta lower set is derived only for the non-conservative form, a = c")
-        if kind == "t_jump" and len(points) > 1:
-            raise ValidationError("t_jump rays need the data.u0 and data.u1 deltas at one x0")
+        bumps = [k for k in ("data.u0", "data.u1") if kv.get(k, "").startswith("bump")]
+        if kind == "t_jump" and (len(points) != 1 or bumps):
+            raise ValidationError("t_jump rays start at the point data: data.u0 and data.u1 need delta data at one x0 "
+                                  "(bump data is singular at its edges)")
     if problem == "wave_x" and asked & {"detect", "associate", "oracle_compare"} and (x1 is None or x1 >= bps[0]):
         raise ValidationError("x_jump_delta rays and the delta oracle need data.u1=delta:x0 with x0 < b, the interface")
     if "energy" in asked and coeff.variable == "time" and np.any(np.diff(bps) < 2.0 * h0):

@@ -286,11 +286,10 @@ def predict_singsupp(kind: str, *, c0: float, c1: float, standard_scale: bool, x
 # --- report serialization ---------------------------------------------------
 
 def report_csv(report: SingSuppReport, path):
-    lines = ["t,x,flagged,slope_excess"]
-    # Python floats format faster than numpy scalars, to the same text
-    for (t, x), fl, ex in zip(report.points.tolist(), report.flags.tolist(), report.excess.tolist()):
-        lines.append(f"{t:.10g},{x:.10g},{int(fl)},{ex:.6g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # one formatting call over the flattened rows; a flag 0.0 / 1.0 prints as 0 / 1 under %d
+    rows = np.column_stack([report.points, report.flags, report.excess])
+    body = "%.10g,%.10g,%d,%.6g\n" * len(rows) % tuple(rows.ravel().tolist())
+    Path(path).write_text("t,x,flagged,slope_excess\n" + body)
 
 
 def verdict_text(report: SingSuppReport) -> str:

@@ -14,43 +14,33 @@
   on the kernel-window nodes only, and applied once per step from the first
   step at which the data can reach the window; u follows by the trapezoid of
   (W - V)/2 in xi from the left boundary.
-* solve_wave_t: time-dependent speed.  The x-advection is a uniform shift, so
-  each step advances the spatial Fourier modes by the exact phase
-  exp(-+ i k int c dt) and applies the coupling mu(t) = c'/(2c) by its exact
-  2x2 matrix exponential (int mu dt = log(c_b/c_a)/2), Strang-split inside
-  every kernel window of the time breakpoints and skipped entirely between
-  and outside them, where mu = 0.  The Yoshida triple jump of the Strang
-  step makes each window substep fourth order, u follows by the
-  end-corrected trapezoid, and the substeps are sized by the data scale eps
-  (capped by the grid spacing), not by the window width.
+* solve_wave_t: time-dependent speed, the same V/W pair in the travel time
+  tau = int_0^t c with dtau = dx: transport is the one-cell shift, and the
+  x-independent coupling is exact over each step (the ratio of c at the half
+  steps), applied only inside the kernel windows of the time breakpoints; u is
+  read as (Q - P)/(2c) off the antiderivatives P, Q of V, W, carried along.
 * solve_radial_odd: d = 2n+1 spherical waves via the auxiliary 1D problem and
-  u = [(-1/r) dr]^n v; implemented for d = 3.
+  u = [(-1/r) dr]^n v, read off the auxiliary V/W pair; implemented for d = 3.
 * abel_forward / abel_invert: the half-integral pair linking radial profiles
   across consecutive even/odd dimensions, with the endpoint singularity
   absorbed by the rho = sin(theta) substitution.
 
-The members of every ladder are independent.  ladder_map solves those of
-wave_t (and so radial) in forked worker processes, one per usable CPU; there
-is no setting.  Each member runs the same code on the same operands as in the
-serial loop, which is what runs on one usable CPU, so the records are bitwise
-the same either way.  wave_x and transport ladders are solved in-process, one
-member after the other: a bundled member of either takes tens of ms or less,
-about what importing, starting and stopping the pool costs.
+The members of every ladder are independent and are solved in this process,
+one after the other.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .characteristics import CharCurve, gamma, gamma_x_partials, time_integral
+from .characteristics import CharCurve, gamma, gamma_x_partials
 from .coefficients import CoeffAntideriv, CumulativeIntegral, RegularizedCoeff
-from .mollifier import Mollifier, phi_deriv, phi_eval, phi_moment
+from .mollifier import Mollifier, phi_antideriv, phi_deriv, phi_eval, phi_moment
 
 __all__ = [
     "Grid1D",
@@ -66,7 +56,6 @@ __all__ = [
     "solve_wave_x",
     "solve_wave_t",
     "solve_radial_odd",
-    "ladder_map",
     "abel_forward",
     "abel_invert",
     "save_family",
@@ -106,9 +95,6 @@ class Grid1D:
     def xs(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.nx + 1)
 
-    def xs_periodic(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.nx)
-
     def dt(self, b1: float) -> float:
         return self.cfl * self.dx / b1
 
@@ -129,8 +115,7 @@ class SolutionRecord:
 
     @property
     def xs(self) -> np.ndarray:
-        nx_field = next(iter(self.fields.values())).shape[-1]
-        return self.grid.xs if nx_field == self.grid.nx + 1 else self.grid.xs_periodic()
+        return self.grid.xs
 
     def slice_at(self, t: float, name: str = "u") -> np.ndarray:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -167,13 +152,17 @@ class PerEps:
         return self.factory(rc)
 
 
-def with_support(f: Callable, lo: float, hi: float) -> Callable:
-    """f, marked as exactly +0.0 off [lo, hi] (lo > hi: everywhere).
+def with_support(f: Callable, lo: float, hi: float, antideriv: Callable | None = None) -> Callable:
+    """f, marked as exactly +0.0 off [lo, hi] (lo > hi: everywhere), and with
+    its antiderivative from -inf when given.
 
     solve_transport evaluates a profile only where its argument can fall in
     that support; a profile without the mark has the whole line as support.
+    solve_wave_t integrates an initial velocity without an antideriv itself.
     """
     f.support = (lo, hi)
+    if antideriv is not None:
+        f.antideriv = antideriv
     return f
 
 
@@ -181,7 +170,8 @@ def delta_profile(x0: float) -> PerEps:
     """Imbedded delta: phi_eps(x - x0), the point mass mollified at the standard
     scale (width eps), independent of the coefficient's scale function."""
     return PerEps(lambda rc: with_support(
-        lambda x: phi_eval(rc.mollifier, (np.asarray(x) - x0) / rc.eps) / rc.eps, x0 - rc.eps, x0 + rc.eps))
+        lambda x: phi_eval(rc.mollifier, (np.asarray(x) - x0) / rc.eps) / rc.eps, x0 - rc.eps, x0 + rc.eps,
+        lambda x: phi_antideriv(rc.mollifier, (np.asarray(x) - x0) / rc.eps)))
 
 
 def delta_profile_deriv(x0: float) -> PerEps:
@@ -199,54 +189,6 @@ def _resolve(profile, rc):
 
 def _default_store_times(t_end: float, n: int = 9) -> np.ndarray:
     return np.linspace(0.0, t_end, n)
-
-
-# (run, members) of the ladder that ladder_map is solving, set before its pool
-# forks: the workers inherit it, so only a member index goes out to them
-_LADDER = None
-
-
-def _solve_member(i: int):
-    run, members = _LADDER
-    return run(members[i])
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def ladder_map(run: Callable, members) -> list:
-    """[run(m) for m in members], in min(len(members), usable CPUs) processes.
-
-    With one worker this is that serial loop.  Otherwise forked workers solve
-    the members, smallest eps first (the costliest wave_t member), and the
-    results come back pickled, in ladder order.  ``run`` may be a closure:
-    the workers read it from _LADDER instead of unpickling it.  That needs
-    the fork start method (a spawned worker re-imports and could not see
-    it); colwave starts no threads that a fork would copy.  The first
-    failure in ladder order is raised, and members not yet started are
-    cancelled.
-    """
-    global _LADDER
-    members = list(members)
-    workers = min(len(members), _usable_cpus())
-    if workers <= 1:
-        return [run(m) for m in members]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    _LADDER = (run, members)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        order = sorted(range(len(members)), key=lambda i: members[i].eps)
-        futures = {i: pool.submit(_solve_member, i) for i in order}
-        return [futures[i].result() for i in range(len(members))]
-    finally:
-        pool.shutdown(cancel_futures=True)
-        _LADDER = None
 
 
 # --- transport (exact via characteristics) ---------------------------------
@@ -445,21 +387,55 @@ def solve_wave_x(
     return SolutionFamily(scenario_id, "wave_x", [run(rc) for rc in rcs])
 
 
-# --- wave equation, t-dependent speed (spectral in x) ----------------------
+# --- wave equation, t-dependent speed (exact shift in travel time) ---------
 
-# Window substep size: c_max dt <= min(_SIGMA eps, _RHO dx).  The splitting error
-# of mode k grows like (k c dt)^4 and delta data put their energy at k ~ 1/eps, so
-# the data scale eps sizes the substep (h only sets the window length); 0.0125 is
-# 320 substeps per 2h at the standard scale.  The polynomial mollifier's spectrum
-# decays only algebraically, so every mode the grid carries holds some data, and
-# past k c dt ~ pi the substeps alias their coupling: the dx cap keeps the highest
-# mode at k c dt <= 0.4 pi.  Both from halving studies (CHANGES.md).
-_SIGMA = 0.0125
-_RHO = 0.4
-# Yoshida triple jump: the three stages of a substep start at these fractions of
-# it and last g1, 1 - 2 g1 (< 0: backward in time) and g1
-_GAMMA1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_STAGES = np.array([0.0, _GAMMA1, 1.0 - _GAMMA1])
+def _couple(a, b, f):
+    """The exact coupling I + f M, M = [[1, -1], [-1, 1]], on the pairs (a, b), in place."""
+    d = f * (a - b)
+    a += d
+    b -= d
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n, a length numpy's FFT handles quickly."""
+    best, p5 = 2 ** (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _cubic_shift(g, lo: int, r) -> np.ndarray:
+    """Rows g_i, given on the nodes -2..n+2, at x_j + (lo + r_i) dx (j = 0..n, 0 <= r_i <= 1)
+    by the cubic through the nodes j + lo - 1 .. j + lo + 2."""
+    n = g.shape[-1] - 5
+    wts = (-r * (r - 1.0) * (r - 2.0) / 6.0, (r + 1.0) * (r - 1.0) * (r - 2.0) / 2.0,
+           -(r + 1.0) * r * (r - 2.0) / 2.0, (r + 1.0) * r * (r - 1.0) / 6.0)
+    return sum(wt * g[:, lo + 1 + i : lo + 2 + i + n] for i, wt in enumerate(wts))
+
+
+def _spectral_shift(g, s) -> np.ndarray:
+    """Rows g_i, given on the nodes -2..n+2, at x_j + s_i dx (j = 0..n) by the
+    trigonometric interpolant of their slice of nodes 0..n, zero-padded to a
+    quick FFT length: a unitary shift, which keeps sum g^2."""
+    n, m = g.shape[-1] - 5, _fast_len(g.shape[-1] - 4)
+    phase = np.exp(2j * np.pi * s * np.fft.rfftfreq(m))
+    return np.fft.irfft(np.fft.rfft(g[:, 2 : n + 3], m) * phase, m)[:, : n + 1]
+
+
+def _antideriv(f, x: np.ndarray, fx: np.ndarray, dx: float) -> np.ndarray:
+    """int_{-inf}^x f on the nodes x (f = 0 left of x[0]): the profile's own
+    antideriv when it carries one, else the end-corrected trapezoid."""
+    if hasattr(f, "antideriv"):
+        return f.antideriv(x)
+    fp = np.gradient(fx, dx)
+    return np.concatenate([[0.0], np.cumsum(0.5 * dx * (fx[1:] + fx[:-1]))]) - dx * dx / 12.0 * (fp - fp[0])
 
 
 def solve_wave_t(
@@ -472,141 +448,86 @@ def solve_wave_t(
     store_vw: bool = False,
     scenario_id: str = "wave_t",
 ) -> SolutionFamily:
-    """dtt u = c(t)^2 dxx u on a periodic window via exact per-mode advance.
+    """dtt u = c(t)^2 dxx u on the line, through the V/W pair in travel time.
 
-    Between and outside the kernel windows rc.windows the speed is exactly
-    constant and each Fourier mode advances by a closed-form phase (and its
-    closed-form time integral feeds u).  Inside every window the substeps
-    obey c_max dt <= min(_SIGMA eps, _RHO dx).  Each substep is the Yoshida
-    triple jump of the symmetric Strang step (half phase, exact 2x2 coupling
-    exponential exp(theta M), half phase; theta = log(c_b/c_a)/2,
-    M = [[1,-1],[-1,1]]) over the fractions g1, 1 - 2 g1, g1 with
-    g1 = 1/(2 - 2^(1/3)), the middle one backward in time, which makes it
-    fourth order.  u integrates u_t = (v+w)/2 by the end-corrected trapezoid
-    with the exact d(v+w)/dt = -i k c (v-w) (the coupling cancels), so u is
-    fourth order too.
+    In tau = T(t) = int_0^t c the pair V = dt u - c dx u, W = dt u + c dx u reads
+    V_tau + V_x = g (V - W), W_tau - W_x = -g (V - W) with g = d(log c)/dtau / 2,
+    independent of x.  On the lattice dtau = dx, transport is a one-cell shift
+    (V stored by the label x - tau, W by x + tau), and over [tau_a, tau_b] the
+    coupling is exactly I + f M with f = (c_b/c_a - 1)/2: V - W scales by
+    c_b/c_a, V + W stays.  Its Strang halves of consecutive steps compose, so
+    step k applies one coupling, from tau_(k-1/2) to tau_(k+1/2) (exact in
+    equal-travel-time layers; Goupillaud 1961, here in time), and only where c
+    varies: off the kernel windows f = 0.  The labels also carry P = int V and
+    Q = int W, which start as U1 -+ c(0) u0 (U1 = int u1) and couple as V and W
+    do, so u = (Q - P)/(2c) needs no quadrature.  The label arrays extend the
+    grid by the step count (and the cubic's reach) on both sides, with the data
+    evaluated there, so every label read on the grid has met all its coupling
+    partners; a coupling acts only on the pairs in reach of the data (far-field
+    pairs are equal).
+    A store time tau_k + s dx (0 <= s < 1) is read off step k: the coupling
+    up to tau_k + s dx/2, the sub-cell shift by s, the rest of the coupling.
+    P and Q shift by the 4-point cubic, V and W (store_vw) by the unitary
+    spectral shift, which keeps the energy.  The members are solved in this
+    process.
+
+    Fields per record on grid.xs: "u", plus "v", "w" with store_vw; meta "h".
     """
     if not isinstance(rcs, (list, tuple)):
         rcs = [rcs]
     times = np.asarray(
         _default_store_times(grid.t_end) if store_times is None else store_times, dtype=float
     )
-    xs = grid.xs_periodic()
-    k = 2.0 * np.pi * np.fft.rfftfreq(grid.nx, grid.dx)
-    # exp(-i k p) with k = (span a + b) k[1] is the outer product of two short
-    # exponential tables: one complex multiply per mode instead of one exp
-    span = 1 << int(np.ceil(0.5 * np.log2(len(k))))
-    k_lo = k[1] * np.arange(span)
-    k_hi = k[1] * span * np.arange(-(-len(k) // span))[:, None]
-    table = np.empty((len(k_hi), span), dtype=complex)
-    ph = table.reshape(-1)[: len(k)]
+    n, dx = grid.nx, grid.dx
 
     def run(rc: RegularizedCoeff) -> SolutionRecord:
         if rc.base.variable != "time":
             raise ValueError("solve_wave_t needs a time-dependent coefficient")
         grid.check_resolution(rc.h)
-        u0f = _resolve(u0, rc)
-        u1f = _resolve(u1, rc)
-        uh = np.fft.rfft(u0f(xs).astype(float))
+        T = CumulativeIntegral(rc, "value")
+        pos = T(times) / dx  # store times in lattice steps
+        ks = np.floor(pos).astype(int)
+        last = int(ks.max())
+        pad = last + 2  # node j at step k holds label j - k + pad of A, j + k + pad of B
+        x = grid.x_min + dx * np.arange(-pad, n + pad + 1)
+        # c at tau_(k-1/2) for k = 0..last (tau_(-1/2) read as 0) and at each store's sub-cell midpoint
+        c = rc(T.invert(dx * np.concatenate([np.maximum(np.arange(last + 1) - 0.5, 0.0), 0.5 * (ks + pos)])))
+        c_half, c_mid, c_store = c[: last + 1], c[last + 1 :], rc(times)
+        f = 0.5 * (c_half[1:] / c_half[:-1] - 1.0)
         c0 = rc(0.0)
-        if u0_deriv is not None:
-            u0x_h = np.fft.rfft(_resolve(u0_deriv, rc)(xs))
-        else:
-            u0x_h = 1j * k * uh
-        u1h = np.fft.rfft(u1f(xs))
-        vh = u1h - c0 * u0x_h
-        wh = u1h + c0 * u0x_h
-
-        nz = k != 0.0
-
-        def advance_const(t0, t1):
-            """Exact advance over [t0,t1] with mu = 0 (c constant there)."""
-            nonlocal vh, wh, uh
-            cval = rc(0.5 * (t0 + t1))
-            dT = cval * (t1 - t0)
-            phase = np.exp(-1j * k * dT)
-            # int_t0^t1 v dt per mode, closed form
-            iv = np.empty_like(vh)
-            iw = np.empty_like(wh)
-            iv[nz] = vh[nz] * (1.0 - phase[nz]) / (1j * k[nz] * cval)
-            iw[nz] = wh[nz] * (1.0 - np.conj(phase[nz])) / (-1j * k[nz] * cval)
-            iv[~nz] = vh[~nz] * (t1 - t0)
-            iw[~nz] = wh[~nz] * (t1 - t0)
-            uh = uh + 0.5 * (iv + iw)
-            vh = vh * phase
-            wh = wh * np.conj(phase)
-
-        c_max = max(rc.base.values)
-
-        def advance_window(t0, t1):
-            """Triple-jump substeps, updating vh, wh and uh in place."""
-            nonlocal vh, wh, uh
-            n_sub = int(np.ceil((t1 - t0) * c_max / min(_SIGMA * rc.eps, _RHO * grid.dx)))
-            dt = (t1 - t0) / n_sub
-            stages = np.append((t0 + dt * (np.arange(n_sub)[:, None] + _STAGES)).ravel(), t1)
-            cs = rc(stages)
-            f = (0.5 * (cs[1:] / cs[:-1] - 1.0)).reshape(n_sub, 3)  # exp(theta M) = I + f M
-            half = (0.5 * np.diff(time_integral(rc, stages))).reshape(n_sub, 3)
-            # the four phases of a substep: adjacent half phases of two stages merged
-            phases = np.column_stack([half[:, 0], half[:, :2].sum(1), half[:, 1:].sum(1), half[:, 2]])
-            ph_c, dvw = np.empty_like(vh), np.empty_like(vh)
-            # trapezoid sum of v + w over the substep ends; the end corrections
-            # dt^2/12 (ut'_a - ut'_b), ut' = -i k c (v - w)/2, telescope to the
-            # window ends: dq = c_a (v_a - w_a) - c_b (v_b - w_b)
-            acc = 0.5 * (vh + wh)
-            dq = cs[0] * (vh - wh)
-            for i in range(n_sub):
-                for j in range(4):
-                    p = -1j * phases[i, j]
-                    np.multiply(np.exp(p * k_hi), np.exp(p * k_lo), out=table)
-                    np.conjugate(ph, out=ph_c)
-                    vh *= ph
-                    wh *= ph_c
-                    if j < 3:
-                        np.subtract(vh, wh, out=dvw)
-                        dvw *= f[i, j]
-                        vh += dvw
-                        wh -= dvw
-                acc += vh
-                acc += wh
-            acc -= 0.5 * (vh + wh)
-            dq -= cs[-1] * (vh - wh)
-            uh += 0.5 * dt * acc - 1j * k * (dt * dt / 24.0) * dq
-
-        def advance(t0, t1):
-            for lo, hi in rc.windows:
-                a, b = max(t0, lo), min(t1, hi)
-                if a >= b:
-                    continue
-                if t0 < a:
-                    advance_const(t0, a)
-                advance_window(a, b)
-                t0 = b
-            if t0 < t1:
-                advance_const(t0, t1)
-
-        order = np.argsort(times)
-        slices_u = {}
-        slices_v, slices_w = {}, {}
-        t_cur = 0.0
-        for i in order:
-            tt = float(times[i])
-            if tt > t_cur:
-                advance(t_cur, tt)
-                t_cur = tt
-            slices_u[int(i)] = np.fft.irfft(uh, n=grid.nx)
-            if store_vw:
-                slices_v[int(i)] = np.fft.irfft(vh, n=grid.nx)
-                slices_w[int(i)] = np.fft.irfft(wh, n=grid.nx)
-        fields = {"u": np.stack([slices_u[i] for i in range(len(times))])}
+        u0f, u1f = _resolve(u0, rc), _resolve(u1, rc)
+        u0v, u1v = u0f(x), u1f(x)
+        u0x = _resolve(u0_deriv, rc)(x) if u0_deriv is not None else np.gradient(u0v, dx)
+        U1 = _antideriv(u1f, x, u1v, dx)
+        A = np.stack([u1v - c0 * u0x, U1 - c0 * u0v])  # V, P
+        B = np.stack([u1v + c0 * u0x, U1 + c0 * u0v])  # W, Q
+        # labels before lo (after hi) hold the far field of the left (right) end, with A == B
+        far = [((A == A[:, e]) & (B == A[:, e])).all(0) for e in (slice(0, 1), slice(-1, None))]
+        lo, hi = int(np.argmin(far[0])), len(x) - 1 - int(np.argmin(far[1][::-1]))
+        fills = {}  # step -> the store slots read off it
+        for i, k in enumerate(ks.tolist()):
+            fills.setdefault(k, []).append(i)
+        rows = np.empty((len(times), 4, n + 5))  # V, P, W, Q on the nodes -2..n+2 at each store's step
+        for k in sorted({*fills, *np.flatnonzero(f).tolist()}):
+            for i in fills.get(k, ()):
+                rows[i, :2], rows[i, 2:] = A[:, pad - k - 2 : pad - k + n + 3], B[:, pad + k - 2 : pad + k + n + 3]
+            if k < last and f[k]:
+                a0, a1 = max(lo - 2 * k, 0), min(hi + 1, len(x) - 2 * k)
+                _couple(A[:, a0:a1], B[:, a0 + 2 * k : a1 + 2 * k], f[k])
+        # a store at step k + s: the coupling up to its sub-cell midpoint, the shift by s, the rest of it
+        s = (pos - ks)[:, None]
+        _couple(rows[:, :2], rows[:, 2:], 0.5 * (c_mid / c_half[ks] - 1.0)[:, None, None])
+        u = (_cubic_shift(rows[:, 3], 0, s) - _cubic_shift(rows[:, 1], -1, 1.0 - s)) / (2.0 * c_mid[:, None])
+        fields = {"u": u}
+        bad = ~np.isfinite(u).all(1)
+        if bad.any():
+            raise NumericalFailure(f"non-finite values at t={times[bad][0]:.4f} (eps={rc.eps})")
         if store_vw:
-            fields["v"] = np.stack([slices_v[i] for i in range(len(times))])
-            fields["w"] = np.stack([slices_w[i] for i in range(len(times))])
-        return SolutionRecord(
-            eps=rc.eps, grid=grid, times=times, fields=fields, meta={"h": rc.h}
-        )
+            fields["v"], fields["w"] = _spectral_shift(rows[:, 0], -s), _spectral_shift(rows[:, 2], s)
+            _couple(fields["v"], fields["w"], 0.5 * (c_store / c_mid - 1.0)[:, None])
+        return SolutionRecord(eps=rc.eps, grid=grid, times=times, fields=fields, meta={"h": rc.h})
 
-    return SolutionFamily(scenario_id, "wave_t", ladder_map(run, rcs))
+    return SolutionFamily(scenario_id, "wave_t", [run(rc) for rc in rcs])
 
 
 # --- odd-dimensional radial reduction --------------------------------------
@@ -628,42 +549,27 @@ def solve_radial_odd(
 ) -> SolutionFamily:
     """Spherical wave in d = 2n+1 dimensions with U0 = 0, U1 = phi_h(|x|).
 
-    Solves the auxiliary 1D wave (even data g above) with solve_wave_t and
-    applies u = [(-1/r) dr]^n v by spectral differentiation; the r -> 0 value
-    comes from even-symmetric extrapolation of the neighbouring cells (the
-    direct d2v/dr2 limit amplifies spectral rounding by k^2).  d = 3 only.
+    Solves the auxiliary 1D wave v (even data g above) with solve_wave_t and
+    reads u = (-1/r) dr v = -(W - V)/(2 c r) off its V/W pair; at r = 0 (a node
+    when nx is even) u comes from even-symmetric extrapolation of the
+    neighbouring nodes.  Fields "u" and "v".  d = 3 only.
     """
     if d != 3:
         raise ValueError("only d = 3 (n = 1) is implemented")
     if not isinstance(rcs, (list, tuple)):
         rcs = [rcs]
-
-    def make_g(rc):
-        return radial_aux_data(rc.mollifier, rc.h)
-
-    fam = solve_wave_t(
-        list(rcs),
-        None,
-        PerEps(make_g),
-        grid,
-        store_times=store_times,
-        scenario_id=scenario_id,
-    )
-    xs = grid.xs_periodic()
-    dx = grid.dx
-    safe = np.abs(xs) > 0.5 * dx
-    k = 2.0 * np.pi * np.fft.rfftfreq(grid.nx, dx)
+    by_eps = {rc.eps: rc for rc in rcs}
+    g = PerEps(lambda rc: radial_aux_data(rc.mollifier, rc.h))
+    fam = solve_wave_t(list(rcs), None, g, grid, store_times=store_times, store_vw=True, scenario_id=scenario_id)
+    xs = grid.xs
+    safe = np.abs(xs) > 0.5 * grid.dx
     for rec in fam.records:
-        v = rec.fields["u"]
-        vh = np.fft.rfft(v, axis=1)
-        vr = np.fft.irfft(1j * k[None, :] * vh, n=grid.nx, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(safe[None, :], -vr / np.where(safe, xs, 1.0)[None, :], 0.0)
-        for i in np.nonzero(~safe)[0]:
+        ux = (rec.fields["w"] - rec.fields["v"]) / (2.0 * by_eps[rec.eps](rec.times)[:, None])
+        u = -ux / np.where(safe, xs, 1.0)
+        for i in np.flatnonzero(~safe):
             # u is even and smooth in r: 4th-order even extrapolation to r = 0
             u[:, i] = (4.0 * (u[:, i - 1] + u[:, i + 1]) - (u[:, i - 2] + u[:, i + 2])) / 6.0
-        rec.fields["v"] = v
-        rec.fields["u"] = u
+        rec.fields = {"u": u, "v": rec.fields["u"]}
     fam.solver_id = "radial_odd"
     return fam
 

@@ -177,6 +177,9 @@ REJECTED = {
     "x_jump_detect_bump_data": ("thm41", {"data.u1": "bump:-1.0,0.3"}, "x_jump_delta"),
     "x_jump_delta_right_of_interface": ("thm42", {"data.u1": "delta:0.5"}, "x_jump_delta"),
     "t_jump_point_data_at_two_points": ("prop42", {"data.u0": "delta:0.0", "data.u1": "delta:0.5"}, "one x0"),
+    "t_jump_bump_data": ("thm43a", {"data.u1": "bump:0.3,0.5"}, "one x0"),
+    "t_jump_bump_next_to_the_delta": ("thm43a", {"data.u0": "bump:0.0,0.5"}, "one x0"),
+    "t_jump_without_point_data": ("thm43a", {"data.u1": "zero", "data.u0": "quadratic"}, "one x0"),
     "detect_kind_of_other_problem": ("thm43a", {"detect.kind": "radial_odd"}, "detect.kind"),
     "matched_on_wave_x": ("thm41", {"data.u0": "delta:-1.0", "data.u1": "matched", "analyses": None},
                           "matched"),
@@ -431,25 +434,13 @@ def test_run_leaves_scipy_unimported(name, tmp_path):
     ("corner36", "0.1,0.7,4", ("numpy.ma",)),
     ("ex2_tanh", "0.1,0.7,4", ("concurrent", "multiprocessing", "numpy.ma")),
     ("tr", "0.1,0.7,4", ("concurrent", "multiprocessing", "numpy.ma")),
+    ("thm43a", "0.1,0.8,4", ("concurrent", "multiprocessing", "scipy", "numpy.ma")),
+    ("thm45_d3", "0.1,0.8,4", ("concurrent", "multiprocessing", "scipy", "numpy.ma")),
 ])
 def test_run_leaves_unused_modules_unimported(name, ladder, unused, tmp_path):
-    # wave_x and transport ladders are solved in-process, so the process pool
-    # is never imported, and no antiderivative table pulls in numpy.ma (17-52 ms)
+    # every ladder is solved in-process, so no process pool is imported, and no
+    # antiderivative table pulls in numpy.ma (17-52 ms) nor a wave_t FFT length scipy
     if name == "tr":
         name = str(tmp_path / "tr.scn")
         Path(name).write_text(TRANSPORT_SCN)
     assert _loaded_after_run(name, ladder, unused, tmp_path / "out") == ["0", "[]"]
-
-
-def test_validate_leaves_the_process_pool_unimported():
-    # the ladder pool imports them only when it forks workers: neither
-    # `import colwave.cli` nor `colwave validate` pays for them
-    code = (
-        "import sys\n"
-        "pool = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
-        "from colwave.cli import main\n"
-        "after_import = pool()\n"
-        "rc = main(['validate', 'thm41'])\n"
-        "print(rc, after_import, pool())\n"
-    )
-    assert _python(code).split()[-3:] == ["0", "[]", "[]"]

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from colwave.solvers import (
     abel_forward,
     abel_invert,
     delta_profile,
-    delta_profile_deriv,
     load_family,
     save_family,
     solve_radial_odd,
@@ -53,7 +50,6 @@ def test_grid_basics():
     g = Grid1D(-1.0, 1.0, 100, 2.0)
     assert g.dx == pytest.approx(0.02)
     assert len(g.xs) == 101
-    assert len(g.xs_periodic()) == 100
     assert g.dt(2.0) == pytest.approx(0.45 * 0.02 / 2.0)
     with pytest.raises(ValueError):
         g.check_resolution(0.02 * 15.9)  # needs h >= 16 dx
@@ -268,7 +264,7 @@ def test_wave_t_exact_for_constant_speed():
     g = Grid1D(-4.0, 4.0, 2560, 0.8)
     fam = solve_wave_t(rc, lambda x: smooth_bump(x, 0.0, 1.0), None, g, store_times=[0.0, 0.8])
     u = fam.records[0].slice_at(0.8)
-    xs = g.xs_periodic()
+    xs = g.xs
     ref = 0.5 * (smooth_bump(xs - 1.6, 0.0, 1.0) + smooth_bump(xs + 1.6, 0.0, 1.0))
     assert float(np.max(np.abs(u - ref))) < 1e-10
 
@@ -278,7 +274,7 @@ def test_wave_t_jump_matches_reexpansion_oracle(rc_time):
     u0 = lambda x: smooth_bump(x, 0.0, 0.5)
     fam = solve_wave_t(rc_time, u0, None, g, store_times=[1.6])
     sol = PiecewiseTSolution(1.0, 2.0, F=lambda x: 0.5 * u0(x), G=lambda x: 0.5 * u0(x))
-    xs = g.xs_periodic()
+    xs = g.xs
     err = float(np.max(np.abs(fam.records[0].slice_at(1.6) - sol(1.6, xs))))
     # the oracle uses the sharp jump; the solver the eps = 0.05 window
     assert err < 5e-3
@@ -297,59 +293,98 @@ def test_wave_t_steps_every_jump_window():
     right = lambda xi: a * half(xi + 0.6) + b * half(xi + 1.8)
     left = lambda eta: b * half(eta - 1.8) + a * half(eta - 0.6)
     second = PiecewiseTSolution(2.0, 1.0, F=right, G=left, t_jump=1.2)
-    xs = g.xs_periodic()
+    xs = g.xs
     assert float(np.max(np.abs(first(1.0, xs) - second(1.0, xs)))) < 1e-15
     err = float(np.max(np.abs(fam.records[0].slice_at(2.0) - second(2.0, xs))))
     assert err < 1.5e-2
 
 
-def _t_jump_u(eps, scale, grid, matched=False):
-    """u at grid.t_end for the speed jump 1 -> 2 at t = 1 with delta data:
-    u1 = delta (matched: u0 = delta and u1 = u0', which cancels the
-    left-moving component)."""
-    rc = RegularizedCoeff(PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time"), Mollifier(), scale, eps)
-    if matched:
-        du0 = delta_profile_deriv(0.0)
-        fam = solve_wave_t(rc, delta_profile(0.0), du0, grid, u0_deriv=du0, store_times=[grid.t_end])
-    else:
-        fam = solve_wave_t(rc, None, delta_profile(0.0), grid, store_times=[grid.t_end])
-    return fam.records[0].fields["u"][-1]
+def _t_jump(eps=0.1):
+    """The speed jump 1 -> 2 at t = 1, standard scale."""
+    return RegularizedCoeff(PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time"), Mollifier(), ScaleFn("standard"), eps)
 
 
-def _rel(u, ref):
-    return float(np.max(np.abs(u - ref)) / np.max(np.abs(ref)))
+def _reference_wave_t(rc, u1, grid, steps):
+    """u at the lattice steps STEPS for u0 = 0 by the textbook Strang loop: half
+    coupling, one-cell shift of every label array (inflow: the far field), half
+    coupling, over arrays wide enough to hold the domain of dependence."""
+    T, dx, n = CumulativeIntegral(rc, "value"), grid.dx, grid.nx
+    pad = max(steps) + 1
+    x = grid.x_min + dx * np.arange(-pad, n + pad + 1)
+    prof = solvers._resolve(u1, rc)
+    V, P = prof(x), prof.antideriv(x)
+    W, Q = V.copy(), P.copy()
+    c = lambda tau: float(rc(T.invert(tau)))
+
+    def couple(tau_a, tau_b):
+        f = 0.5 * (c(tau_b) / c(tau_a) - 1.0)
+        for a, b in ((V, W), (P, Q)):
+            d = f * (a - b)
+            a += d
+            b -= d
+
+    out = {}
+    for k in range(max(steps) + 1):
+        if k in steps:
+            out[k] = (Q - P)[pad : pad + n + 1] / (2.0 * c(k * dx))
+        couple(k * dx, (k + 0.5) * dx)
+        V[1:], P[1:] = V[:-1].copy(), P[:-1].copy()
+        W[:-1], Q[:-1] = W[1:].copy(), Q[1:].copy()
+        couple((k + 0.5) * dx, (k + 1) * dx)
+    return out
 
 
-def test_wave_t_window_step_is_fourth_order(monkeypatch):
-    g = Grid1D(-3.0, 3.0, 2048, 1.5)
-    assert solvers._SIGMA * 0.05 < solvers._RHO * g.dx  # the data-scale rule sets the substeps
-    sigma = solvers._SIGMA
-    u = {}
-    for div in (1, 2, 8):
-        monkeypatch.setattr(solvers, "_SIGMA", sigma / div)
-        u[div] = _t_jump_u(0.05, ScaleFn("standard"), g)
-    assert _rel(u[1], u[8]) / _rel(u[2], u[8]) >= 12.0
+def test_wave_t_matches_the_split_coupling_loop():
+    # one merged coupling per step, on the pairs in reach of the data only,
+    # is the Strang loop over whole arrays; steps before, inside and after the window
+    rc, g, u1 = _t_jump(), Grid1D(-3.0, 3.0, 1024, 1.6), delta_profile(0.3)
+    T = CumulativeIntegral(rc, "value")
+    steps = [40, int(T(0.97) / g.dx), int(T(1.02) / g.dx), int(T(1.6) / g.dx)]
+    ref = _reference_wave_t(rc, u1, g, steps)
+    rec = solve_wave_t(rc, None, u1, g, store_times=T.invert(g.dx * np.array(steps))).records[0]
+    for i, k in enumerate(steps):
+        assert np.max(np.abs(rec.fields["u"][i] - ref[k])) <= 1e-12 * np.max(np.abs(ref[k])), k
 
 
-def test_wave_t_substeps_follow_the_data_scale_not_the_window(monkeypatch):
-    # slow scale: the window 2h = 0.86 is 25 data widths eps long
-    g = Grid1D(-4.0, 4.0, 3840, 2.0)
-    u = _t_jump_u(0.0343, ScaleFn("slow_scale", 4.0), g)
-    monkeypatch.setattr(solvers, "_SIGMA", solvers._SIGMA / 4)
-    monkeypatch.setattr(solvers, "_RHO", solvers._RHO / 4)
-    ref = _t_jump_u(0.0343, ScaleFn("slow_scale", 4.0), g)
-    assert _rel(u, ref) <= 1e-6
+def _jump_fields(nx, t):
+    """u, v, w at t of delta velocity data through the speed jump 1 -> 2 at t = 1
+    (eps = 0.1), solved on nx cells of [-4, 4], at the nodes of the 1280-cell grid."""
+    g = Grid1D(-4.0, 4.0, nx, 1.6)
+    rec = solve_wave_t(_t_jump(), None, delta_profile(0.0), g, store_times=[t], store_vw=True).records[0]
+    return {name: f[0, :: nx // 1280] for name, f in rec.fields.items()}
 
 
-def test_wave_t_substeps_resolve_every_grid_mode(monkeypatch):
-    # a grid 100 cells per data width carries modes far above k ~ 1/eps; without
-    # the dx cap the substeps alias their coupling
-    g = Grid1D(-1.5, 1.5, 3000, 1.3)
-    u = _t_jump_u(0.1, ScaleFn("standard"), g, matched=True)
-    monkeypatch.setattr(solvers, "_SIGMA", solvers._SIGMA / 4)
-    monkeypatch.setattr(solvers, "_RHO", solvers._RHO / 4)
-    ref = _t_jump_u(0.1, ScaleFn("standard"), g, matched=True)
-    assert _rel(u, ref) <= 5e-7
+def test_wave_t_coupling_is_second_order():
+    # t = 1.5 sits on every lattice (T = 2 = 320 dx at nx = 1280), so only the coupling errs
+    u = {nx: _jump_fields(nx, 1.5)["u"] for nx in (1280, 2560, 5120, 20480)}
+    err = [float(np.max(np.abs(u[nx] - u[20480]))) for nx in (1280, 2560, 5120)]
+    assert err[0] > 1e-6  # the window does couple
+    assert 3.5 <= err[0] / err[1] <= 4.5 and 3.5 <= err[1] / err[2] <= 4.5
+
+
+def test_wave_t_store_time_inside_a_window_is_second_order():
+    # T(t) = 1 + dx/3 at nx = 1280: a third, two thirds, a third of a cell past a
+    # step on the three lattices, inside the window [0.9, 1.1]; leaving out the
+    # coupling over that part of a cell would err to first order
+    t = CumulativeIntegral(_t_jump(), "value").invert(1.0 + 8.0 / 1280 / 3.0)
+    fields = {nx: _jump_fields(nx, t) for nx in (1280, 2560, 5120, 20480)}
+    for name in "uvw":
+        err = [float(np.max(np.abs(fields[nx][name] - fields[20480][name]))) for nx in (1280, 2560, 5120)]
+        assert err[0] / err[1] >= 3.0 and err[1] / err[2] >= 3.0, name
+
+
+def test_wave_t_energy_is_constant_off_the_windows_between_lattice_steps():
+    # E = sum (V^2 + W^2)/2 dx is exact on the lattice, and the spectral sub-cell
+    # shift of V and W keeps it at store times between steps (a cubic shift damps it)
+    rc, g = _t_jump(0.05), Grid1D(-6.0, 6.0, 3840, 2.0)
+    times = np.array([0.0, 0.123, 0.456, 0.789, 1.234, 1.567, 1.891])
+    assert (np.mod(CumulativeIntegral(rc, "value")(times) / g.dx, 1.0)[1:] > 0.05).all()
+    rec = solve_wave_t(rc, None, delta_profile(0.2), g, store_times=times, store_vw=True).records[0]
+    E = energy_trace(rec).E
+    before, after = times < 1.0 - rc.h, times > 1.0 + rc.h
+    assert np.ptp(E[before]) <= 1e-9 * E[0]
+    assert np.ptp(E[after]) <= 1e-9 * E[0]
+    assert E[after][0] > 1.5 * E[0]  # the jump did pump energy in
 
 
 def test_radial_matches_spherical_oracle():
@@ -548,37 +583,3 @@ def test_transport_slice_is_the_hull_of_both_supports():
         foot = gamma(cv, t, g.xs, 0.0)
         assert rec.fields["u"][i].tobytes() == u0(foot).tobytes()
         assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * gamma_x_partials(cv, t, g.xs)[0]).tobytes()
-
-
-class _Member:
-    def __init__(self, eps):
-        self.eps = eps
-
-
-def test_ladder_map_is_the_serial_loop_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {0})
-    members = [_Member(e) for e in (0.1, 0.07, 0.049)]
-    seen = []
-    out = solvers.ladder_map(lambda m: seen.append(m) or (m.eps, os.getpid()), members)
-    assert seen == members  # run in this process, in ladder order
-    assert out == [(m.eps, os.getpid()) for m in members]
-
-
-@pytest.mark.skipif(solvers._usable_cpus() < 2, reason="one usable CPU: the ladder is solved serially")
-def test_ladder_map_solves_in_worker_processes_in_ladder_order():
-    members = [_Member(e) for e in (0.1, 0.07, 0.049, 0.0343)]
-    out = solvers.ladder_map(lambda m: (m.eps, os.getpid()), members)
-    assert [eps for eps, _ in out] == [m.eps for m in members]
-    assert os.getpid() not in {pid for _, pid in out}
-    assert solvers._LADDER is None
-
-
-def test_ladder_map_raises_the_first_failure_in_ladder_order():
-    def run(m):
-        if m.eps < 0.08:
-            raise NumericalFailure(f"eps={m.eps}")
-        return m.eps
-
-    with pytest.raises(NumericalFailure, match="eps=0.07$"):
-        solvers.ladder_map(run, [_Member(e) for e in (0.1, 0.07, 0.049)])
-    assert solvers._LADDER is None
