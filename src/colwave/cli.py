@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .characteristics import CharCurve, gamma_partials
-from .coefficients import CoeffAntideriv, PiecewiseConstantCoeff, RegularizedCoeff
+from .characteristics import TanhFlow, gamma_partials
+from .coefficients import PiecewiseConstantCoeff, RegularizedCoeff
 from .detector import classify, predict_singsupp, report_csv, report_svg, verdict_text
 from .energy import energy_trace, gronwall_bound, trace_csv
 from .mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_antideriv, phi_deriv, phi_eval
@@ -42,8 +42,6 @@ from .solvers import (
     Grid1D,
     NumericalFailure,
     PerEps,
-    abel_forward,
-    abel_invert,
     delta_profile,
     delta_profile_deriv,
     save_family,
@@ -57,10 +55,10 @@ from .solvers import (
 
 CORNER_TOL = 0.005  # relative error of the corner flow derivatives (Criterion 1)
 
-# tanh transport examples: characteristic flow per eps and the distributional limit of u0
+# tanh transport examples: the sign of their TanhFlow and the distributional limit of u0
 TANH = {
-    "tanh_example_2": (CharCurve.tanh_minus, two_region_limit),  # converging: u0(x+t) / u0(x-t)
-    "tanh_example_3": (CharCurve.tanh_plus, three_region_limit),  # diverging: three regions
+    "tanh_example_2": (1.0, two_region_limit),  # converging: u0(x+t) / u0(x-t)
+    "tanh_example_3": (-1.0, three_region_limit),  # diverging: three regions
 }
 
 
@@ -103,8 +101,8 @@ class Scenario:
 
 def _solve_transport(scn: Scenario):
     tanh = TANH.get(scn.problem)
-    curves = [tanh[0](e) for e in scn.ladder] if tanh else scn.rcs
-    return solve_transport(curves, scn.data[0], scn.grid, store_times=scn.store_times, scenario_id=scn.id)
+    flows = [TanhFlow(e, tanh[0]) for e in scn.ladder] if tanh else scn.rcs
+    return solve_transport(flows, scn.data[0], scn.grid, store_times=scn.store_times, scenario_id=scn.id)
 
 
 def _solve_wave(scn: Scenario):
@@ -187,10 +185,9 @@ def _corner(scn: Scenario, fam, outdir: Path) -> str:
     a = phi_eval(scn.mollifier, 0.0)
     worst = 0.0
     for rc in scn.rcs:
-        cv = CharCurve.x_dependent(CoeffAntideriv(rc))
         h = rc.h
         for t in scn.opts["corner.times"]:
-            got, _ = gamma_partials(cv, t, 0.0)
+            got = gamma_partials(rc, t, 0.0)
             want = (2 / 3, -4 * a / (9 * h), 16 * a * a / (27 * h * h))
             rows.append(f"{float(rc.eps)!r},{t}," + ",".join(f"{g!r},{w!r}" for g, w in zip(got, want)))
             worst = max(worst, *(abs(g - w) / abs(w) for g, w in zip(got, want)))
@@ -198,19 +195,8 @@ def _corner(scn: Scenario, fam, outdir: Path) -> str:
     return f"corner={'PASS' if worst <= CORNER_TOL else 'FAIL'} worst_rel_err={worst:.3e}"
 
 
-def _abel(scn: Scenario, fam, outdir: Path) -> str:
-    w0 = lambda r: np.exp(-4.0 * np.asarray(r, dtype=float) ** 2)
-    vf = lambda r: abel_forward(lambda t, rr: w0(rr), 0.0, r)
-    wi = abel_invert(vf, fd_step=1e-5)
-    rr = np.linspace(-1.5, 1.5, 61)
-    err = float(np.max(np.abs(wi(rr) - w0(rr))))
-    rows = ["r,w,roundtrip"] + [f"{r:.6g},{w0(r):.10g},{float(wi(r)):.10g}" for r in rr]
-    (outdir / "abel.csv").write_text("\n".join(rows) + "\n")
-    return f"abel_roundtrip_max_err={err:.3e}"
-
-
 ANALYSES = dict(detect=_detect, energy=_energy, associate=_associate, oracle_compare=_oracle_compare,
-                corner=_corner, abel=_abel)
+                corner=_corner)
 
 
 # Per problem: the coefficient.variable it needs (None: no coefficient), whether it
@@ -224,7 +210,6 @@ PROBLEMS = {
                       _solve_wave),
     "wave_t": Problem("time", True, ("detect", "energy"), "t_jump", _solve_wave),
     "radial_odd": Problem("time", True, ("detect",), "radial_odd", _solve_radial_odd),
-    "radial_even_abel": Problem(None, False, ("abel",)),
     "tanh_example_2": Problem(None, True, ("associate",), solve=_solve_transport, u0="bump:0.0,0.5"),
     "tanh_example_3": Problem(None, True, ("associate",), solve=_solve_transport, u0="bump:0.0,0.5"),
     "corner_3_6": Problem("space", False, ("corner",)),

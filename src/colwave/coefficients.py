@@ -15,9 +15,9 @@ sampled once at the 16 Gauss-Legendre nodes; the GL sum gives the panel total
 and the same samples give the degree-15 Legendre series of f in the panel
 variable z, integrated once to G(z) = int_{-1}^z f.  Evaluation is one table
 lookup plus at most one Clenshaw sum of G; the inverse is exact on the affine
-pieces and a safeguarded Newton iteration on G inside one panel.  The
-reciprocal antiderivative C_eps = int_0^x 1/c_eps is CoeffAntideriv; 1/sqrt(c)
-gives the travel time of the conservative wave_x form; a time-dependent
+pieces and a safeguarded Newton iteration on G inside one panel.  1/c gives
+the reciprocal antiderivative C_eps = int_0^x 1/c_eps of the transport flow,
+1/sqrt(c) the travel time of the conservative wave_x form; a time-dependent
 coefficient uses the c_eps table, T(t).
 """
 
@@ -33,7 +33,6 @@ from .mollifier import Mollifier, ScaleFn, phi_antideriv, phi_deriv, scale_eval
 __all__ = [
     "PiecewiseConstantCoeff",
     "RegularizedCoeff",
-    "CoeffAntideriv",
     "CumulativeIntegral",
     "coeff_eval",
     "coeff_deriv",
@@ -70,14 +69,6 @@ class PiecewiseConstantCoeff:
         if self.variable not in ("space", "time"):
             raise ValueError("variable must be 'space' or 'time'")
 
-    @property
-    def b0(self) -> float:
-        return min(self.values)
-
-    @property
-    def b1(self) -> float:
-        return max(self.values)
-
     def __call__(self, x):
         """Sharp (unmollified) evaluation; midpoint value on a jump."""
         x = np.asarray(x, dtype=float)
@@ -99,14 +90,6 @@ class RegularizedCoeff:
     @property
     def h(self) -> float:
         return scale_eval(self.scale, self.eps)
-
-    @property
-    def b0(self) -> float:
-        return self.base.b0
-
-    @property
-    def b1(self) -> float:
-        return self.base.b1
 
     def __call__(self, x):
         return coeff_eval(self, x)
@@ -235,9 +218,3 @@ class CumulativeIntegral:
             x[p] = xm
         return float(x[0]) if scalar else x
 
-
-class CoeffAntideriv(CumulativeIntegral):
-    """C_eps(x) = int_0^x dy/c_eps(y) with its inverse."""
-
-    def __init__(self, rc: RegularizedCoeff):
-        super().__init__(rc, integrand="reciprocal")

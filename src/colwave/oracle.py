@@ -61,7 +61,6 @@ class ConnectedSolution:
     c_plus: float
     v0: Callable
     w0: Callable
-    u0: Callable = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
     @property
     def transmit(self) -> float:
@@ -72,8 +71,8 @@ class ConnectedSolution:
         return (self.c_plus - self.c_minus) / (self.c_plus + self.c_minus)
 
 
-def connected_eval(cs: ConnectedSolution, t, x, with_u: bool = False):
-    """(v, w[, u]) of the connected solution; x = 0 returns the common limit."""
+def connected_eval(cs: ConnectedSolution, t, x):
+    """(v, w) of the connected solution; x = 0 returns the common limit."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     t, x = np.broadcast_arrays(t, x)
@@ -100,27 +99,7 @@ def connected_eval(cs: ConnectedSolution, t, x, with_u: bool = False):
         (2.0 * cp / S) * v0((cm / cp) * (x - cp * t)) + ((cm - cp) / S) * w0(cp * t - x),
         v,
     )
-    if not with_u:
-        return v, w
-    # u = u0 + (1/2) int_0^t (v+w) ds, panel-split at the region crossing time
-    u = np.empty_like(v)
-    flat_t, flat_x = t.ravel(), x.ravel()
-    flat_u = np.empty_like(flat_t)
-    nodes, wts = np.polynomial.legendre.leggauss(24)
-    for i, (ti, xi) in enumerate(zip(flat_t, flat_x)):
-        cross = -xi / cm if xi < 0 else xi / cp
-        cuts = [0.0] + ([cross] if 0.0 < cross < ti else []) + [ti]
-        acc = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            # subdivide each smooth piece so fixed-order GL resolves narrow data
-            edges = np.linspace(a, b, 1 + max(1, int(np.ceil((b - a) / 0.1))))
-            for a2, b2 in zip(edges[:-1], edges[1:]):
-                ss = 0.5 * (a2 + b2) + 0.5 * (b2 - a2) * nodes
-                vv, ww = connected_eval(cs, ss, np.full_like(ss, xi))
-                acc += 0.5 * (b2 - a2) * np.sum(wts * 0.5 * (vv + ww))
-        flat_u[i] = acc
-    u = cs.u0(x) + flat_u.reshape(t.shape)
-    return v, w, u
+    return v, w
 
 
 def transmission_residuals(cs: ConnectedSolution, t):
@@ -280,10 +259,6 @@ class TestFunction:
         )
 
     @property
-    def l1_norm(self) -> float:
-        return 1.0
-
-    @property
     def t_support(self):
         return (self.t_center - self.radius, self.t_center + self.radius)
 
@@ -298,7 +273,6 @@ class AssociationVerdict:
     errors: np.ndarray
     tol: float
     passed: bool
-    reason: str = ""
 
 
 def associate_check(
@@ -313,12 +287,7 @@ def associate_check(
     half = e[len(e) // 2 :]
     decreasing = bool(np.all(np.diff(half) <= np.maximum(1e-12, 0.05 * half[:-1])))
     small = bool(e[-1] <= tol)
-    reason = []
-    if not decreasing:
-        reason.append("errors not decreasing over the last half of the ladder")
-    if not small:
-        reason.append(f"final error {e[-1]:.3g} > tol {tol:.3g}")
-    return AssociationVerdict(eps, e, tol, decreasing and small, "; ".join(reason))
+    return AssociationVerdict(eps, e, tol, decreasing and small)
 
 
 def pair_delta_oracle(m: DeltaInterface, psi: TestFunction, n_panels: int = 200):

@@ -38,8 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .characteristics import CharCurve, gamma, gamma_x_partials
-from .coefficients import CoeffAntideriv, CumulativeIntegral, RegularizedCoeff
+from .coefficients import CumulativeIntegral, RegularizedCoeff
 from .mollifier import Mollifier, phi_antideriv, phi_deriv, phi_eval, phi_moment
 
 __all__ = [
@@ -194,7 +193,7 @@ def _default_store_times(t_end: float, n: int = 9) -> np.ndarray:
 # --- transport (exact via characteristics) ---------------------------------
 
 def solve_transport(
-    curves,
+    flows,
     u0,
     grid: Grid1D,
     store_times=None,
@@ -203,14 +202,18 @@ def solve_transport(
 ) -> SolutionFamily:
     """u_eps(t,x) = u0_eps(gamma_eps(t,x,0)), evaluated on the grid nodes.
 
-    ``curves`` is a CharCurve, a RegularizedCoeff (wrapped as its x-dependent
-    flow), or a sequence of either (one per ladder member), solved in this
-    process one after the other.
+    ``flows`` is one member or a sequence of them (one per ladder member),
+    solved in this process one after the other.  A member is either a
+    RegularizedCoeff c_eps, whose foot gamma(t, x, 0) = C^-1(C(x) - t) comes
+    from the reciprocal antiderivative C = CumulativeIntegral(rc), with C(x)
+    taken once per member, or a TanhFlow, whose foot and foot_dx are closed
+    forms.
 
     Given ``u0_deriv``, the analytic dx u = u0'(gamma) * dx gamma is also
-    stored as field "ux" (chain rule, no differencing) -- grid differences
-    cannot resolve gradient layers exponentially thinner than dx, which is
-    exactly the regime of the tanh speeds.
+    stored as field "ux" (chain rule, no differencing; dx gamma = c(gamma)/c(x)
+    for c_eps) -- grid differences cannot resolve gradient layers
+    exponentially thinner than dx, which is exactly the regime of the tanh
+    speeds.
 
     The profiles are exactly +0.0 off the hull [lo, hi] of their supports
     (with_support), and the flow keeps the order of points, so at time t only
@@ -218,45 +221,46 @@ def solve_transport(
     by one node on each side against rounding, can hold a nonzero value.  The
     foot, u and ux are computed on that slice only, into zeroed rows.
     """
-    if not isinstance(curves, (list, tuple)):
-        curves = [curves]
+    if not isinstance(flows, (list, tuple)):
+        flows = [flows]
     times = np.asarray(
         _default_store_times(grid.t_end) if store_times is None else store_times, dtype=float
     )
     xs = grid.xs
 
-    def run(cv) -> SolutionRecord:
-        rc = None
-        if isinstance(cv, RegularizedCoeff):
-            rc = cv
-            cv = CharCurve.x_dependent(CoeffAntideriv(rc))
-        elif cv.kind == "x_dependent":
-            rc = cv.antideriv.rc
+    def run(flow) -> SolutionRecord:
+        # image(x, tau) = gamma(0, x, tau); foot and foot_dx act on the nodes xs[sl] at time t
+        if isinstance(flow, RegularizedCoeff):
+            rc, C = flow, CumulativeIntegral(flow)
+            Cx = C(xs)
+            cx = rc(xs) if u0_deriv is not None else None
+            image = lambda x, tau: C.invert(C(x) + tau)
+            foot = lambda t, sl: C.invert(Cx[sl] - t)
+            foot_dx = lambda t, sl, f: rc(f) / cx[sl]
+        else:  # a TanhFlow
+            rc = None
+            image = lambda x, tau: flow.foot(0.0, x, tau)
+            foot = lambda t, sl: flow.foot(t, xs[sl])
+            foot_dx = lambda t, sl, f: flow.foot_dx(t, xs[sl])
         prof, dprof = _resolve(u0, rc), _resolve(u0_deriv, rc)
         sups = [getattr(f, "support", (-np.inf, np.inf)) for f in (prof, dprof)]
         lo, hi = min(s[0] for s in sups), max(s[1] for s in sups)
-        ends = gamma(cv, 0.0, np.repeat([lo, hi], len(times)), np.tile(times, 2)).reshape(2, -1)
+        ends = image(np.repeat([lo, hi], len(times)), np.tile(times, 2)).reshape(2, -1)
         first = np.maximum(np.searchsorted(xs, ends[0], side="left") - 1, 0)
         stop = np.minimum(np.searchsorted(xs, ends[1], side="right") + 1, len(xs))
-        if rc is not None:  # gamma(t, x, 0) = C^-1(C(x) - t), C(x) taken once
-            ca = cv.antideriv
-            Cx = ca(xs)
-            cx = rc(xs) if u0_deriv is not None else None
         u = np.zeros((len(times), len(xs)))
         fields = {"u": u}
         if u0_deriv is not None:
             fields["ux"] = np.zeros_like(u)
         for i, t in enumerate(times):
             sl = slice(first[i], stop[i])
-            foot = ca.invert(Cx[sl] - t) if rc is not None else gamma(cv, t, xs[sl], 0.0)
-            u[i, sl] = prof(foot)
+            f = foot(t, sl)
+            u[i, sl] = prof(f)
             if u0_deriv is not None:
-                g1 = rc(foot) / cx[sl] if rc is not None else gamma_x_partials(cv, t, xs[sl])[0]
-                fields["ux"][i, sl] = dprof(foot) * g1
-        eps = rc.eps if rc is not None else cv.eps
-        return SolutionRecord(eps=eps, grid=grid, times=times, fields=fields)
+                fields["ux"][i, sl] = dprof(f) * foot_dx(t, sl, f)
+        return SolutionRecord(eps=flow.eps, grid=grid, times=times, fields=fields)
 
-    return SolutionFamily(scenario_id, "transport", [run(cv) for cv in curves])
+    return SolutionFamily(scenario_id, "transport", [run(flow) for flow in flows])
 
 
 # --- wave equation, x-dependent speed --------------------------------------
@@ -310,7 +314,7 @@ def solve_wave_x(
 
     def run(rc: RegularizedCoeff) -> SolutionRecord:
         grid.check_resolution(rc.h)
-        ca = CumulativeIntegral(rc, "reciprocal_sqrt") if conservative else CoeffAntideriv(rc)
+        ca = CumulativeIntegral(rc, "reciprocal_sqrt" if conservative else "reciprocal")
         a, z = speed_impedance(rc(xs), conservative)
         n_steps = int(np.ceil(grid.t_end / grid.dt(float(np.max(a))) - 1e-12))
         dxi = grid.t_end / n_steps

@@ -3,14 +3,14 @@
 Each test prints one ``CRITERION k: PASS/FAIL`` line (visible with ``-s``;
 ``pytest -v`` additionally gives one PASSED/FAILED line per criterion through
 the test names).  The heavy solver families are built once per session; the
-whole gate runs in roughly ten minutes on a single core.
+whole gate runs in about 11 s (2-core Xeon, Python 3.11, numpy 2.4).
 """
 
 import numpy as np
 import pytest
 
-from colwave.characteristics import CharCurve, gamma_partials
-from colwave.coefficients import CoeffAntideriv, PiecewiseConstantCoeff, RegularizedCoeff
+from colwave.characteristics import TanhFlow, gamma_partials
+from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.detector import classify, predict_singsupp
 from colwave.energy import energy_trace
 from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_eval
@@ -144,10 +144,9 @@ def test_criterion_01_corner_derivatives():
     worst = 0.0
     for e in EpsilonLadder():
         rc = RegularizedCoeff(X_BASE, MOLL, STD, e)
-        cv = CharCurve.x_dependent(CoeffAntideriv(rc))
         h = rc.h
         for t in (0.5, 1.0):
-            (g1, g2, g3), _ = gamma_partials(cv, t, 0.0)
+            g1, g2, g3 = gamma_partials(rc, t, 0.0)
             worst = max(
                 worst,
                 abs(g1 - 2.0 / 3.0) / (2.0 / 3.0),
@@ -161,7 +160,7 @@ def test_criterion_02_non_moderate_growth():
     grid = Grid1D(-2.0, 2.0, 800, 0.5)
     ladder = EpsilonLadder()
     fam = solve_transport(
-        [CharCurve.tanh_minus(e) for e in ladder], np.sin, grid,
+        [TanhFlow(e, 1.0) for e in ladder], np.sin, grid,
         store_times=[0.5], u0_deriv=np.cos,
     )
     vals = []
@@ -186,7 +185,7 @@ def test_criterion_03_moderate_family_association():
     grid = Grid1D(-2.0, 2.0, nx, 1.0)
     u0 = lambda x: phi_eval(MOLL, np.asarray(x, dtype=float) / 0.5)
     times = sorted(set(np.round(np.linspace(0.2, 0.8, 41), 10)) | {0.5})
-    fam = solve_transport([CharCurve.tanh_plus(e) for e in ladder], u0, grid, store_times=times)
+    fam = solve_transport([TanhFlow(e, -1.0) for e in ladder], u0, grid, store_times=times)
 
     from colwave.detector import derivative_profile
 

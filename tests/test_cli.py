@@ -11,19 +11,6 @@ from colwave.cli import ValidationError, bundled_scenarios, main, parse_scenario
 from colwave.oracle import pair_gridded
 from colwave.solvers import NumericalFailure, load_family
 
-ABEL_SCN = """\
-id=abel_demo
-problem=radial_even_abel
-mollifier.family=polynomial
-mollifier.n=2
-scale.kind=standard
-ladder.eps0=0.1
-ladder.ratio=0.7
-ladder.count=4
-analyses=abel
-"""
-
-
 def test_list_names_all_bundled(capsys):
     assert main(["list"]) == 0
     names = capsys.readouterr().out.split()
@@ -87,16 +74,6 @@ def test_run_corner_scenario_and_determinism(tmp_path):
     assert lines[0].startswith("eps,t,")
     assert len(lines) == 1 + 4 * 2  # four ladder values, two sample times
     assert (out1 / "corner36" / "report.txt").read_text().startswith("scenario=corner36")
-
-
-def test_run_abel_scenario(tmp_path):
-    scn = tmp_path / "abel_demo.scn"
-    scn.write_text(ABEL_SCN)
-    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 0
-    report = (tmp_path / "out" / "abel_demo" / "report.txt").read_text()
-    err = float(report.split("abel_roundtrip_max_err=")[1].split()[0])
-    assert err < 1e-3
-    assert (tmp_path / "out" / "abel_demo" / "abel.csv").exists()
 
 
 def test_run_transport_scenario_saves_family(tmp_path):

@@ -1,6 +1,8 @@
-"""Import hygiene: every name a module imports is used in that module."""
+"""Import hygiene: every name a module imports is used in that module, and
+every name a colwave module exports in __all__ exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,9 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "colwave").glob("*.py")), ids=lambda p: p.name)
+def test_every_name_in_all_exists(path):
+    module = importlib.import_module("colwave" if path.stem == "__init__" else f"colwave.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from colwave.characteristics import CharCurve, gamma, gamma_x_partials, time_integral
+from colwave.characteristics import TanhFlow, time_integral
 from colwave.cli import _profile
-from colwave.coefficients import CoeffAntideriv, CumulativeIntegral, PiecewiseConstantCoeff, RegularizedCoeff
+from colwave.coefficients import CumulativeIntegral, PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.energy import energy_trace
 from colwave.mollifier import Mollifier, ScaleFn
 from colwave.oracle import PiecewiseTSolution
@@ -80,7 +80,7 @@ def test_transport_exact_constant_speed():
 
 
 def test_transport_stores_analytic_derivative():
-    cv = CharCurve.tanh_minus(0.02)
+    cv = TanhFlow(0.02, 1.0)
     g = Grid1D(-2.0, 2.0, 400, 0.5)
     fam = solve_transport(
         cv,
@@ -172,7 +172,7 @@ def _reference_wave_x(rc, u0, u1, grid, times, conservative=False):
     couplings of its Strang split, from alignment 0 on.  Returns the u, v, w
     fields, dxi, and the first alignment whose window holds a nonzero label
     (found by looking, at every alignment, before its couplings)."""
-    ca = CumulativeIntegral(rc, "reciprocal_sqrt") if conservative else CoeffAntideriv(rc)
+    ca = CumulativeIntegral(rc, "reciprocal_sqrt" if conservative else "reciprocal")
     speed = (lambda x: np.sqrt(rc(x))) if conservative else rc
     xs = grid.xs
     n_steps = int(np.ceil(grid.t_end / grid.dt(float(np.max(speed(xs)))) - 1e-12))
@@ -497,22 +497,22 @@ def test_transport_ladder_matches_one_member_solves():
     u0, u0d = (lambda x: smooth_bump(x, -0.5, 0.5)), np.cos
     fam = solve_transport(rcs, u0, g, store_times=times, u0_deriv=u0d)
     _assert_same_records(fam, [solve_transport(rc, u0, g, store_times=times, u0_deriv=u0d) for rc in rcs])
-    # the foot C^-1(C(x) - t), with C(x) taken once per member, is the flow gamma(t, x, 0)
+    # the foot is the flow gamma(t, x, 0) = C^-1(C(x) - t)
     for rec, rc in zip(fam, rcs):
-        cv = CharCurve.x_dependent(CoeffAntideriv(rc))
+        C = CumulativeIntegral(rc)
         for i, t in enumerate(times):
-            foot = gamma(cv, t, g.xs, 0.0)
+            foot = C.invert(C(g.xs) - t)
             assert rec.fields["u"][i].tobytes() == u0(foot).tobytes()
             assert rec.fields["ux"][i].tobytes() == (u0d(foot) * (rc(foot) / rc(g.xs))).tobytes()
 
-    cvs = [CharCurve.tanh_plus(e) for e in (0.1, 0.07, 0.049)]
+    cvs = [TanhFlow(e, -1.0) for e in (0.1, 0.07, 0.049)]
     fam = solve_transport(cvs, np.sin, g, store_times=times, u0_deriv=np.cos)
     _assert_same_records(fam, [solve_transport(cv, np.sin, g, store_times=times, u0_deriv=np.cos) for cv in cvs])
     for rec, cv in zip(fam, cvs):
         for i, t in enumerate(times):
-            foot = gamma(cv, t, g.xs, 0.0)
+            foot = cv.foot(t, g.xs)
             assert rec.fields["u"][i].tobytes() == np.sin(foot).tobytes()
-            assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * gamma_x_partials(cv, t, g.xs)[0]).tobytes()
+            assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * cv.foot_dx(t, g.xs)).tobytes()
 
 
 # Data of the support-slice tests, as the command line builds them.  On the
@@ -543,20 +543,21 @@ def test_transport_computes_only_the_slice_the_data_can_reach(kind, data):
     rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), eps)
     u0, u0d = _profile(SLICE_DATA[data], g)
     if kind == "x_dependent":
-        member, cv = rc, CharCurve.x_dependent(CoeffAntideriv(rc))
+        member, C = rc, CumulativeIntegral(rc)
+        foot_at, foot_dx = (lambda t: C.invert(C(g.xs) - t)), (lambda t, foot: rc(foot) / rc(g.xs))
     else:  # a tanh flow has no coefficient to resolve delta data with: resolve it here
-        member = cv = getattr(CharCurve, kind)(eps)
+        member = TanhFlow(eps, 1.0 if kind == "tanh_minus" else -1.0)
+        foot_at, foot_dx = (lambda t: member.foot(t, g.xs)), (lambda t, foot: member.foot_dx(t, g.xs))
         u0, u0d = (solvers._resolve(f, rc) if isinstance(f, solvers.PerEps) else f for f in (u0, u0d))
     prof = solvers._resolve(u0, rc)
     evaluated = []
     counted = with_support(lambda x: evaluated.append(len(x)) or prof(x), *prof.support)
     (rec,) = solve_transport(member, counted, g, store_times=times, u0_deriv=u0d).records
     for i, t in enumerate(times):
-        foot = gamma(cv, t, g.xs, 0.0)
+        foot = foot_at(t)
         want = {"u": prof(foot)}
         if u0d is not None:
-            g1 = rc(foot) / rc(g.xs) if kind == "x_dependent" else gamma_x_partials(cv, t, g.xs)[0]
-            want["ux"] = solvers._resolve(u0d, rc)(foot) * g1
+            want["ux"] = solvers._resolve(u0d, rc)(foot) * foot_dx(t, foot)
         assert sorted(rec.fields) == sorted(want)
         for name, ref in want.items():
             got = rec.fields[name][i]
@@ -576,10 +577,10 @@ def test_transport_computes_only_the_slice_the_data_can_reach(kind, data):
 def test_transport_slice_is_the_hull_of_both_supports():
     # u0' without a support mark has the whole line as its support, so ux is
     # computed at every node even though u0 is one narrow bump
-    cv, g, times = CharCurve.tanh_plus(0.05), Grid1D(-2.0, 2.0, 512, 1.0), [0.0, 0.5]
+    cv, g, times = TanhFlow(0.05, -1.0), Grid1D(-2.0, 2.0, 512, 1.0), [0.0, 0.5]
     u0 = with_support(lambda x: smooth_bump(x, -0.5, 0.1), -0.6, -0.4)
     (rec,) = solve_transport(cv, u0, g, store_times=times, u0_deriv=np.cos).records
     for i, t in enumerate(times):
-        foot = gamma(cv, t, g.xs, 0.0)
+        foot = cv.foot(t, g.xs)
         assert rec.fields["u"][i].tobytes() == u0(foot).tobytes()
-        assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * gamma_x_partials(cv, t, g.xs)[0]).tobytes()
+        assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * cv.foot_dx(t, g.xs)).tobytes()
