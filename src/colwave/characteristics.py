@@ -14,7 +14,8 @@ tanh speeds c = -+tanh(x/eps):  TanhFlow, gamma(t,x,tau) = eps*Arsinh(e^{s} sinh
 with s = sign*(t-tau)/eps, sign = +1 for c = -tanh and -1 for c = +tanh.
 e^{s} overflows double precision long before the quantities of interest stop
 being meaningful, so Arsinh(e^s sinh r) is evaluated through its logarithmic
-asymptotic form once s + |r| is large, and d/dx gamma through logarithms.
+asymptotic form once s + |r| or |r| alone is large, and d/dx gamma through
+logarithms.
 """
 
 from __future__ import annotations
@@ -34,17 +35,18 @@ __all__ = [
 
 _LOG2 = np.log(2.0)
 _ASYMPTOTIC = 30.0
+_SINH_MAX = 700.0  # sinh overflows double precision past R ~ 710
 
 
 def arsinh_exp(s, r):
-    """Arsinh(e^s * sinh(r)), overflow-safe for large s + |r|."""
+    """Arsinh(e^s * sinh(r)), overflow-safe for large s + |r| and for large |r|."""
     s = np.asarray(s, dtype=float)
     r = np.asarray(r, dtype=float)
     s, r = np.broadcast_arrays(s, r)
     sign = np.sign(r)
     R = np.abs(r)
     out = np.zeros_like(R)
-    direct = (s + R) <= _ASYMPTOTIC
+    direct = ((s + R) <= _ASYMPTOTIC) & (R <= _SINH_MAX)
     if direct.any():
         out[direct] = np.arcsinh(np.exp(s[direct]) * np.sinh(R[direct]))
     far = ~direct & (R > 0.0)
@@ -54,7 +56,7 @@ def arsinh_exp(s, r):
         lq = sf + Rf + np.log(-np.expm1(-2.0 * Rf)) - _LOG2
         big = lq > _ASYMPTOTIC
         # Arsinh(q) = log q + log(1 + sqrt(1 + q^-2))
-        u = np.exp(-2.0 * np.minimum(lq, 350.0))
+        u = np.exp(-2.0 * np.clip(lq, -350.0, 350.0))
         val = np.where(
             lq > -_ASYMPTOTIC,
             lq + np.log1p(np.sqrt(1.0 + u)),

@@ -66,18 +66,23 @@ class ValidationError(ValueError):
     pass
 
 
+# A parsed data.u0 / data.u1 spec: kind zero, delta, bump, quadratic or matched; x0 of
+# delta and bump data, w of bump data
+DataSpec = namedtuple("DataSpec", "kind x0 w", defaults=(None, None))
+
+
 @dataclass
 class Scenario:
     id: str
     problem: str
-    raw: dict
     coefficient: PiecewiseConstantCoeff | None
     mollifier: Mollifier
     scale: ScaleFn
     ladder: EpsilonLadder
     grid: Grid1D | None
     analyses: tuple
-    data: tuple  # (u0, u0', u1) profiles, None for zero data
+    u0: DataSpec
+    u1: DataSpec
     psi: TestFunction | None  # associate test function
     opts: dict  # RUN_KEYS values, parsed
 
@@ -86,10 +91,22 @@ class Scenario:
         return [RegularizedCoeff(self.coefficient, self.mollifier, self.scale, e) for e in self.ladder]
 
     @cached_property
+    def data(self) -> tuple:
+        """(u0, u0', u1) profiles, None for zero data; u1=matched is c(0) u0' with antiderivative c(0) u0."""
+        u0, u0d = _profile(self.u0, self.grid)
+        if self.u1.kind != "matched":
+            return u0, u0d, _profile(self.u1, self.grid)[0]
+        c00 = self.coefficient(0.0)  # cancels the left-moving characteristic component
+        matched = lambda f, F: with_support(lambda x: c00 * f(x), *f.support, lambda x: c00 * F(x))
+        if self.u0.kind == "delta":
+            return u0, u0d, PerEps(lambda rc: matched(u0d(rc), u0(rc)))
+        return u0, u0d, matched(u0d, u0)
+
+    @cached_property
     def interface(self) -> DeltaInterface:
         """wave_x: speed and impedance on each side of the one breakpoint, and the data.u1 delta."""
         (am, zm), (ap, zp) = (speed_impedance(c, self.opts["solver.conservative"]) for c in self.coefficient.values)
-        return DeltaInterface(am, ap, zm, zp, self.coefficient.breakpoints[0], _delta_x0(self.raw["data.u1"]))
+        return DeltaInterface(am, ap, zm, zp, self.coefficient.breakpoints[0], self.u1.x0)
 
     @property
     def store_times(self):
@@ -106,12 +123,12 @@ def _solve_transport(scn: Scenario):
 
 
 def _solve_wave(scn: Scenario):
-    (u0, u0d, u1), want_vw = scn.data, "energy" in scn.analyses
-    common = dict(u0_deriv=u0d, store_times=scn.store_times, store_vw=want_vw, scenario_id=scn.id)
+    u0, u0d, u1 = scn.data
+    common = dict(u0_deriv=u0d, store_times=scn.store_times, store_vw="energy" in scn.analyses, scenario_id=scn.id)
     if scn.coefficient.variable == "time":
         return solve_wave_t(scn.rcs, u0, u1, scn.grid, **common)
     return solve_wave_x(scn.rcs, u0, u1, scn.grid, conservative=scn.opts["solver.conservative"],
-                        store_dtype=np.float64 if want_vw else np.float32, **common)
+                        store_dtype=np.float32, **common)
 
 
 def _solve_radial_odd(scn: Scenario):
@@ -128,7 +145,8 @@ def _detect(scn: Scenario, fam, outdir: Path) -> str:
         where = dict(c0=m.a_minus, c1=m.a_plus, interface=m.b, x0=m.x0)
     else:  # t_jump: the point data sit at one x0 (_check_geometry); radial_odd has none, its data sit at r = 0
         (c0, c1), (b,) = scn.coefficient.values, scn.coefficient.breakpoints
-        where = dict(c0=c0, c1=c1, t_jump=b, x0=min(_point_data(scn.raw), default=0.0))
+        x0 = next((d.x0 for d in (scn.u0, scn.u1) if d.kind == "delta"), 0.0)
+        where = dict(c0=c0, c1=c1, t_jump=b, x0=x0)
     rays = predict_singsupp(kind, standard_scale=scn.scale.kind == "standard", **where)
     o = scn.opts
     rep = classify(fam, rays, h_fn=scn.scale, times=o["detect.times"], theta=o["detect.theta"],
@@ -158,8 +176,7 @@ def _associate(scn: Scenario, fam, outdir: Path) -> str:
     if scn.problem in TANH:
         limit = TANH[scn.problem][1](scn.data[0])
         tt, xx = np.linspace(*psi.t_support, 401), np.linspace(*psi.x_support, 801)
-        g = limit(tt[:, None], xx[None, :]) * psi(tt[:, None], xx[None, :])
-        target = float(np.trapezoid(np.trapezoid(g, xx, axis=1), tt))
+        target = pair_gridded(tt, xx, limit(tt[:, None], xx[None, :]), psi)
     else:
         target = pair_delta_oracle(scn.interface, psi)
     pairings = [pair_gridded(r.times, r.xs, r.fields["u"], psi) for r in fam]
@@ -183,12 +200,15 @@ def _oracle_compare(scn: Scenario, fam, outdir: Path) -> str:
 def _corner(scn: Scenario, fam, outdir: Path) -> str:
     rows = ["eps,t,dgamma,expected1,d2gamma,expected2,d3gamma,expected3"]
     a = phi_eval(scn.mollifier, 0.0)
+    (c0, c1), (b,) = scn.coefficient.values, scn.coefficient.breakpoints
+    s, d = c0 + c1, c1 - c0
     worst = 0.0
     for rc in scn.rcs:
         h = rc.h
         for t in scn.opts["corner.times"]:
-            got = gamma_partials(rc, t, 0.0)
-            want = (2 / 3, -4 * a / (9 * h), 16 * a * a / (27 * h * h))
+            got = gamma_partials(rc, t, b)
+            # the foot past the kernel sees c0; at b, c_eps = s/2, c_eps' = a d/h and c_eps'' = 0
+            want = (2 * c0 / s, -4 * a * c0 * d / (s * s * h), 16 * a * a * c0 * d * d / (s**3 * h * h))
             rows.append(f"{float(rc.eps)!r},{t}," + ",".join(f"{g!r},{w!r}" for g, w in zip(got, want)))
             worst = max(worst, *(abs(g - w) / abs(w) for g, w in zip(got, want)))
     (outdir / "corner.csv").write_text("\n".join(rows) + "\n")
@@ -200,18 +220,21 @@ ANALYSES = dict(detect=_detect, energy=_energy, associate=_associate, oracle_com
 
 
 # Per problem: the coefficient.variable it needs (None: no coefficient), whether it
-# needs a grid, the analyses it runs in report.txt order, the detect.kind its
-# detection is scored with, its solve (Scenario -> family) and the
+# needs a grid, the analyses it runs in report.txt order, the rays its detection is
+# scored with, its solve (Scenario -> family), the data keys it reads and the
 # default data.u0.
-Problem = namedtuple("Problem", "variable grid analyses detect_kind solve u0", defaults=(None, None, "zero"))
+Problem = namedtuple("Problem", "variable grid analyses detect_kind solve data u0", defaults=(None, None, (), "zero"))
+WAVE_DATA = ("data.u0", "data.u1")
 PROBLEMS = {
-    "transport": Problem("space", True, (), solve=_solve_transport, u0="bump:0.0,0.5"),
+    "transport": Problem("space", True, (), solve=_solve_transport, data=("data.u0",), u0="bump:0.0,0.5"),
     "wave_x": Problem("space", True, ("detect", "energy", "associate", "oracle_compare"), "x_jump_delta",
-                      _solve_wave),
-    "wave_t": Problem("time", True, ("detect", "energy"), "t_jump", _solve_wave),
+                      _solve_wave, WAVE_DATA),
+    "wave_t": Problem("time", True, ("detect", "energy"), "t_jump", _solve_wave, WAVE_DATA),
     "radial_odd": Problem("time", True, ("detect",), "radial_odd", _solve_radial_odd),
-    "tanh_example_2": Problem(None, True, ("associate",), solve=_solve_transport, u0="bump:0.0,0.5"),
-    "tanh_example_3": Problem(None, True, ("associate",), solve=_solve_transport, u0="bump:0.0,0.5"),
+    "tanh_example_2": Problem(None, True, ("associate",), solve=_solve_transport, data=("data.u0",),
+                              u0="bump:0.0,0.5"),
+    "tanh_example_3": Problem(None, True, ("associate",), solve=_solve_transport, data=("data.u0",),
+                              u0="bump:0.0,0.5"),
     "corner_3_6": Problem("space", False, ("corner",)),
 }
 
@@ -286,8 +309,8 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
     unknown = sorted(kv.keys() - RUN_KEYS.keys() - {  # RUN_KEYS and the keys read here
         "id", "problem", "coefficient.variable", "coefficient.breakpoints", "coefficient.values", "mollifier.family",
         "mollifier.n", "scale.kind", "scale.p", "ladder.eps0", "ladder.ratio", "ladder.count", "grid.x_min",
-        "grid.x_max", "grid.nx", "grid.t_end", "grid.cfl", "data.u0", "data.u1", "analyses", "detect.kind",
-        "associate.t0", "associate.x0", "associate.radius"})
+        "grid.x_max", "grid.nx", "grid.t_end", "grid.cfl", "data.u0", "data.u1", "analyses", "associate.t0",
+        "associate.x0", "associate.radius"})
     if unknown:
         raise ValidationError(f"unknown key(s) {', '.join(map(repr, unknown))}")
     problem = kv.get("problem", "")
@@ -333,13 +356,13 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
         if a not in prob.analyses:
             runs = ", ".join(prob.analyses) or "no analysis"
             raise ValidationError(f"field 'analyses': problem {problem!r} runs {runs}, not {a!r}")
-    if problem == "radial_odd" and kv.get("data.u0", "zero") != "zero":
-        raise ValidationError("radial problems require data.u0=zero")
-    if prob.grid and prob.solve is not _solve_wave and kv.get("data.u1", "zero") not in ("", "zero"):
-        # transport has no initial velocity, and radial_odd builds in its own
-        raise ValidationError(f"problem {problem!r} does not read data.u1: leave it out or set it to zero, "
-                              f"not {kv['data.u1']!r}")
-    data = _data(kv, problem, coeff, grid) if prob.grid else (None, None, None)
+    u0, u1 = _spec(kv.get("data.u0", prob.u0)), _spec(kv.get("data.u1", "zero"))
+    for key, spec in (("data.u0", u0), ("data.u1", u1)):
+        if spec.kind != "zero" and key not in prob.data:
+            raise ValidationError(f"problem {problem!r} does not read {key}: leave it out or set it to zero, "
+                                  f"not {kv[key]!r}")
+    if "matched" in (u0.kind, u1.kind) and (problem != "wave_t" or u0.kind not in ("delta", "bump")):
+        raise ValidationError("matched is data.u1 = c(0) u0' of problem wave_t, with delta or bump data.u0")
     psi = None
     if "associate" in analyses:
         try:
@@ -352,12 +375,12 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
             opts[key] = parse(kv[key]) if key in kv else default
         except ValueError as exc:
             raise ValidationError(f"field {key!r}: {exc}") from exc
-    _check_geometry(kv, problem, coeff, data[0], set(analyses), scale(ladder.eps0), opts["solver.conservative"])
+    scn = Scenario(kv.get("id") or path.stem, problem, coeff, moll, scale, ladder, grid, analyses, u0, u1, psi,
+                   opts)
+    _check_geometry(scn)
     for key in ("solver.store_times", "detect.times"):
         if grid is not None and opts[key] is not None and not all(0.0 <= t <= grid.t_end for t in opts[key]):
             raise ValidationError(f"field {key!r}: every time must lie in [0, grid.t_end = {grid.t_end:g}]")
-    scn = Scenario(kv.get("id") or path.stem, problem, kv, coeff, moll, scale, ladder, grid, analyses, data, psi,
-                   opts)
     if "detect" in analyses and opts["detect.times"] is None and max(scn.store_times) <= opts["detect.t_skip"]:
         raise ValidationError("field 'detect.t_skip': no stored time after it is left to detect at")
     if psi is not None:
@@ -369,87 +392,62 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
     return scn
 
 
-def _check_geometry(kv, problem, coeff, u0, asked: set, h0: float, conservative: bool):
+def _check_geometry(scn: Scenario):
     """Reject analyses whose rays, oracles or bounds cannot model the scenario."""
-    kind, bps = PROBLEMS[problem].detect_kind, coeff.breakpoints if coeff else None
-    x1, points = _delta_x0(kv.get("data.u1", "zero")), _point_data(kv)
-    if bps is not None and asked & {"detect", "associate", "oracle_compare"} and len(bps) != 1:
-        raise ValidationError("detect, associate and oracle_compare need exactly one coefficient breakpoint")
+    asked, kind, coeff = set(scn.analyses), PROBLEMS[scn.problem].detect_kind, scn.coefficient
+    bps, points = coeff.breakpoints if coeff else None, {d.x0 for d in (scn.u0, scn.u1) if d.kind == "delta"}
+    if bps is not None and asked & {"detect", "associate", "oracle_compare", "corner"} and len(bps) != 1:
+        raise ValidationError("detect, associate, oracle_compare and corner need exactly one coefficient breakpoint")
     if "detect" in asked:
-        if (kv.get("detect.kind") or kind) != kind:
-            raise ValidationError(f"field 'detect.kind': problem {problem!r} is scored with {kind!r}")
-        if kind == "x_jump_delta" and conservative:
+        if kind == "x_jump_delta" and scn.opts["solver.conservative"]:
             raise ValidationError("solver.conservative=true moves at a = sqrt(c), and the reflected-ray rule of the "
                                   "x_jump_delta lower set is derived only for the non-conservative form, a = c")
-        bumps = [k for k in ("data.u0", "data.u1") if kv.get(k, "").startswith("bump")]
-        if kind == "t_jump" and (len(points) != 1 or bumps):
+        if kind == "t_jump" and (len(points) != 1 or "bump" in (scn.u0.kind, scn.u1.kind)):
             raise ValidationError("t_jump rays start at the point data: data.u0 and data.u1 need delta data at one x0 "
                                   "(bump data is singular at its edges)")
-    if problem == "wave_x" and asked & {"detect", "associate", "oracle_compare"} and (x1 is None or x1 >= bps[0]):
+    if (scn.problem == "wave_x" and asked & {"detect", "associate", "oracle_compare"}
+            and not (scn.u1.kind == "delta" and scn.u1.x0 < bps[0])):
         raise ValidationError("x_jump_delta rays and the delta oracle need data.u1=delta:x0 with x0 < b, the interface")
-    if "energy" in asked and coeff.variable == "time" and np.any(np.diff(bps) < 2.0 * h0):
+    if "energy" in asked and coeff.variable == "time" and np.any(np.diff(bps) < 2.0 * scn.scale(scn.ladder.eps0)):
         raise ValidationError("energy: kernel neighbourhoods of the time breakpoints overlap at ladder.eps0")
-    if "corner" in asked and (bps, coeff.values) != ((0.0,), (1.0, 2.0)):
-        raise ValidationError("corner closed forms need the 1 -> 2 jump at x = 0 (coefficient.values=1,2)")
-    if problem in TANH:
-        if isinstance(u0, PerEps):  # a tanh flow has no regularized coefficient to mollify a delta with
+    if scn.problem in TANH:
+        if scn.u0.kind == "delta":  # a tanh flow has no regularized coefficient to mollify a delta with
             raise ValidationError("a tanh example takes data.u0=bump:x0,w, quadratic or zero, not a delta")
-        if "associate" in asked and u0 is None:
+        if "associate" in asked and scn.u0.kind == "zero":
             raise ValidationError("associate on a tanh example needs data.u0=bump:x0,w or quadratic")
-    elif asked & {"associate", "oracle_compare"} and u0 is not None:
+    elif asked & {"associate", "oracle_compare"} and scn.u0.kind != "zero":
         raise ValidationError("associate and oracle_compare need data.u0=zero: the delta-data oracle starts from u = 0")
 
 
-def _point_data(kv) -> set:
-    """x0 of each 'delta:x0' spec among data.u0 and data.u1."""
-    return {x for x in (_delta_x0(kv.get(k, "zero")) for k in ("data.u0", "data.u1")) if x is not None}
-
-
-def _delta_x0(spec: str) -> float | None:
-    """x0 of 'delta:x0' data, None for any other data spec."""
-    kind, _, arg = spec.partition(":")
-    if kind != "delta":
-        return None
-    try:
-        return _float(arg)
-    except ValueError as exc:
-        raise ValidationError(f"malformed data spec {spec!r} ({exc})") from exc
-
-
-def _data(kv, problem, coeff, grid):
-    """(u0, u0', u1) from data.u0 / data.u1; u1=matched is c(0) u0' (wave_t only)."""
-    u0, u0d = _profile(kv.get("data.u0", PROBLEMS[problem].u0), grid)
-    if kv.get("data.u1") != "matched":
-        return u0, u0d, _profile(kv.get("data.u1", "zero"), grid)[0]
-    if problem != "wave_t" or u0 is None or u0d is None:
-        raise ValidationError("data.u1=matched needs problem wave_t and differentiable nonzero data.u0")
-    c00 = coeff(0.0)  # cancels the left-moving characteristic component
-    if isinstance(u0d, PerEps):
-        return u0, u0d, PerEps(lambda rc: (lambda x, f=u0d(rc): c00 * f(x)))
-    return u0, u0d, lambda x: c00 * u0d(x)
-
-
-def _profile(spec: str, grid: Grid1D | None):
-    """Data profile and its derivative from 'zero' | 'delta:x0' | 'bump:x0,w' | 'quadratic'."""
-    if spec in ("", "zero"):
-        return None, None
-    x0 = _delta_x0(spec)
-    if x0 is not None:
-        return delta_profile(x0), delta_profile_deriv(x0)
+def _spec(spec: str) -> DataSpec:
+    """Parse 'zero' (or empty) | 'delta:x0' | 'bump:x0,w' | 'quadratic' | 'matched'."""
     kind, _, args = spec.partition(":")
     try:
+        if kind == "delta":
+            return DataSpec(kind, _float(args))
         if kind == "bump":
             x0, w = (_float(v) for v in args.split(","))
             if not w > 0.0:
                 raise ValueError("the width must be > 0")
+            return DataSpec(kind, x0, w)
     except ValueError as exc:
         raise ValidationError(f"malformed data spec {spec!r} ({exc})") from exc
-    if kind == "bump":
-        bm = Mollifier()
+    if spec not in ("", "zero", "quadratic", "matched"):
+        raise ValidationError(f"unknown data spec {spec!r}")
+    return DataSpec(spec or "zero")
+
+
+def _profile(spec: DataSpec, grid: Grid1D | None):
+    """Data profile and its derivative of a parsed data spec other than matched; None for zero data."""
+    if spec.kind == "delta":
+        return delta_profile(spec.x0), delta_profile_deriv(spec.x0)
+    if spec.kind == "bump":
+        bm, x0, w = Mollifier(), spec.x0, spec.w
         f = lambda x: phi_eval(bm, (np.asarray(x, dtype=float) - x0) / w)
         fd = lambda x: phi_deriv(bm, (np.asarray(x, dtype=float) - x0) / w, 1) / w
-        return with_support(f, x0 - w, x0 + w), with_support(fd, x0 - w, x0 + w)
-    if kind == "quadratic":  # only problems with a grid read data
+        F = lambda x: w * phi_antideriv(bm, (np.asarray(x, dtype=float) - x0) / w)
+        return with_support(f, x0 - w, x0 + w, F), with_support(fd, x0 - w, x0 + w)
+    if spec.kind == "quadratic":  # only problems with a grid read data
         bm = Mollifier("bump")
         span = grid.x_max - grid.x_min
         lo, hi = grid.x_min + span / 8.0, grid.x_max - span / 8.0
@@ -460,7 +458,7 @@ def _profile(spec: str, grid: Grid1D | None):
             return phi_antideriv(bm, (x - lo) / w) * (1.0 - phi_antideriv(bm, (x - hi) / w))
 
         return with_support(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2 * chi(x), lo - w, hi + w), None
-    raise ValidationError(f"unknown data spec {spec!r}")
+    return None, None
 
 
 def run_scenario(scn: Scenario, outdir: Path) -> int:

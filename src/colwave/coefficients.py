@@ -28,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
-from .mollifier import Mollifier, ScaleFn, phi_antideriv, phi_deriv, scale_eval
+from .mollifier import Mollifier, ScaleFn, phi_antideriv, phi_deriv
 
 __all__ = [
     "PiecewiseConstantCoeff",
     "RegularizedCoeff",
     "CumulativeIntegral",
-    "coeff_eval",
-    "coeff_deriv",
 ]
 
 _GL_NODES, _GL_WEIGHTS = legendre.leggauss(16)
@@ -89,13 +87,27 @@ class RegularizedCoeff:
 
     @property
     def h(self) -> float:
-        return scale_eval(self.scale, self.eps)
+        return self.scale(self.eps)
 
     def __call__(self, x):
-        return coeff_eval(self, x)
+        x = np.asarray(x, dtype=float)
+        h = self.h
+        vals = self.base.values
+        out = np.full_like(x, vals[0], dtype=float)
+        for b, lo, hi in zip(self.base.breakpoints, vals[:-1], vals[1:]):
+            out = out + (hi - lo) * phi_antideriv(self.mollifier, (x - b) / h)
+        return out if out.ndim else float(out)
 
     def deriv(self, x, k: int = 1):
-        return coeff_deriv(self, x, k)
+        if k < 1:
+            raise ValueError("derivative order must be >= 1")
+        x = np.asarray(x, dtype=float)
+        h = self.h
+        vals = self.base.values
+        out = np.zeros_like(x, dtype=float)
+        for b, lo, hi in zip(self.base.breakpoints, vals[:-1], vals[1:]):
+            out = out + (hi - lo) * phi_deriv(self.mollifier, (x - b) / h, k - 1) / h**k
+        return out if out.ndim else float(out)
 
     @property
     def windows(self) -> tuple:
@@ -107,28 +119,6 @@ class RegularizedCoeff:
             else:
                 out.append([b - h, b + h])
         return tuple(map(tuple, out))
-
-
-def coeff_eval(rc: RegularizedCoeff, x):
-    x = np.asarray(x, dtype=float)
-    h = rc.h
-    vals = rc.base.values
-    out = np.full_like(x, vals[0], dtype=float)
-    for b, lo, hi in zip(rc.base.breakpoints, vals[:-1], vals[1:]):
-        out = out + (hi - lo) * phi_antideriv(rc.mollifier, (x - b) / h)
-    return out if out.ndim else float(out)
-
-
-def coeff_deriv(rc: RegularizedCoeff, x, k: int):
-    if k < 1:
-        raise ValueError("derivative order must be >= 1")
-    x = np.asarray(x, dtype=float)
-    h = rc.h
-    vals = rc.base.values
-    out = np.zeros_like(x, dtype=float)
-    for b, lo, hi in zip(rc.base.breakpoints, vals[:-1], vals[1:]):
-        out = out + (hi - lo) * phi_deriv(rc.mollifier, (x - b) / h, k - 1) / h**k
-    return out if out.ndim else float(out)
 
 
 class CumulativeIntegral:
@@ -147,8 +137,6 @@ class CumulativeIntegral:
         if integrand not in _INTEGRANDS:
             raise ValueError(f"unknown integrand {integrand!r}")
         self._f = _INTEGRANDS[integrand]
-        self.rc = rc
-        self.integrand = integrand
         # c_eps is smooth between the kernel ends b - h, b + h, so no panel straddles one
         # sorted and deduplicated by hand: the first np.unique call imports numpy.ma (tens of ms)
         ends = np.array(sorted({b + d for b in rc.base.breakpoints for d in (-rc.h, rc.h)}), dtype=float)
@@ -164,7 +152,7 @@ class CumulativeIntegral:
         part = slope[1:-1] * np.diff(edges)
         inner = panel[1:-1]
         self._mid, self._half = mid[1:-1][inner], 0.5 * (edges[1:] - edges[:-1])[inner]
-        fv = self._f(coeff_eval(rc, self._mid[:, None] + self._half[:, None] * _GL_NODES))
+        fv = self._f(rc(self._mid[:, None] + self._half[:, None] * _GL_NODES))
         part[inner] = self._half * (fv @ _GL_WEIGHTS)
         coef = fv @ _GL_PROJECT
         self._fser = coef.T.copy()  # one column per panel

@@ -76,7 +76,6 @@ class SingSuppReport:
     recall: float
     per_ray_recall: dict = field(default_factory=dict)
     per_ray_max_excess: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
 
 # --- finite-difference magnitude sampling ----------------------------------
@@ -222,7 +221,6 @@ def classify(
         recall=hits_total / n_total if n_total else 1.0,
         per_ray_recall=per_ray_recall,
         per_ray_max_excess=per_ray_excess,
-        meta={"theta": theta, "alpha_hi": alpha_hi, "alpha_ref": 0, "times": list(times)},
     )
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "phi_deriv",
     "phi_antideriv",
     "phi_moment",
-    "scale_eval",
 ]
 
 
@@ -209,22 +208,18 @@ class ScaleFn:
             raise ValueError("slow_scale exponent p must be > 1")
 
     def __call__(self, eps):
-        return scale_eval(self, eps)
-
-
-def scale_eval(s: ScaleFn, eps):
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0.0):
-        raise ValueError("eps must be positive")
-    if s.kind == "standard":
-        h = eps.copy()
-    elif s.kind == "logarithmic":
-        if np.any(eps >= 1.0):
-            raise ValueError("logarithmic scale needs eps < 1")
-        h = 1.0 / np.abs(np.log(eps))
-    else:
-        h = eps ** (1.0 / s.p)
-    return h if h.ndim else float(h)
+        eps = np.asarray(eps, dtype=float)
+        if np.any(eps <= 0.0):
+            raise ValueError("eps must be positive")
+        if self.kind == "standard":
+            h = eps.copy()
+        elif self.kind == "logarithmic":
+            if np.any(eps >= 1.0):
+                raise ValueError("logarithmic scale needs eps < 1")
+            h = 1.0 / np.abs(np.log(eps))
+        else:
+            h = eps ** (1.0 / self.p)
+        return h if h.ndim else float(h)
 
 
 @dataclass(frozen=True)

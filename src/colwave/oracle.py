@@ -269,9 +269,7 @@ class TestFunction:
 
 @dataclass
 class AssociationVerdict:
-    eps: np.ndarray
-    errors: np.ndarray
-    tol: float
+    errors: np.ndarray  # |pairing - target|, largest eps first
     passed: bool
 
 
@@ -279,15 +277,11 @@ def associate_check(
     eps_values: Sequence[float], pairings: Sequence[float], target: float
 ) -> AssociationVerdict:
     """PASS when |pairing - target| decreases over the last half and ends <= 1e-2."""
-    tol = 1e-2
-    eps = np.asarray(eps_values, dtype=float)
     e = np.abs(np.asarray(pairings, dtype=float) - target)
-    order = np.argsort(-eps)
-    eps, e = eps[order], e[order]
+    e = e[np.argsort(-np.asarray(eps_values, dtype=float))]
     half = e[len(e) // 2 :]
     decreasing = bool(np.all(np.diff(half) <= np.maximum(1e-12, 0.05 * half[:-1])))
-    small = bool(e[-1] <= tol)
-    return AssociationVerdict(eps, e, tol, decreasing and small)
+    return AssociationVerdict(e, decreasing and bool(e[-1] <= 1e-2))
 
 
 def pair_delta_oracle(m: DeltaInterface, psi: TestFunction, n_panels: int = 200):

@@ -302,8 +302,9 @@ def solve_wave_x(
     by linear interpolation in xi.  The members are solved in this process.
 
     Fields per record: "u" time-indexed slices (store_dtype), plus "v","w"
-    when store_vw is set; meta "a" and "rho" hold the characteristic speed and
-    the density rho = Z/a of the energy functional on grid.xs.
+    (float64, which the energy functional sums) when store_vw is set; meta "a"
+    and "rho" hold the characteristic speed and the density rho = Z/a of the
+    energy functional on grid.xs.
     """
     if not isinstance(rcs, (list, tuple)):
         rcs = [rcs]
@@ -360,7 +361,8 @@ def solve_wave_x(
         # between them; alignment 0 has only the half after its read
         split = {0, *fills} if lo else range(last + 1)
         names = ("u", "v", "w") if store_vw else ("u",)
-        fields = {name: np.empty((len(times), len(xs)), dtype=store_dtype) for name in names}
+        fields = {name: np.empty((len(times), len(xs)), dtype=store_dtype if name == "u" else np.float64)
+                  for name in names}
         u_left = float(u0f(x[:1])[0])
         ut_left = 0.5 * (V[n_steps] + W[0])
         for k in range(last + 1):

@@ -95,6 +95,14 @@ def test_arsinh_exp_asymptotic_regime():
         assert arsinh_exp(800.0, r) == pytest.approx(800.0 + r + np.log1p(-np.exp(-2 * r)), rel=1e-13)
 
 
+def test_diverging_tanh_foot_where_sinh_overflows():
+    # r = x/eps = 745 overflows sinh(r) while s + r = -5: log q = s + r + log(1 - e^{-2r}) - log 2
+    eps, t, x = 0.002, 1.5, 1.49
+    s, r = -t / eps, x / eps
+    log_q = s + r + np.log1p(-np.exp(-2.0 * r)) - np.log(2.0)
+    assert TanhFlow(eps, -1.0).foot(t, x) == pytest.approx(eps * np.arcsinh(np.exp(log_q)), rel=1e-12)
+
+
 def test_arsinh_exp_tiny_r():
     # sinh(r) ~ r: value ~ Arsinh(e^s r), no catastrophic cancellation
     s, r = 40.0, 1e-12

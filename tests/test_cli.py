@@ -8,6 +8,7 @@ import pytest
 
 from colwave import cli, coefficients, solvers
 from colwave.cli import ValidationError, bundled_scenarios, main, parse_scenario
+from colwave.mollifier import Mollifier, phi_antideriv, phi_eval
 from colwave.oracle import pair_gridded
 from colwave.solvers import NumericalFailure, load_family
 
@@ -157,7 +158,7 @@ REJECTED = {
     "t_jump_bump_data": ("thm43a", {"data.u1": "bump:0.3,0.5"}, "one x0"),
     "t_jump_bump_next_to_the_delta": ("thm43a", {"data.u0": "bump:0.0,0.5"}, "one x0"),
     "t_jump_without_point_data": ("thm43a", {"data.u1": "zero", "data.u0": "quadratic"}, "one x0"),
-    "detect_kind_of_other_problem": ("thm43a", {"detect.kind": "radial_odd"}, "detect.kind"),
+    "detect_kind_of_other_problem": ("thm43a", {"detect.kind": "radial_odd"}, "unknown key(s) 'detect.kind'"),
     "matched_on_wave_x": ("thm41", {"data.u0": "delta:-1.0", "data.u1": "matched", "analyses": None},
                           "matched"),
     "associate_without_test_function": ("ex3_tanh", {"associate.radius": None}, "associate.radius"),
@@ -182,7 +183,12 @@ REJECTED = {
     "conservative_not_boolean": ("thm41", {"solver.conservative": "yes"}, "'solver.conservative'"),
     "unknown_key": ("thm41", {"solver.limitr": "fromm"}, "unknown key(s) 'solver.limitr'"),
     "malformed_delta_without_grid": ("corner36", {"data.u1": "delta:x"}, "'delta:x'"),
-    "corner_other_jump": ("corner36", {"coefficient.values": "1.0,3.0"}, "1 -> 2 jump at x = 0"),
+    "corner_two_breakpoints": ("corner36", {"coefficient.breakpoints": "0.0,0.5", "coefficient.values": "1.0,2.0,1.0"},
+                               "exactly one coefficient breakpoint"),
+    "corner_unknown_data": ("corner36", {"data.u0": "foo"}, "unknown data spec 'foo'"),
+    "corner_bump_width_negative": ("corner36", {"data.u0": "bump:0,-1"}, "'bump:0,-1' (the width must be > 0)"),
+    "corner_matched": ("corner36", {"data.u1": "matched"}, "does not read data.u1"),
+    "matched_u0": ("thm43a", {"data.u0": "matched"}, "matched is data.u1"),
     "conservative_detect": ("thm41", {"solver.conservative": "true", "analyses": "detect"}, "a = c"),
     "corner_times_empty": ("corner36", {"corner.times": ""}, "'corner.times'"),
     "corner_times_nan": ("corner36", {"corner.times": "nan"}, "'corner.times'"),
@@ -209,6 +215,30 @@ REJECTED = {
 }
 
 
+# a bundled scenario of each problem, and the key changes that make it one
+PROBLEM_BASES = {
+    "transport": ("thm41", {"problem": "transport", "analyses": None, "data.u1": None}),
+    "wave_x": ("thm41", {}),
+    "wave_t": ("thm43a", {}),
+    "radial_odd": ("thm45_d3", {}),
+    "tanh_example_2": ("ex2_tanh", {}),
+    "tanh_example_3": ("ex3_tanh", {}),
+    "corner_3_6": ("corner36", {}),
+}
+# every data key a problem does not read rejects nonzero data
+REJECTED.update({f"{problem}_unread_{key}": (name, {**changes, key: "delta:0.5"}, f"does not read {key}")
+                 for problem, (name, changes) in PROBLEM_BASES.items()
+                 for key in ("data.u0", "data.u1") if key not in cli.PROBLEMS[problem].data})
+
+
+def test_problem_bases_cover_every_problem_and_validate(tmp_path):
+    assert PROBLEM_BASES.keys() == cli.PROBLEMS.keys()
+    for problem, (name, changes) in PROBLEM_BASES.items():
+        scn = tmp_path / f"{problem}.scn"
+        scn.write_text(_edited(name, changes))
+        assert parse_scenario(scn).problem == problem
+
+
 @pytest.mark.parametrize("case", list(REJECTED))
 def test_rejected_with_exit_2_before_any_output(case, tmp_path, capsys):
     name, changes, fragment = REJECTED[case]
@@ -220,6 +250,12 @@ def test_rejected_with_exit_2_before_any_output(case, tmp_path, capsys):
     assert main(["run", str(scn), "--out", str(out), "--ladder-override", "0.1,0.8,4"]) == 2
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_empty_data_spec_is_zero_data(tmp_path):
+    scn = tmp_path / "radial.scn"
+    scn.write_text(_edited("thm45_d3", {"data.u0": "", "data.u1": ""}))
+    assert parse_scenario(scn).u0.kind == "zero"
 
 
 def test_t_jump_detection_scored_at_the_scenario_jump(tmp_path):
@@ -361,6 +397,12 @@ def test_corner_verdict_against_the_criterion_1_tolerance(tmp_path):
     assert "corner=FAIL" in (tmp_path / "b" / "early" / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("b, values", [("0.7", "2.0,1.0"), ("0.0", "1.0,3.0"), ("0.7", "0.5,4.0")])
+def test_corner_closed_forms_follow_the_scenario_jump(b, values, tmp_path):
+    out = _run(tmp_path, "corner36", {"id": "jump", "coefficient.breakpoints": b, "coefficient.values": values})
+    assert (out / "report.txt").read_text().splitlines()[-1].startswith("corner=PASS")
+
+
 def test_oracle_compare_reports_nan_when_its_masks_cover_the_grid(tmp_path):
     # on the logarithmic scale 4 h(eps) = 1.34 masks every cell of [-3.5, 2.7]
     scn = tmp_path / "logoracle.scn"
@@ -379,6 +421,29 @@ def test_wave_x_energy_follows_the_solved_form(conservative, tmp_path):
     # the conserved functional drifts only by the scheme's dissipation (the
     # conservative_x sum on the non-conservative solve grows by 1.2-1.4x)
     assert all(float(ln.split("drift=")[1]) < 0.2 for ln in energy)
+
+
+def test_energy_leaves_wave_x_detection_unchanged(tmp_path):
+    # u is stored in float32 with or without energy, which reads the float64 v and w
+    plain = _run(tmp_path, "thm41", {"id": "plain", "analyses": "detect"})
+    energy = _run(tmp_path, "thm41", {"id": "energy", "analyses": "detect,energy"})
+    assert (energy / "detect.csv").read_bytes() == (plain / "detect.csv").read_bytes()
+
+
+@pytest.mark.parametrize("data", [{"data.u0": "delta:0.0", "data.u1": "matched"}, {"data.u1": "bump:0.3,0.5"}])
+def test_wave_t_before_the_jump_is_exact_dalembert(data, tmp_path):
+    # t = 0.5 is lattice step 256 of dx = 1/512, before the kernel window of the jump at t = 1,
+    # where c = 1: with the exact antiderivative of u1, u = (Q - P)/2 is d'Alembert's to rounding
+    scn = tmp_path / "dalembert.scn"
+    scn.write_text(_edited("thm43a", {"grid.nx": "8192", "solver.store_times": "0.5", "analyses": None, **data}))
+    s, t, m = parse_scenario(scn, "0.1,0.8,4"), 0.5, Mollifier()
+    for rec in cli._solve_wave(s):
+        x = rec.xs
+        if "matched" in data.values():  # u1 = u0': u = u0(x + t)
+            want = phi_eval(m, (x + t) / rec.eps) / rec.eps
+        else:  # u1 = phi((x - 0.3)/0.5): u = (U1(x + t) - U1(x - t))/2, U1 = 0.5 Phi((x - 0.3)/0.5)
+            want = 0.25 * (phi_antideriv(m, (x + t - 0.3) / 0.5) - phi_antideriv(m, (x - t - 0.3) / 0.5))
+        assert np.max(np.abs(rec.fields["u"][0] - want)) <= 1e-12 * np.max(np.abs(want)), rec.eps
 
 
 def _python(code: str, *args: str) -> str:

@@ -10,7 +10,6 @@ from colwave.coefficients import (
     CumulativeIntegral,
     PiecewiseConstantCoeff,
     RegularizedCoeff,
-    coeff_eval,
 )
 from colwave.mollifier import Mollifier, ScaleFn
 
@@ -117,7 +116,7 @@ def _gl(f, rc, a, b):
     """GL-16 of f(c_eps) over each [a_i, b_i], sampled afresh: the reference for the panel series."""
     nodes, weights = np.polynomial.legendre.leggauss(16)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * (f(coeff_eval(rc, mid[:, None] + half[:, None] * nodes[None, :])) @ weights)
+    return half * (f(rc(mid[:, None] + half[:, None] * nodes[None, :])) @ weights)
 
 
 def _panels(F):

@@ -11,7 +11,6 @@ from colwave.mollifier import (
     phi_deriv,
     phi_eval,
     phi_moment,
-    scale_eval,
 )
 
 
@@ -106,13 +105,13 @@ def test_unknown_family_rejected():
 
 def test_scales():
     eps = 0.01
-    assert scale_eval(ScaleFn("standard"), eps) == eps
-    assert scale_eval(ScaleFn("logarithmic"), eps) == pytest.approx(1.0 / abs(np.log(eps)))
-    assert scale_eval(ScaleFn("slow_scale", p=4.0), eps) == pytest.approx(eps**0.25)
+    assert ScaleFn("standard")(eps) == eps
+    assert ScaleFn("logarithmic")(eps) == pytest.approx(1.0 / abs(np.log(eps)))
+    assert ScaleFn("slow_scale", p=4.0)(eps) == pytest.approx(eps**0.25)
     with pytest.raises(ValueError):
-        scale_eval(ScaleFn("standard"), -1.0)
+        ScaleFn("standard")(-1.0)
     with pytest.raises(ValueError):
-        scale_eval(ScaleFn("logarithmic"), 1.5)
+        ScaleFn("logarithmic")(1.5)
     with pytest.raises(ValueError):
         ScaleFn("slow_scale", p=0.5)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from colwave.characteristics import TanhFlow, time_integral
-from colwave.cli import _profile
+from colwave.cli import _profile, _spec
 from colwave.coefficients import CumulativeIntegral, PiecewiseConstantCoeff, RegularizedCoeff
 from colwave.energy import energy_trace
 from colwave.mollifier import Mollifier, ScaleFn
@@ -541,7 +541,7 @@ def test_transport_computes_only_the_slice_the_data_can_reach(kind, data):
     g = Grid1D(-2.0, 2.0, 1024, 1.0)
     base = PiecewiseConstantCoeff((-0.8, 0.0, 0.9), (1.0, 2.0, 0.7, 1.4), "space")
     rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), eps)
-    u0, u0d = _profile(SLICE_DATA[data], g)
+    u0, u0d = _profile(_spec(SLICE_DATA[data]), g)
     if kind == "x_dependent":
         member, C = rc, CumulativeIntegral(rc)
         foot_at, foot_dx = (lambda t: C.invert(C(g.xs) - t)), (lambda t, foot: rc(foot) / rc(g.xs))
@@ -572,6 +572,16 @@ def test_transport_computes_only_the_slice_the_data_can_reach(kind, data):
         assert evaluated[i] <= np.count_nonzero((lo <= foot) & (foot <= hi)) + 2
     if data in ("zero", "bump_off_the_grid"):
         assert max(evaluated) <= 1
+
+
+def test_diverging_tanh_transport_where_sinh_overflows():
+    # t/eps = 1000: the feet of x in [0.9, 0.99] lie within 3e-8 of 0, where the
+    # bump:0.0,0.5 data are phi(0) = 0.9375, the limit u0(0) of the three regions
+    g = Grid1D(-2.0, 2.0, 8000, 1.0)
+    u0 = _profile(_spec("bump:0.0,0.5"), g)[0]
+    (rec,) = solve_transport(TanhFlow(0.001, -1.0), u0, g, store_times=[1.0]).records
+    near = (g.xs >= 0.9) & (g.xs <= 0.99)
+    assert rec.fields["u"][0, near] == pytest.approx(0.9375, abs=1e-12)
 
 
 def test_transport_slice_is_the_hull_of_both_supports():
