@@ -1,7 +1,7 @@
-"""Piecewise-constant coefficients and their mollified families.
+"""Mollified families of piecewise-constant coefficients and their antiderivative tables.
 
-For a coefficient c with jumps at breakpoints b_i the mollified family is
-c_eps = c * phi_h (convolution), which has the closed form
+For a coefficient c with jumps at breakpoints b_i (colwave.spec.PiecewiseConstantCoeff)
+the mollified family is c_eps = c * phi_h (convolution), which has the closed form
 
     c_eps(x) = v_0 + sum_i (v_{i+1} - v_i) * Phi((x - b_i)/h),     h = h(eps),
 
@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
-from .mollifier import Mollifier, ScaleFn, phi_antideriv, phi_deriv
+from .mollifier import phi_antideriv, phi_deriv
+from .spec import Mollifier, PiecewiseConstantCoeff, ScaleFn
 
 __all__ = [
-    "PiecewiseConstantCoeff",
     "RegularizedCoeff",
     "CumulativeIntegral",
 ]
@@ -41,41 +41,6 @@ _GL_NODES, _GL_WEIGHTS = legendre.leggauss(16)
 _GL_PROJECT = legendre.legvander(_GL_NODES, 15) * (_GL_WEIGHTS[:, None] * (np.arange(16) + 0.5))
 _NEWTON_MAX_ITER = 60
 _INTEGRANDS = {"reciprocal": lambda c: 1.0 / c, "reciprocal_sqrt": lambda c: 1.0 / np.sqrt(c), "value": lambda c: c}
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantCoeff:
-    """c(x) = values[i] on (breakpoints[i-1], breakpoints[i])."""
-
-    breakpoints: tuple
-    values: tuple
-    variable: str = "space"  # "space" | "time"
-
-    def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != len(bp) + 1:
-            raise ValueError("need exactly one more value than breakpoints")
-        if not np.isfinite(bp + vals).all():
-            raise ValueError("breakpoints and values must be finite")
-        if any(v <= 0.0 for v in vals):
-            raise ValueError("coefficient values must be strictly positive")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if self.variable not in ("space", "time"):
-            raise ValueError("variable must be 'space' or 'time'")
-
-    def __call__(self, x):
-        """Sharp (unmollified) evaluation; midpoint value on a jump."""
-        x = np.asarray(x, dtype=float)
-        vals = np.asarray(self.values)
-        idx = np.searchsorted(self.breakpoints, x, side="left")
-        out = vals[idx]
-        for b, lo, hi in zip(self.breakpoints, vals[:-1], vals[1:]):
-            out = np.where(x == b, 0.5 * (lo + hi), out)
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Mollifier families, regularization scales and epsilon ladders.
+"""Evaluation of the mollifier families.
 
-A mollifier here is a symmetric bump phi with supp phi in [-1, 1],
+A mollifier (colwave.spec.Mollifier) here is a symmetric bump phi with supp phi in [-1, 1],
 integral 1 and phi' >= 0 on [-1, 0].  Two families are provided:
 
 * ``polynomial(n)``: phi(x) = C_n (1 - x^2)^n_+ with the exact normalizer
@@ -15,32 +15,24 @@ integral 1 and phi' >= 0 on [-1, 0].  Two families are provided:
 
 The first moment M(z) = int_{-1}^z y phi(y) dy (phi_moment) gives the d = 3
 radial data and the spherical oracle.  Scaled copies phi_h(x) = phi(x/h)/h
-are generated through the three regularization scales h(eps) = eps,
-1/|log eps|, eps^(1/p).
+are taken at the regularization scale h(eps) of colwave.spec.ScaleFn.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .spec import Mollifier
+
 __all__ = [
-    "Mollifier",
-    "ScaleFn",
-    "EpsilonLadder",
     "phi_eval",
     "phi_deriv",
     "phi_antideriv",
     "phi_moment",
 ]
-
-
-def _poly_normalizer(n: int) -> float:
-    # 1 / int_{-1}^{1} (1-x^2)^n dx = (2n+1)! / (2^{2n+1} (n!)^2)
-    return math.factorial(2 * n + 1) / (2 ** (2 * n + 1) * math.factorial(n) ** 2)
 
 
 @lru_cache(maxsize=None)
@@ -49,7 +41,7 @@ def _poly_coeffs(n: int) -> tuple[np.ndarray, ...]:
     c = np.zeros(2 * n + 1)
     for j in range(n + 1):
         c[2 * j] = math.comb(n, j) * (-1.0) ** j
-    c *= _poly_normalizer(n)
+    c *= Mollifier("polynomial", n).normalization
     out = [c]
     for _ in range(4):
         out.append(np.polynomial.polynomial.polyder(out[-1]))
@@ -94,31 +86,6 @@ def _bump_table():
     with np.errstate(over="ignore", divide="ignore"):  # flat end slopes
         interp = PchipInterpolator(grid, cum, extrapolate=False)
     return 1.0 / total, interp
-
-
-@dataclass(frozen=True)
-class Mollifier:
-    """Symmetric unit-mass bump supported in [-1, 1]."""
-
-    family: str = "polynomial"  # "polynomial" | "bump"
-    n: int = 2
-    normalization: float = field(init=False)
-
-    def __post_init__(self):
-        if self.family == "polynomial":
-            if self.n < 1:
-                raise ValueError("polynomial order must be >= 1")
-            norm = _poly_normalizer(self.n)
-        elif self.family == "bump":
-            norm = _bump_table()[0]
-        else:
-            raise ValueError(f"unknown mollifier family {self.family!r}")
-        object.__setattr__(self, "normalization", norm)
-
-    @property
-    def max_deriv_order(self) -> int:
-        # beyond this order the polynomial family is discontinuous at +-1
-        return min(4, 2 * self.n - 1) if self.family == "polynomial" else 4
 
 
 def phi_eval(m: Mollifier, x):
@@ -192,59 +159,3 @@ def phi_moment(m: Mollifier, z):
         r = 1.0 / np.where(s > 0.0, s, 1.0)
         val = np.where(s > 0.0, -0.5 * m.normalization * (s * np.exp(-r) - exp1(r)), 0.0)
     return val if val.ndim else float(val)
-
-
-@dataclass(frozen=True)
-class ScaleFn:
-    """Regularization scale h(eps)."""
-
-    kind: str = "standard"  # "standard" | "logarithmic" | "slow_scale"
-    p: float = 4.0
-
-    def __post_init__(self):
-        if self.kind not in ("standard", "logarithmic", "slow_scale"):
-            raise ValueError(f"unknown scale kind {self.kind!r}")
-        if self.kind == "slow_scale" and self.p <= 1.0:
-            raise ValueError("slow_scale exponent p must be > 1")
-
-    def __call__(self, eps):
-        eps = np.asarray(eps, dtype=float)
-        if np.any(eps <= 0.0):
-            raise ValueError("eps must be positive")
-        if self.kind == "standard":
-            h = eps.copy()
-        elif self.kind == "logarithmic":
-            if np.any(eps >= 1.0):
-                raise ValueError("logarithmic scale needs eps < 1")
-            h = 1.0 / np.abs(np.log(eps))
-        else:
-            h = eps ** (1.0 / self.p)
-        return h if h.ndim else float(h)
-
-
-@dataclass(frozen=True)
-class EpsilonLadder:
-    """Geometric ladder eps_k = eps0 * ratio^k, k = 0..count-1."""
-
-    eps0: float = 0.1
-    ratio: float = 0.7
-    count: int = 10
-
-    def __post_init__(self):
-        if not 0.0 < self.eps0 < 1.0:
-            raise ValueError("eps0 must lie in (0, 1)")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("ratio must lie in (0, 1)")
-        if self.count < 4:
-            raise ValueError("need at least 4 ladder values")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.eps0 * self.ratio ** np.arange(self.count)
-
-    @property
-    def eps_min(self) -> float:
-        return float(self.eps0 * self.ratio ** (self.count - 1))
-
-    def __iter__(self):
-        return iter(self.values)

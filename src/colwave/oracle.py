@@ -23,12 +23,12 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .mollifier import Mollifier, phi_antideriv, phi_eval
+from .spec import TestFunction
 
 __all__ = [
     "ConnectedSolution",
@@ -39,7 +39,6 @@ __all__ = [
     "delta_plateau",
     "reflect_transmit",
     "PiecewiseTSolution",
-    "TestFunction",
     "AssociationVerdict",
     "associate_check",
     "pair_delta_oracle",
@@ -222,49 +221,6 @@ def two_region_limit(u0: Callable) -> Callable:
         return np.where(x > 0.0, u0(x + t), u0(x - t))
 
     return f
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Smooth compactly supported product bump psi(t,x), unit mass."""
-
-    __test__ = False  # not a pytest collectable despite the name
-
-    t_center: float
-    x_center: float
-    radius: float
-    mollifier: Mollifier = field(default_factory=Mollifier)
-
-    def __post_init__(self):
-        if not np.isfinite((self.t_center, self.x_center, self.radius)).all():
-            raise ValueError("centre and radius must be finite")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-
-    def __call__(self, t, x):
-        m, r = self.mollifier, self.radius
-        return (
-            phi_eval(m, (np.asarray(t, dtype=float) - self.t_center) / r)
-            * phi_eval(m, (np.asarray(x, dtype=float) - self.x_center) / r)
-            / r**2
-        )
-
-    def x_antideriv(self, t, x):
-        """int_{-inf}^x psi(t, y) dy, closed form via the mollifier antiderivative."""
-        m, r = self.mollifier, self.radius
-        return (
-            phi_eval(m, (np.asarray(t, dtype=float) - self.t_center) / r)
-            * phi_antideriv(m, (np.asarray(x, dtype=float) - self.x_center) / r)
-            / r
-        )
-
-    @property
-    def t_support(self):
-        return (self.t_center - self.radius, self.t_center + self.radius)
-
-    @property
-    def x_support(self):
-        return (self.x_center - self.radius, self.x_center + self.radius)
 
 
 @dataclass

@@ -39,10 +39,10 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import CumulativeIntegral, RegularizedCoeff
-from .mollifier import Mollifier, phi_antideriv, phi_deriv, phi_eval, phi_moment
+from .mollifier import phi_antideriv, phi_deriv, phi_eval, phi_moment
+from .spec import Grid1D, Mollifier
 
 __all__ = [
-    "Grid1D",
     "SolutionRecord",
     "SolutionFamily",
     "NumericalFailure",
@@ -64,44 +64,6 @@ __all__ = [
 
 class NumericalFailure(RuntimeError):
     """CFL violation, overflow, or other mid-run numerical breakdown."""
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    x_min: float
-    x_max: float
-    nx: int
-    t_end: float
-    cfl: float = 0.45
-
-    def __post_init__(self):
-        if not np.isfinite((self.x_min, self.x_max, self.t_end, self.cfl)).all():
-            raise ValueError("x_min, x_max, t_end and cfl must be finite")
-        if self.x_max <= self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if self.nx < 8:
-            raise ValueError("nx too small")
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must lie in (0, 1)")
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.nx
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.nx + 1)
-
-    def dt(self, b1: float) -> float:
-        return self.cfl * self.dx / b1
-
-    def check_resolution(self, h_min: float):
-        if self.dx > h_min / 16.0 * (1.0 + 1e-12):
-            raise ValueError(
-                f"resolution contract violated: dx={self.dx:.3g} > h/16={h_min / 16.0:.3g}"
-            )
 
 
 @dataclass
@@ -219,7 +181,8 @@ def solve_transport(
     (with_support), and the flow keeps the order of points, so at time t only
     the nodes between the images gamma(0, lo, t) and gamma(0, hi, t), widened
     by one node on each side against rounding, can hold a nonzero value.  The
-    foot, u and ux are computed on that slice only, into zeroed rows.
+    foot, u and ux are computed on that slice only, into zeroed rows, and C(x)
+    and c(x) on the hull of the slices.
     """
     if not isinstance(flows, (list, tuple)):
         flows = [flows]
@@ -232,8 +195,6 @@ def solve_transport(
         # image(x, tau) = gamma(0, x, tau); foot and foot_dx act on the nodes xs[sl] at time t
         if isinstance(flow, RegularizedCoeff):
             rc, C = flow, CumulativeIntegral(flow)
-            Cx = C(xs)
-            cx = rc(xs) if u0_deriv is not None else None
             image = lambda x, tau: C.invert(C(x) + tau)
             foot = lambda t, sl: C.invert(Cx[sl] - t)
             foot_dx = lambda t, sl, f: rc(f) / cx[sl]
@@ -248,6 +209,12 @@ def solve_transport(
         ends = image(np.repeat([lo, hi], len(times)), np.tile(times, 2)).reshape(2, -1)
         first = np.maximum(np.searchsorted(xs, ends[0], side="left") - 1, 0)
         stop = np.minimum(np.searchsorted(xs, ends[1], side="right") + 1, len(xs))
+        if rc is not None:  # the slices read nothing else
+            hull = slice(first.min(), stop.max())
+            Cx, cx = np.empty(len(xs)), np.empty(len(xs))
+            Cx[hull] = C(xs[hull])
+            if u0_deriv is not None:
+                cx[hull] = rc(xs[hull])
         u = np.zeros((len(times), len(xs)))
         fields = {"u": u}
         if u0_deriv is not None:

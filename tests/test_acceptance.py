@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from colwave.characteristics import TanhFlow, gamma_partials
-from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
+from colwave.coefficients import RegularizedCoeff
 from colwave.detector import classify, predict_singsupp
 from colwave.energy import energy_trace
-from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_eval
+from colwave.mollifier import phi_eval
 from colwave.oracle import (
     ConnectedSolution,
     DeltaInterface,
-    TestFunction,
     associate_check,
     delta_jump_locus,
     pair_delta_oracle,
@@ -26,7 +25,6 @@ from colwave.oracle import (
     transmission_residuals,
 )
 from colwave.solvers import (
-    Grid1D,
     PerEps,
     abel_forward,
     abel_invert,
@@ -38,6 +36,7 @@ from colwave.solvers import (
     solve_wave_x,
     spherical_oracle,
 )
+from colwave.spec import EpsilonLadder, Grid1D, Mollifier, PiecewiseConstantCoeff, ScaleFn, TestFunction
 
 MOLL = Mollifier()
 STD = ScaleFn("standard")

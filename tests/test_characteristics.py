@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from colwave.characteristics import TanhFlow, arsinh_exp, gamma_partials, time_integral
-from colwave.coefficients import CumulativeIntegral, PiecewiseConstantCoeff, RegularizedCoeff
-from colwave.mollifier import Mollifier, ScaleFn, phi_eval
+from colwave.coefficients import CumulativeIntegral, RegularizedCoeff
+from colwave.mollifier import phi_eval
+from colwave.spec import Mollifier, PiecewiseConstantCoeff, ScaleFn
 
 
 @pytest.fixture

@@ -6,16 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colwave import cli, coefficients, solvers
+from colwave import cli, coefficients, pipeline, solvers
 from colwave.cli import ValidationError, bundled_scenarios, main, parse_scenario
-from colwave.mollifier import Mollifier, phi_antideriv, phi_eval
+from colwave.mollifier import phi_antideriv, phi_eval
 from colwave.oracle import pair_gridded
 from colwave.solvers import NumericalFailure, load_family
+from colwave.spec import Mollifier
 
 def test_list_names_all_bundled(capsys):
     assert main(["list"]) == 0
     names = capsys.readouterr().out.split()
-    assert len(names) == 10
+    assert len(names) == 9
     assert "corner36" in names and "thm45_d3" in names
 
 
@@ -57,7 +58,7 @@ def test_parse_rejects_bad_ladder_override():
 
 
 def test_parse_scenario_fields():
-    scn = parse_scenario(bundled_scenarios()["prop42"])
+    scn = parse_scenario(bundled_scenarios()["thm43a"])
     assert scn.problem == "wave_t"
     assert scn.coefficient.variable == "time"
     assert scn.analyses == ("detect",)
@@ -91,9 +92,9 @@ def test_run_transport_scenario_saves_family(tmp_path):
 
 def test_run_wave_t_scenario_with_detection(tmp_path):
     assert (
-        main(["run", "prop42", "--out", str(tmp_path), "--ladder-override", "0.1,0.7,4"]) == 0
+        main(["run", "thm43a", "--out", str(tmp_path), "--ladder-override", "0.1,0.7,4"]) == 0
     )
-    outdir = tmp_path / "prop42"
+    outdir = tmp_path / "thm43a"
     assert (outdir / "detect.csv").read_text().startswith("t,x,flagged,slope_excess")
     assert (outdir / "detect.svg").exists()
     assert "precision=" in (outdir / "detect_verdict.txt").read_text()
@@ -154,7 +155,7 @@ REJECTED = {
     "system_problem": ("thm41", {"problem": "system", "analyses": None}, "problem"),
     "x_jump_detect_bump_data": ("thm41", {"data.u1": "bump:-1.0,0.3"}, "x_jump_delta"),
     "x_jump_delta_right_of_interface": ("thm42", {"data.u1": "delta:0.5"}, "x_jump_delta"),
-    "t_jump_point_data_at_two_points": ("prop42", {"data.u0": "delta:0.0", "data.u1": "delta:0.5"}, "one x0"),
+    "t_jump_point_data_at_two_points": ("thm43a", {"data.u0": "delta:0.0", "data.u1": "delta:0.5"}, "one x0"),
     "t_jump_bump_data": ("thm43a", {"data.u1": "bump:0.3,0.5"}, "one x0"),
     "t_jump_bump_next_to_the_delta": ("thm43a", {"data.u0": "bump:0.0,0.5"}, "one x0"),
     "t_jump_without_point_data": ("thm43a", {"data.u1": "zero", "data.u0": "quadratic"}, "one x0"),
@@ -201,6 +202,7 @@ REJECTED = {
     "coefficient_value_nan": ("thm41", {"coefficient.values": "1.0,nan"}, "finite"),
     "grid_x_min_minus_inf": ("thm41", {"grid.x_min": "-inf"}, "finite"),
     "grid_t_end_inf": ("thm41", {"grid.t_end": "inf"}, "finite"),
+    "grid_span_overflows": ("thm41", {"grid.x_min": "-1e308", "grid.x_max": "1e308"}, "grid: cannot convert"),
     "detect_theta_nan": ("thm41", {"detect.theta": "nan"}, "'detect.theta'"),
     "associate_t0_nan": ("thm41", {"associate.t0": "nan"}, "finite associate.t0"),
     "bump_width_inf": ("ex2_tanh", {"data.u0": "bump:0.0,inf"}, "'bump:0.0,inf'"),
@@ -250,6 +252,30 @@ def test_rejected_with_exit_2_before_any_output(case, tmp_path, capsys):
     assert main(["run", str(scn), "--out", str(out), "--ladder-override", "0.1,0.8,4"]) == 2
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+# inputs that cannot be read or written: the scenario file's bytes (None: a directory),
+# whether --out names an existing file, and the expected fragment of the error message
+UNREADABLE = {
+    "scenario_is_a_directory": (None, False, "Is a directory"),
+    "scenario_not_utf8": (b"# caf\xe9\n" + bundled_scenarios()["thm41"].read_bytes(), False, "can't decode byte 0xe9"),
+    "out_is_a_file": (bundled_scenarios()["thm41"].read_bytes(), True, "Not a directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_input_rejected_with_exit_2(case, tmp_path, capsys):
+    text, out_is_a_file, fragment = UNREADABLE[case]
+    scn, out = tmp_path / "in.scn", tmp_path / "out"
+    scn.mkdir() if text is None else scn.write_bytes(text)
+    if out_is_a_file:
+        out.write_text("")
+    else:
+        assert main(["validate", str(scn)]) == 2
+        assert fragment in capsys.readouterr().err
+    assert main(["run", str(scn), "--out", str(out), "--ladder-override", "0.1,0.8,4"]) == 2
+    assert fragment in capsys.readouterr().err
+    assert out.is_file() if out_is_a_file else not out.exists()
 
 
 def test_empty_data_spec_is_zero_data(tmp_path):
@@ -349,7 +375,7 @@ def test_numerical_failure_exits_3_without_a_report(tmp_path, capsys, monkeypatc
     def blow_up(*args, **kwargs):
         raise NumericalFailure("non-finite values at t=0.5")
 
-    monkeypatch.setattr(cli, "solve_wave_x", blow_up)
+    monkeypatch.setattr(pipeline, "solve_wave_x", blow_up)
     assert main(["run", "thm41", "--out", str(tmp_path), "--ladder-override", "0.1,0.8,4"]) == 3
     assert "numerical failure: non-finite values at t=0.5" in capsys.readouterr().err
     assert not (tmp_path / "thm41" / "report.txt").exists()
@@ -388,7 +414,7 @@ def test_corner_verdict_against_the_criterion_1_tolerance(tmp_path):
     line = (tmp_path / "a" / "corner36" / "report.txt").read_text().splitlines()[-1]
     verdict, err = line.split()
     assert verdict == "corner=PASS"
-    assert 0.0 <= float(err.removeprefix("worst_rel_err=")) <= cli.CORNER_TOL
+    assert 0.0 <= float(err.removeprefix("worst_rel_err=")) <= pipeline.CORNER_TOL
     # at t = 0.02 the backward characteristic is still inside the kernel,
     # where the closed forms do not hold
     scn = tmp_path / "early.scn"
@@ -437,7 +463,7 @@ def test_wave_t_before_the_jump_is_exact_dalembert(data, tmp_path):
     scn = tmp_path / "dalembert.scn"
     scn.write_text(_edited("thm43a", {"grid.nx": "8192", "solver.store_times": "0.5", "analyses": None, **data}))
     s, t, m = parse_scenario(scn, "0.1,0.8,4"), 0.5, Mollifier()
-    for rec in cli._solve_wave(s):
+    for rec in pipeline._solve_wave(pipeline.Run(**vars(s))):
         x = rec.xs
         if "matched" in data.values():  # u1 = u0': u = u0(x + t)
             want = phi_eval(m, (x + t) / rec.eps) / rec.eps
@@ -446,12 +472,24 @@ def test_wave_t_before_the_jump_is_exact_dalembert(data, tmp_path):
         assert np.max(np.abs(rec.fields["u"][0] - want)) <= 1e-12 * np.max(np.abs(want)), rec.eps
 
 
-def _python(code: str, *args: str) -> str:
-    """Standard output of a fresh interpreter running CODE with this colwave on its path."""
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ARGS and this colwave on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
-                          check=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+
+
+@pytest.mark.parametrize("verb, changes", [("validate", {}), ("validate", {"mollifier.family": "bump"}), ("list", {})])
+def test_validate_and_list_leave_numpy_unimported(verb, changes, tmp_path):
+    # the scenario layer (cli and spec) is standard library only: numpy, scipy
+    # and the numerics load for `colwave run` alone; the bump family's
+    # normalizer, a scipy quadrature, is computed on first use
+    scn = tmp_path / "thm41.scn"
+    scn.write_text(_edited("thm41", changes))
+    res = _python("-X", "importtime", "-m", "colwave.cli", verb, *([str(scn)] if verb == "validate" else []))
+    loaded = {ln.rsplit("|", 1)[1].strip() for ln in res.stderr.splitlines() if ln.startswith("import time:")}
+    assert "colwave.spec" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] in ("numpy", "scipy")) == []
 
 
 def _loaded_after_run(name: str, ladder: str, packages: tuple, out) -> list:
@@ -462,7 +500,7 @@ def _loaded_after_run(name: str, ladder: str, packages: tuple, out) -> list:
         f"rc = main(['run', {name!r}, '--out', sys.argv[1], '--ladder-override', {ladder!r}])\n"
         f"print(rc, sorted(m for m in sys.modules for p in {packages!r} if m == p or m.startswith(p + '.')))\n"
     )
-    return _python(code, str(out)).split()
+    return _python("-c", code, str(out)).stdout.split()
 
 
 @pytest.mark.parametrize("name", ["ex2_tanh", "corner36"])

@@ -6,12 +6,8 @@ from numpy.polynomial import legendre
 from scipy.integrate import quad
 
 from colwave import coefficients
-from colwave.coefficients import (
-    CumulativeIntegral,
-    PiecewiseConstantCoeff,
-    RegularizedCoeff,
-)
-from colwave.mollifier import Mollifier, ScaleFn
+from colwave.coefficients import CumulativeIntegral, RegularizedCoeff
+from colwave.spec import Mollifier, PiecewiseConstantCoeff, ScaleFn
 
 
 @pytest.fixture

@@ -13,16 +13,10 @@ from colwave.detector import (
     verdict_text,
 )
 from colwave.detector import _CONTRAST, _FLOOR, _SIG_FACTOR, SingSuppReport, _running_max
-from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
-from colwave.mollifier import EpsilonLadder, Mollifier, ScaleFn, phi_antideriv, phi_eval
-from colwave.solvers import (
-    Grid1D,
-    SolutionFamily,
-    SolutionRecord,
-    delta_profile,
-    solve_radial_odd,
-    solve_wave_x,
-)
+from colwave.coefficients import RegularizedCoeff
+from colwave.mollifier import phi_antideriv, phi_eval
+from colwave.solvers import SolutionFamily, SolutionRecord, delta_profile, solve_radial_odd, solve_wave_x
+from colwave.spec import EpsilonLadder, Grid1D, Mollifier, PiecewiseConstantCoeff, ScaleFn
 
 
 def _synthetic_family(amp=1.0):

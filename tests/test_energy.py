@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from colwave.coefficients import PiecewiseConstantCoeff, RegularizedCoeff
+from colwave.coefficients import RegularizedCoeff
 from colwave.energy import (
     EnergyTrace,
     energy_trace,
     gronwall_bound,
     trace_csv,
 )
-from colwave.mollifier import Mollifier, ScaleFn
-from colwave.solvers import Grid1D, solve_wave_x
+from colwave.solvers import solve_wave_x
+from colwave.spec import Grid1D, Mollifier, PiecewiseConstantCoeff, ScaleFn
 
 
 def smooth_bump(x, x0=0.0, w=1.0):

@@ -1,8 +1,10 @@
-"""Import hygiene: every name a module imports is used in that module, and
-every name a colwave module exports in __all__ exists."""
+"""Import hygiene: every name a module imports is used in that module, every
+name a colwave module exports in __all__ exists, and the scenario layer that
+`colwave validate` and `colwave list` load imports only the standard library."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,33 @@ def test_every_import_is_used(path):
 def test_every_name_in_all_exists(path):
     module = importlib.import_module("colwave" if path.stem == "__init__" else f"colwave.{path.stem}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+# the modules `colwave validate` and `colwave list` load; they may import each other
+SCENARIO_LAYER = ("cli", "spec")
+
+
+def _outside_stdlib(source: str) -> list:
+    """Module-level imports of SOURCE other than the standard library and SCENARIO_LAYER."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            out += [a.name for a in node.names if a.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                inside = node.module in SCENARIO_LAYER
+            else:
+                inside = node.module.split(".")[0] in sys.stdlib_module_names
+            out += [] if inside else ["." * node.level + (node.module or "")]
+    return out
+
+
+def test_import_outside_stdlib_is_found():
+    source = "import math, numpy.linalg\nfrom . import solvers\nfrom .spec import A\nfrom scipy import special\n" \
+             "def f():\n    import numpy\n"
+    assert _outside_stdlib(source) == ["numpy.linalg", ".", "scipy"]
+
+
+@pytest.mark.parametrize("name", SCENARIO_LAYER)
+def test_scenario_layer_imports_only_the_standard_library(name):
+    assert _outside_stdlib((ROOT / "src" / "colwave" / f"{name}.py").read_text()) == []

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from colwave.mollifier import (
-    EpsilonLadder,
-    Mollifier,
-    ScaleFn,
-    phi_antideriv,
-    phi_deriv,
-    phi_eval,
-    phi_moment,
-)
+from colwave.mollifier import phi_antideriv, phi_deriv, phi_eval, phi_moment
+from colwave.spec import EpsilonLadder, Mollifier, ScaleFn
 
 
 @pytest.fixture(params=["polynomial", "bump"])

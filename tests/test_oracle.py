@@ -6,7 +6,6 @@ from colwave.oracle import (
     ConnectedSolution,
     DeltaInterface,
     PiecewiseTSolution,
-    TestFunction,
     associate_check,
     connected_eval,
     delta_jump_locus,
@@ -19,6 +18,7 @@ from colwave.oracle import (
     transmission_residuals,
     two_region_limit,
 )
+from colwave.spec import TestFunction
 
 
 def _xjump(cm, cp, b=0.0, x0=-1.0):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from colwave.characteristics import TanhFlow, time_integral
-from colwave.cli import _profile, _spec
-from colwave.coefficients import CumulativeIntegral, PiecewiseConstantCoeff, RegularizedCoeff
+from colwave.cli import _spec
+from colwave.coefficients import CumulativeIntegral, RegularizedCoeff
 from colwave.energy import energy_trace
-from colwave.mollifier import Mollifier, ScaleFn
 from colwave.oracle import PiecewiseTSolution
+from colwave.pipeline import _profile
 from colwave.solvers import (
-    Grid1D,
     NumericalFailure,
     abel_forward,
     abel_invert,
@@ -23,6 +22,7 @@ from colwave.solvers import (
     with_support,
 )
 from colwave import solvers
+from colwave.spec import Grid1D, Mollifier, PiecewiseConstantCoeff, ScaleFn
 
 
 def smooth_bump(x, x0=0.0, w=1.0):
