@@ -120,10 +120,12 @@ def _boolean(s: str) -> bool:
     return s.lower() == "true"
 
 
+STORE_STEPS = 23  # the stored times when solver.store_times is empty: even steps over [0, t_end]
+
 # Keys that only a solve or an analysis reads: parser and default.  All are parsed
 # in parse_scenario, so a malformed value exits 2 before any output exists.
 RUN_KEYS = {
-    "solver.store_times": (lambda s: sorted(_floats(s)) or None, None),  # empty: 23 even steps
+    "solver.store_times": (lambda s: sorted(_floats(s)) or None, None),  # empty: STORE_STEPS
     "detect.times": (lambda s: _floats(s) or None, None),  # empty: the stored times after t_skip
     "detect.theta": (_float, 0.5),
     "detect.alpha_hi": (_one_of(1, 2, 3), 2),
@@ -214,7 +216,7 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
     for key in ("solver.store_times", "detect.times"):
         if grid is not None and opts[key] is not None and not all(0.0 <= t <= grid.t_end for t in opts[key]):
             raise ValidationError(f"field {key!r}: every time must lie in [0, grid.t_end = {grid.t_end:g}]")
-    # first and last stored time (default: 23 even steps over [0, t_end]); detect and associate have a grid
+    # first and last stored time (default: STORE_STEPS over [0, t_end]); detect and associate have a grid
     stored = (opts["solver.store_times"] or (0.0, grid.t_end)) if grid else ()
     if "detect" in analyses and opts["detect.times"] is None and stored[-1] <= opts["detect.t_skip"]:
         raise ValidationError("field 'detect.t_skip': no stored time after it is left to detect at")
@@ -223,6 +225,16 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
         if not (stored[0] <= t_lo and t_hi <= stored[-1] and grid.x_min <= x_lo and x_hi <= grid.x_max):
             raise ValidationError("associate: the support [t0 +- radius] x [x0 +- radius] must lie between the first"
                                   " and last stored time and within [grid.x_min, grid.x_max]")
+    if prob.grid:  # the budget of a solve: its stored values, and the lattice steps of a wave member
+        n_times = len(opts["solver.store_times"] or range(STORE_STEPS))
+        if ladder.count * n_times * (grid.nx + 1) > 2**28:
+            raise ValidationError("budget: ladder.count x stored times x (grid.nx + 1) exceeds 2^28 stored values")
+        if problem in ("wave_x", "wave_t", "radial_odd"):
+            c = max(coeff.values)
+            if problem == "wave_x":  # dxi = cfl dx / max a, a = c, or sqrt(c) in the conservative form
+                c = (math.sqrt(c) if opts["solver.conservative"] else c) / grid.cfl
+            if grid.t_end * c / grid.dx > 2**24:
+                raise ValidationError("budget: grid.t_end x max speed / dx exceeds 2^24 lattice steps")
     return scn
 
 
@@ -252,6 +264,12 @@ def _check_geometry(scn: Scenario):
             raise ValidationError("associate on a tanh example needs data.u0=bump:x0,w or quadratic")
     elif asked & {"associate", "oracle_compare"} and scn.u0.kind != "zero":
         raise ValidationError("associate and oracle_compare need data.u0=zero: the delta-data oracle starts from u = 0")
+    if scn.problem == "wave_x":  # its travel-time lattice holds data on the grid alone
+        for key, d in (("data.u0", scn.u0), ("data.u1", scn.u1)):
+            half = {"delta": scn.ladder.eps0, "bump": d.w}.get(d.kind)  # the support's half-width at ladder.eps0
+            if half is not None and not (scn.grid.x_min <= d.x0 - half and d.x0 + half <= scn.grid.x_max):
+                raise ValidationError(f"{key}: wave_x drops data off [grid.x_min, grid.x_max], and the support "
+                                      f"[{d.x0 - half:g}, {d.x0 + half:g}] at ladder.eps0 leaves it")
 
 
 def _spec(spec: str) -> DataSpec:

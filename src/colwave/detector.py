@@ -18,10 +18,11 @@ Practical guards:
   ~ machine_eps * max|u| / s^alpha (catastrophic cancellation); samples under
   32x that floor are dropped, and cells with fewer than 4 significant
   samples are degenerate: excess 0, never flagged;
-* grid solvers leave a dispersive wake far below the amplitude of the
-  features they transport; magnitudes under a contrast threshold (1%) of the
-  slice's dominant magnitude at the same order are inside the scheme's
-  demonstrated error at contract resolution and are likewise dropped.
+* magnitudes under a contrast threshold (1%) of the slice's dominant
+  magnitude at the same order are dropped too.  The floor once hid the
+  dispersive wake of grid solvers; the travel-time lattices leave none, and
+  the floor now stands in for a per-cell numerical error bar, which ROADMAP
+  item 3 is to derive from the data.  Criteria 6 and 7(c) rest on it.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def derivative_profile(rec: SolutionRecord, t: float, alpha: int, h: float):
 
     Spacing s = max(dx, h/8); running max over radius 2h.  The floor is the
     larger of the FD cancellation noise level 32*machine_eps*max|u|/s^alpha
-    and 1% of the slice's dominant magnitude at this order (solver wake is
-    not a measurable signal below that contrast).
+    and 1% of the slice's dominant magnitude at this order (the global
+    contrast floor, a stand-in for a per-cell error bar).
     """
     u = rec.slice_at(t)
     dx = rec.grid.dx

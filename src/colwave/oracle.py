@@ -12,7 +12,7 @@
 * DeltaInterface / delta_solution_eval: u0 = 0, u1 = delta(x - x0) left of
   one interface b of rho u_tt = (K u_x)_x, for any speeds a and impedances Z,
   reduced to an explicit piecewise-Heaviside formula for u itself.
-* piecewise_t_solution: the speed jump in time (c0 -> c1 at t = 1); d'Alembert
+* PiecewiseTSolution: the speed jump in time (c0 -> c1 at t = t_jump); d'Alembert
   below, re-expansion above with continuity of (u, dt u).  The interface
   amplitudes follow from that 2x2 matching: each family re-expands with
   transmit coefficient (c1+c0)/(2c1) and refract coefficient (c1-c0)/(2c1).

@@ -12,15 +12,15 @@ from pathlib import Path
 import numpy as np
 
 from .characteristics import TanhFlow, gamma_partials
-from .cli import PROBLEMS, DataSpec, Scenario
+from .cli import PROBLEMS, STORE_STEPS, DataSpec, Scenario
 from .coefficients import RegularizedCoeff
 from .detector import classify, predict_singsupp, report_csv, report_svg, verdict_text
 from .energy import energy_trace, gronwall_bound, trace_csv
 from .mollifier import phi_antideriv, phi_deriv, phi_eval
 from .oracle import (DeltaInterface, associate_check, delta_jump_locus, delta_solution_eval, pair_delta_oracle,
                      pair_gridded, three_region_limit, two_region_limit)
-from .solvers import (PerEps, delta_profile, delta_profile_deriv, save_family, solve_radial_odd, solve_transport,
-                      solve_wave_t, solve_wave_x, speed_impedance, with_support)
+from .solvers import (SolutionFamily, delta_profile, delta_profile_deriv, save_family, solve_radial_odd,
+                      solve_transport, solve_wave_t, solve_wave_x, speed_impedance, with_support)
 from .spec import Grid1D, Mollifier
 
 CORNER_TOL = 0.005  # relative error of the corner flow derivatives (Criterion 1)
@@ -39,17 +39,14 @@ class Run(Scenario):
     def rcs(self) -> list:
         return [RegularizedCoeff(self.coefficient, self.mollifier, self.scale, e) for e in self.ladder]
 
-    @cached_property
-    def data(self) -> tuple:
-        """(u0, u0', u1) profiles, None for zero data; u1=matched is c(0) u0' with antiderivative c(0) u0."""
-        u0, u0d = _profile(self.u0, self.grid)
+    def data(self, member) -> tuple:
+        """(u0, u0', u1) profiles of a ladder member, None for zero data: delta data
+        mollified at the member's eps, u1=matched c(0) u0' with antiderivative c(0) u0."""
+        u0, u0d = _profile(self.u0, self.grid, member)
         if self.u1.kind != "matched":
-            return u0, u0d, _profile(self.u1, self.grid)[0]
+            return u0, u0d, _profile(self.u1, self.grid, member)[0]
         c00 = self.coefficient(0.0)  # cancels the left-moving characteristic component
-        matched = lambda f, F: with_support(lambda x: c00 * f(x), *f.support, lambda x: c00 * F(x))
-        if self.u0.kind == "delta":
-            return u0, u0d, PerEps(lambda rc: matched(u0d(rc), u0(rc)))
-        return u0, u0d, matched(u0d, u0)
+        return u0, u0d, with_support(lambda x: c00 * u0d(x), *u0d.support, lambda x: c00 * u0(x))
 
     @cached_property
     def interface(self) -> DeltaInterface:
@@ -60,32 +57,29 @@ class Run(Scenario):
     @property
     def store_times(self):
         times = self.opts["solver.store_times"]
-        return np.linspace(0.0, self.grid.t_end, 23) if times is None else times
+        return np.linspace(0.0, self.grid.t_end, STORE_STEPS) if times is None else times
 
 
-# --- solves: Run -> SolutionFamily ------------------------------------------
+# --- solves: Run, ladder member -> SolutionRecord ---------------------------
 
-def _solve_transport(scn: Run):
-    tanh = TANH.get(scn.problem)
-    flows = [TanhFlow(e, tanh[0]) for e in scn.ladder] if tanh else scn.rcs
-    return solve_transport(flows, scn.data[0], scn.grid, store_times=scn.store_times, scenario_id=scn.id)
+def _solve_transport(scn: Run, member):
+    return solve_transport(member, scn.data(member)[0], scn.grid, scn.store_times)
 
 
-def _solve_wave(scn: Run):
-    u0, u0d, u1 = scn.data
-    common = dict(u0_deriv=u0d, store_times=scn.store_times, store_vw="energy" in scn.analyses, scenario_id=scn.id)
+def _solve_wave(scn: Run, rc: RegularizedCoeff):
+    u0, u0d, u1 = scn.data(rc)
+    common = dict(u0_deriv=u0d, store_vw="energy" in scn.analyses)
     if scn.coefficient.variable == "time":
-        return solve_wave_t(scn.rcs, u0, u1, scn.grid, **common)
-    return solve_wave_x(scn.rcs, u0, u1, scn.grid, conservative=scn.opts["solver.conservative"],
+        return solve_wave_t(rc, u0, u1, scn.grid, scn.store_times, **common)
+    return solve_wave_x(rc, u0, u1, scn.grid, scn.store_times, conservative=scn.opts["solver.conservative"],
                         store_dtype=np.float32, **common)
 
 
-def _solve_radial_odd(scn: Run):
-    return solve_radial_odd(scn.rcs, scn.opts["radial.d"], scn.grid, store_times=scn.store_times,
-                            scenario_id=scn.id)
+def _solve_radial_odd(scn: Run, rc: RegularizedCoeff):
+    return solve_radial_odd(rc, scn.opts["radial.d"], scn.grid, scn.store_times)
 
 
-# the solve of each problem that has one (corner_3_6 evaluates closed forms only)
+# the member solve of each problem that has one (corner_3_6 evaluates closed forms only)
 SOLVES = {"transport": _solve_transport, "wave_x": _solve_wave, "wave_t": _solve_wave,
           "radial_odd": _solve_radial_odd, "tanh_example_2": _solve_transport, "tanh_example_3": _solve_transport}
 
@@ -128,7 +122,7 @@ def _energy(scn: Run, fam, outdir: Path) -> str:
 def _associate(scn: Run, fam, outdir: Path) -> str:
     psi = scn.psi
     if scn.problem in TANH:
-        limit = TANH[scn.problem][1](scn.data[0])
+        limit = TANH[scn.problem][1](_profile(scn.u0, scn.grid, None)[0])  # tanh data depend on no member
         tt, xx = np.linspace(*psi.t_support, 401), np.linspace(*psi.x_support, 801)
         target = pair_gridded(tt, xx, limit(tt[:, None], xx[None, :]), psi)
     else:
@@ -173,10 +167,11 @@ ANALYSES = dict(detect=_detect, energy=_energy, associate=_associate, oracle_com
                 corner=_corner)
 
 
-def _profile(spec: DataSpec, grid: Grid1D | None):
-    """Data profile and its derivative of a parsed data spec other than matched; None for zero data."""
+def _profile(spec: DataSpec, grid: Grid1D | None, member):
+    """Data profile and its derivative of a parsed data spec other than matched, delta data
+    mollified at the ladder member's eps; None for zero data."""
     if spec.kind == "delta":
-        return delta_profile(spec.x0), delta_profile_deriv(spec.x0)
+        return delta_profile(spec.x0, member), delta_profile_deriv(spec.x0, member)
     if spec.kind == "bump":
         bm, x0, w = Mollifier(), spec.x0, spec.w
         f = lambda x: phi_eval(bm, (np.asarray(x, dtype=float) - x0) / w)
@@ -198,11 +193,15 @@ def _profile(spec: DataSpec, grid: Grid1D | None):
 
 
 def run_scenario(scn: Scenario, outdir: Path) -> int:
-    """Solve SCN and run its analyses into OUTDIR, an existing directory: family/, the artifacts, report.txt."""
+    """Solve SCN one ladder member after the other and run its analyses into OUTDIR, an
+    existing directory: family/, the artifacts, report.txt."""
     scn = Run(**vars(scn))
     fam = None
     if scn.problem in SOLVES:
-        fam = SOLVES[scn.problem](scn)
+        tanh = TANH.get(scn.problem)
+        members = [TanhFlow(e, tanh[0]) for e in scn.ladder] if tanh else scn.rcs
+        records = [SOLVES[scn.problem](scn, m) for m in members]
+        fam = SolutionFamily(scn.id, "transport" if tanh else scn.problem, records)
         save_family(fam, outdir / "family")
     lines = [f"scenario={scn.id}", f"problem={scn.problem}"]
     lines += [ANALYSES[a](scn, fam, outdir) for a in PROBLEMS[scn.problem].analyses if a in scn.analyses]

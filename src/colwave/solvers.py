@@ -1,4 +1,4 @@
-"""Regularized-PDE solvers over epsilon ladders.
+"""Regularized-PDE solvers, one epsilon-ladder member per call.
 
 * solve_transport: scalar transport, evaluated exactly through the
   characteristic flow (u_eps(t,x) = u0_eps(gamma(t,x,0))), no time stepping,
@@ -25,8 +25,8 @@
   across consecutive even/odd dimensions, with the endpoint singularity
   absorbed by the rho = sin(theta) substitution.
 
-The members of every ladder are independent and are solved in this process,
-one after the other.
+Each solver solves one ladder member; colwave.pipeline walks the ladder and
+builds the SolutionFamily.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "SolutionRecord",
     "SolutionFamily",
     "NumericalFailure",
-    "PerEps",
     "speed_impedance",
     "with_support",
     "delta_profile",
@@ -63,7 +62,7 @@ __all__ = [
 
 
 class NumericalFailure(RuntimeError):
-    """CFL violation, overflow, or other mid-run numerical breakdown."""
+    """Overflow to non-finite values, or another mid-run numerical breakdown."""
 
 
 @dataclass
@@ -103,16 +102,6 @@ class SolutionFamily:
         return len(self.records)
 
 
-class PerEps:
-    """Marks a data profile that depends on the regularization (factory rc -> f)."""
-
-    def __init__(self, factory: Callable):
-        self.factory = factory
-
-    def __call__(self, rc: RegularizedCoeff) -> Callable:
-        return self.factory(rc)
-
-
 def with_support(f: Callable, lo: float, hi: float, antideriv: Callable | None = None) -> Callable:
     """f, marked as exactly +0.0 off [lo, hi] (lo > hi: everywhere), and with
     its antiderivative from -inf when given.
@@ -127,49 +116,35 @@ def with_support(f: Callable, lo: float, hi: float, antideriv: Callable | None =
     return f
 
 
-def delta_profile(x0: float) -> PerEps:
-    """Imbedded delta: phi_eps(x - x0), the point mass mollified at the standard
-    scale (width eps), independent of the coefficient's scale function."""
-    return PerEps(lambda rc: with_support(
+def delta_profile(x0: float, rc: RegularizedCoeff) -> Callable:
+    """Imbedded delta of member rc: phi_eps(x - x0), the point mass mollified at
+    the standard scale (width eps), independent of the coefficient's scale function."""
+    return with_support(
         lambda x: phi_eval(rc.mollifier, (np.asarray(x) - x0) / rc.eps) / rc.eps, x0 - rc.eps, x0 + rc.eps,
-        lambda x: phi_antideriv(rc.mollifier, (np.asarray(x) - x0) / rc.eps)))
+        lambda x: phi_antideriv(rc.mollifier, (np.asarray(x) - x0) / rc.eps))
 
 
-def delta_profile_deriv(x0: float) -> PerEps:
-    return PerEps(lambda rc: with_support(
-        lambda x: phi_deriv(rc.mollifier, (np.asarray(x) - x0) / rc.eps, 1) / rc.eps**2, x0 - rc.eps, x0 + rc.eps))
+def delta_profile_deriv(x0: float, rc: RegularizedCoeff) -> Callable:
+    return with_support(
+        lambda x: phi_deriv(rc.mollifier, (np.asarray(x) - x0) / rc.eps, 1) / rc.eps**2, x0 - rc.eps, x0 + rc.eps)
 
 
-def _resolve(profile, rc):
+def _or_zero(profile):
+    """PROFILE, or for None the zero profile, with an empty support."""
     if profile is None:
         return with_support(lambda x: np.zeros_like(np.asarray(x, dtype=float)), np.inf, -np.inf)
-    if isinstance(profile, PerEps):
-        return profile(rc)
     return profile
-
-
-def _default_store_times(t_end: float, n: int = 9) -> np.ndarray:
-    return np.linspace(0.0, t_end, n)
 
 
 # --- transport (exact via characteristics) ---------------------------------
 
-def solve_transport(
-    flows,
-    u0,
-    grid: Grid1D,
-    store_times=None,
-    scenario_id: str = "transport",
-    u0_deriv=None,
-) -> SolutionFamily:
-    """u_eps(t,x) = u0_eps(gamma_eps(t,x,0)), evaluated on the grid nodes.
+def solve_transport(flow, u0, grid: Grid1D, times, u0_deriv=None) -> SolutionRecord:
+    """u_eps(t,x) = u0_eps(gamma_eps(t,x,0)) of one member, on the grid nodes at the store times.
 
-    ``flows`` is one member or a sequence of them (one per ladder member),
-    solved in this process one after the other.  A member is either a
-    RegularizedCoeff c_eps, whose foot gamma(t, x, 0) = C^-1(C(x) - t) comes
-    from the reciprocal antiderivative C = CumulativeIntegral(rc), with C(x)
-    taken once per member, or a TanhFlow, whose foot and foot_dx are closed
-    forms.
+    The member is either a RegularizedCoeff c_eps, whose foot
+    gamma(t, x, 0) = C^-1(C(x) - t) comes from the reciprocal antiderivative
+    C = CumulativeIntegral(rc), with C(x) taken once, or a TanhFlow, whose
+    foot and foot_dx are closed forms.
 
     Given ``u0_deriv``, the analytic dx u = u0'(gamma) * dx gamma is also
     stored as field "ux" (chain rule, no differencing; dx gamma = c(gamma)/c(x)
@@ -184,50 +159,42 @@ def solve_transport(
     foot, u and ux are computed on that slice only, into zeroed rows, and C(x)
     and c(x) on the hull of the slices.
     """
-    if not isinstance(flows, (list, tuple)):
-        flows = [flows]
-    times = np.asarray(
-        _default_store_times(grid.t_end) if store_times is None else store_times, dtype=float
-    )
+    times = np.asarray(times, dtype=float)
     xs = grid.xs
-
-    def run(flow) -> SolutionRecord:
-        # image(x, tau) = gamma(0, x, tau); foot and foot_dx act on the nodes xs[sl] at time t
-        if isinstance(flow, RegularizedCoeff):
-            rc, C = flow, CumulativeIntegral(flow)
-            image = lambda x, tau: C.invert(C(x) + tau)
-            foot = lambda t, sl: C.invert(Cx[sl] - t)
-            foot_dx = lambda t, sl, f: rc(f) / cx[sl]
-        else:  # a TanhFlow
-            rc = None
-            image = lambda x, tau: flow.foot(0.0, x, tau)
-            foot = lambda t, sl: flow.foot(t, xs[sl])
-            foot_dx = lambda t, sl, f: flow.foot_dx(t, xs[sl])
-        prof, dprof = _resolve(u0, rc), _resolve(u0_deriv, rc)
-        sups = [getattr(f, "support", (-np.inf, np.inf)) for f in (prof, dprof)]
-        lo, hi = min(s[0] for s in sups), max(s[1] for s in sups)
-        ends = image(np.repeat([lo, hi], len(times)), np.tile(times, 2)).reshape(2, -1)
-        first = np.maximum(np.searchsorted(xs, ends[0], side="left") - 1, 0)
-        stop = np.minimum(np.searchsorted(xs, ends[1], side="right") + 1, len(xs))
-        if rc is not None:  # the slices read nothing else
-            hull = slice(first.min(), stop.max())
-            Cx, cx = np.empty(len(xs)), np.empty(len(xs))
-            Cx[hull] = C(xs[hull])
-            if u0_deriv is not None:
-                cx[hull] = rc(xs[hull])
-        u = np.zeros((len(times), len(xs)))
-        fields = {"u": u}
+    # image(x, tau) = gamma(0, x, tau); foot and foot_dx act on the nodes xs[sl] at time t
+    if isinstance(flow, RegularizedCoeff):
+        rc, C = flow, CumulativeIntegral(flow)
+        image = lambda x, tau: C.invert(C(x) + tau)
+        foot = lambda t, sl: C.invert(Cx[sl] - t)
+        foot_dx = lambda t, sl, f: rc(f) / cx[sl]
+    else:  # a TanhFlow
+        rc = None
+        image = lambda x, tau: flow.foot(0.0, x, tau)
+        foot = lambda t, sl: flow.foot(t, xs[sl])
+        foot_dx = lambda t, sl, f: flow.foot_dx(t, xs[sl])
+    prof, dprof = _or_zero(u0), _or_zero(u0_deriv)
+    sups = [getattr(f, "support", (-np.inf, np.inf)) for f in (prof, dprof)]
+    lo, hi = min(s[0] for s in sups), max(s[1] for s in sups)
+    ends = image(np.repeat([lo, hi], len(times)), np.tile(times, 2)).reshape(2, -1)
+    first = np.maximum(np.searchsorted(xs, ends[0], side="left") - 1, 0)
+    stop = np.minimum(np.searchsorted(xs, ends[1], side="right") + 1, len(xs))
+    if rc is not None:  # the slices read nothing else
+        hull = slice(first.min(), stop.max())
+        Cx, cx = np.empty(len(xs)), np.empty(len(xs))
+        Cx[hull] = C(xs[hull])
         if u0_deriv is not None:
-            fields["ux"] = np.zeros_like(u)
-        for i, t in enumerate(times):
-            sl = slice(first[i], stop[i])
-            f = foot(t, sl)
-            u[i, sl] = prof(f)
-            if u0_deriv is not None:
-                fields["ux"][i, sl] = dprof(f) * foot_dx(t, sl, f)
-        return SolutionRecord(eps=flow.eps, grid=grid, times=times, fields=fields)
-
-    return SolutionFamily(scenario_id, "transport", [run(flow) for flow in flows])
+            cx[hull] = rc(xs[hull])
+    u = np.zeros((len(times), len(xs)))
+    fields = {"u": u}
+    if u0_deriv is not None:
+        fields["ux"] = np.zeros_like(u)
+    for i, t in enumerate(times):
+        sl = slice(first[i], stop[i])
+        f = foot(t, sl)
+        u[i, sl] = prof(f)
+        if u0_deriv is not None:
+            fields["ux"][i, sl] = dprof(f) * foot_dx(t, sl, f)
+    return SolutionRecord(eps=flow.eps, grid=grid, times=times, fields=fields)
 
 
 # --- wave equation, x-dependent speed --------------------------------------
@@ -238,17 +205,16 @@ def speed_impedance(c, conservative: bool):
 
 
 def solve_wave_x(
-    rcs,
+    rc: RegularizedCoeff,
     u0,
     u1,
     grid: Grid1D,
+    times,
     u0_deriv=None,
     conservative: bool = False,
-    store_times=None,
     store_dtype=np.float64,
     store_vw: bool = False,
-    scenario_id: str = "wave_x",
-) -> SolutionFamily:
+) -> SolutionRecord:
     """V/W characteristic solve of dtt u = c^2 dxx u (or dx(c dx u)) in travel time.
 
     In xi = int dx/a the pair reads V_t + V_xi = g (V - W), W_t - W_xi = g (V - W).
@@ -266,98 +232,90 @@ def solve_wave_x(
     is skipped (one step of margin is kept).  Inflow is zero.  u follows from
     u_xi = (W - V)/2 by the cumulative trapezoid, from the left-boundary value, the
     trapezoid in t of (V + W)/2 there.  u (and V, W with store_vw) go onto grid.xs
-    by linear interpolation in xi.  The members are solved in this process.
+    by linear interpolation in xi.
 
     Fields per record: "u" time-indexed slices (store_dtype), plus "v","w"
     (float64, which the energy functional sums) when store_vw is set; meta "a"
     and "rho" hold the characteristic speed and the density rho = Z/a of the
     energy functional on grid.xs.
     """
-    if not isinstance(rcs, (list, tuple)):
-        rcs = [rcs]
-    times = np.asarray(
-        _default_store_times(grid.t_end) if store_times is None else store_times, dtype=float
-    )
+    times = np.asarray(times, dtype=float)
     xs = grid.xs
+    grid.check_resolution(rc.h)
+    ca = CumulativeIntegral(rc, "reciprocal_sqrt" if conservative else "reciprocal")
+    a, z = speed_impedance(rc(xs), conservative)
+    n_steps = int(np.ceil(grid.t_end / grid.dt(float(np.max(a))) - 1e-12))
+    dxi = grid.t_end / n_steps
+    Cx = ca(xs)
+    n = int(np.ceil((Cx[-1] - Cx[0]) / dxi))
+    xi = Cx[0] + dxi * np.arange(n + 1)
+    x = ca.invert(xi)
+    ax, cp = speed_impedance(rc(x), conservative)[0], rc.deriv(x, 1)
+    g = -0.25 * cp / ax if conservative else 0.5 * cp
+    u0f = _or_zero(u0)
+    u0_xi = ax * u0_deriv(x) if u0_deriv is not None else np.gradient(u0f(x), dxi)
+    u1v = _or_zero(u1)(x)
+    # node j at step k holds V[j - k + n_steps] and W[j + k]
+    V = np.zeros(n + 1 + n_steps)
+    W = np.zeros_like(V)
+    V[n_steps:] = u1v - u0_xi
+    W[: n + 1] = u1v + u0_xi
+    cols = np.flatnonzero(g)
+    lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+    half_g = 0.5 * dxi * g[lo:hi]
+    full_g = dxi * g[lo:hi]
+    d = np.empty(hi - lo)
 
-    def run(rc: RegularizedCoeff) -> SolutionRecord:
-        grid.check_resolution(rc.h)
-        ca = CumulativeIntegral(rc, "reciprocal_sqrt" if conservative else "reciprocal")
-        a, z = speed_impedance(rc(xs), conservative)
-        n_steps = int(np.ceil(grid.t_end / grid.dt(float(np.max(a))) - 1e-12))
-        dxi = grid.t_end / n_steps
-        Cx = ca(xs)
-        n = int(np.ceil((Cx[-1] - Cx[0]) / dxi))
-        xi = Cx[0] + dxi * np.arange(n + 1)
-        x = ca.invert(xi)
-        ax, cp = speed_impedance(rc(x), conservative)[0], rc.deriv(x, 1)
-        g = -0.25 * cp / ax if conservative else 0.5 * cp
-        u0f = _resolve(u0, rc)
-        u0_xi = ax * _resolve(u0_deriv, rc)(x) if u0_deriv is not None else np.gradient(u0f(x), dxi)
-        u1v = _resolve(u1, rc)(x)
-        # node j at step k holds V[j - k + n_steps] and W[j + k]
-        V = np.zeros(n + 1 + n_steps)
-        W = np.zeros_like(V)
-        V[n_steps:] = u1v - u0_xi
-        W[: n + 1] = u1v + u0_xi
-        cols = np.flatnonzero(g)
-        lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
-        half_g = 0.5 * dxi * g[lo:hi]
-        full_g = dxi * g[lo:hi]
-        d = np.empty(hi - lo)
+    def couple(k, tau_g):
+        v, w = V[lo - k + n_steps : hi - k + n_steps], W[lo + k : hi + k]
+        np.subtract(v, w, out=d)
+        np.multiply(d, tau_g, out=d)
+        v += d
+        w += d
 
-        def couple(k, tau_g):
-            v, w = V[lo - k + n_steps : hi - k + n_steps], W[lo + k : hi + k]
-            np.subtract(v, w, out=d)
-            np.multiply(d, tau_g, out=d)
-            v += d
-            w += d
-
-        fills = {}  # step -> the store slots filled at it
-        for i, k in enumerate(np.clip(np.rint(times / dxi).astype(int), 0, n_steps).tolist()):
-            fills.setdefault(k, []).append(i)
-        last = max(fills)
-        # first contact: the first alignment at which a nonzero label sits on a
-        # window node (V label p on node p - n_steps + k, W label q on q - k);
-        # before it the window holds zeros and the coupling is the identity
-        pv = np.flatnonzero(V[: hi + n_steps])
-        qw = np.flatnonzero(W[lo:])
-        first = min(lo + n_steps - pv[-1] if pv.size else last, qw[0] + lo - hi + 1 if qw.size else last)
-        start = max(first - 1, 0) if hi > lo else last + 1
-        # alignments whose two half couplings stay apart, the state being read
-        # between them; alignment 0 has only the half after its read
-        split = {0, *fills} if lo else range(last + 1)
-        names = ("u", "v", "w") if store_vw else ("u",)
-        fields = {name: np.empty((len(times), len(xs)), dtype=store_dtype if name == "u" else np.float64)
-                  for name in names}
-        u_left = float(u0f(x[:1])[0])
-        ut_left = 0.5 * (V[n_steps] + W[0])
-        for k in range(last + 1):
-            if k:
-                if k >= start:
-                    couple(k, half_g if k in split else full_g)
-                ut = 0.5 * (V[n_steps - k] + W[k])
-                u_left += 0.5 * dxi * (ut_left + ut)
-                ut_left = ut
-            if k in fills:
-                v, w = V[n_steps - k : n_steps - k + n + 1], W[k : k + n + 1]
-                u_xi = 0.5 * (w - v)
-                u = np.concatenate([[u_left], u_left + 0.5 * dxi * np.cumsum(u_xi[1:] + u_xi[:-1])])
-                if not np.isfinite(u).all():
-                    raise NumericalFailure(f"non-finite values at t={k * dxi:.4f} (eps={rc.eps})")
-                for name, f in zip(names, (u, v, w)):
-                    fields[name][fills[k]] = np.interp(Cx, xi, f)
-            if start <= k < last and k in split:
-                couple(k, half_g)
-        return SolutionRecord(
-            eps=rc.eps,
-            grid=grid,
-            times=times,
-            fields=fields,
-            meta={"h": rc.h, "a": a, "rho": z / a},
-        )
-
-    return SolutionFamily(scenario_id, "wave_x", [run(rc) for rc in rcs])
+    fills = {}  # step -> the store slots filled at it
+    for i, k in enumerate(np.clip(np.rint(times / dxi).astype(int), 0, n_steps).tolist()):
+        fills.setdefault(k, []).append(i)
+    last = max(fills)
+    # first contact: the first alignment at which a nonzero label sits on a
+    # window node (V label p on node p - n_steps + k, W label q on q - k);
+    # before it the window holds zeros and the coupling is the identity
+    pv = np.flatnonzero(V[: hi + n_steps])
+    qw = np.flatnonzero(W[lo:])
+    first = min(lo + n_steps - pv[-1] if pv.size else last, qw[0] + lo - hi + 1 if qw.size else last)
+    start = max(first - 1, 0) if hi > lo else last + 1
+    # alignments whose two half couplings stay apart, the state being read
+    # between them; alignment 0 has only the half after its read
+    split = {0, *fills} if lo else range(last + 1)
+    names = ("u", "v", "w") if store_vw else ("u",)
+    fields = {name: np.empty((len(times), len(xs)), dtype=store_dtype if name == "u" else np.float64)
+              for name in names}
+    u_left = float(u0f(x[:1])[0])
+    ut_left = 0.5 * (V[n_steps] + W[0])
+    for k in range(last + 1):
+        if k:
+            if k >= start:
+                couple(k, half_g if k in split else full_g)
+            ut = 0.5 * (V[n_steps - k] + W[k])
+            u_left += 0.5 * dxi * (ut_left + ut)
+            ut_left = ut
+        if k in fills:
+            v, w = V[n_steps - k : n_steps - k + n + 1], W[k : k + n + 1]
+            u_xi = 0.5 * (w - v)
+            u = np.concatenate([[u_left], u_left + 0.5 * dxi * np.cumsum(u_xi[1:] + u_xi[:-1])])
+            if not np.isfinite(u).all():
+                raise NumericalFailure(f"non-finite values at t={k * dxi:.4f} (eps={rc.eps})")
+            for name, f in zip(names, (u, v, w)):
+                fields[name][fills[k]] = np.interp(Cx, xi, f)
+        if start <= k < last and k in split:
+            couple(k, half_g)
+    return SolutionRecord(
+        eps=rc.eps,
+        grid=grid,
+        times=times,
+        fields=fields,
+        meta={"h": rc.h, "a": a, "rho": z / a},
+    )
 
 
 # --- wave equation, t-dependent speed (exact shift in travel time) ---------
@@ -412,15 +370,14 @@ def _antideriv(f, x: np.ndarray, fx: np.ndarray, dx: float) -> np.ndarray:
 
 
 def solve_wave_t(
-    rcs,
+    rc: RegularizedCoeff,
     u0,
     u1,
     grid: Grid1D,
+    times,
     u0_deriv=None,
-    store_times=None,
     store_vw: bool = False,
-    scenario_id: str = "wave_t",
-) -> SolutionFamily:
+) -> SolutionRecord:
     """dtt u = c(t)^2 dxx u on the line, through the V/W pair in travel time.
 
     In tau = T(t) = int_0^t c the pair V = dt u - c dx u, W = dt u + c dx u reads
@@ -441,66 +398,57 @@ def solve_wave_t(
     A store time tau_k + s dx (0 <= s < 1) is read off step k: the coupling
     up to tau_k + s dx/2, the sub-cell shift by s, the rest of the coupling.
     P and Q shift by the 4-point cubic, V and W (store_vw) by the unitary
-    spectral shift, which keeps the energy.  The members are solved in this
-    process.
+    spectral shift, which keeps the energy.
 
     Fields per record on grid.xs: "u", plus "v", "w" with store_vw; meta "h".
     """
-    if not isinstance(rcs, (list, tuple)):
-        rcs = [rcs]
-    times = np.asarray(
-        _default_store_times(grid.t_end) if store_times is None else store_times, dtype=float
-    )
+    times = np.asarray(times, dtype=float)
     n, dx = grid.nx, grid.dx
-
-    def run(rc: RegularizedCoeff) -> SolutionRecord:
-        if rc.base.variable != "time":
-            raise ValueError("solve_wave_t needs a time-dependent coefficient")
-        grid.check_resolution(rc.h)
-        T = CumulativeIntegral(rc, "value")
-        pos = T(times) / dx  # store times in lattice steps
-        ks = np.floor(pos).astype(int)
-        last = int(ks.max())
-        pad = last + 2  # node j at step k holds label j - k + pad of A, j + k + pad of B
-        x = grid.x_min + dx * np.arange(-pad, n + pad + 1)
-        # c at tau_(k-1/2) for k = 0..last (tau_(-1/2) read as 0) and at each store's sub-cell midpoint
-        c = rc(T.invert(dx * np.concatenate([np.maximum(np.arange(last + 1) - 0.5, 0.0), 0.5 * (ks + pos)])))
-        c_half, c_mid, c_store = c[: last + 1], c[last + 1 :], rc(times)
-        f = 0.5 * (c_half[1:] / c_half[:-1] - 1.0)
-        c0 = rc(0.0)
-        u0f, u1f = _resolve(u0, rc), _resolve(u1, rc)
-        u0v, u1v = u0f(x), u1f(x)
-        u0x = _resolve(u0_deriv, rc)(x) if u0_deriv is not None else np.gradient(u0v, dx)
-        U1 = _antideriv(u1f, x, u1v, dx)
-        A = np.stack([u1v - c0 * u0x, U1 - c0 * u0v])  # V, P
-        B = np.stack([u1v + c0 * u0x, U1 + c0 * u0v])  # W, Q
-        # labels before lo (after hi) hold the far field of the left (right) end, with A == B
-        far = [((A == A[:, e]) & (B == A[:, e])).all(0) for e in (slice(0, 1), slice(-1, None))]
-        lo, hi = int(np.argmin(far[0])), len(x) - 1 - int(np.argmin(far[1][::-1]))
-        fills = {}  # step -> the store slots read off it
-        for i, k in enumerate(ks.tolist()):
-            fills.setdefault(k, []).append(i)
-        rows = np.empty((len(times), 4, n + 5))  # V, P, W, Q on the nodes -2..n+2 at each store's step
-        for k in sorted({*fills, *np.flatnonzero(f).tolist()}):
-            for i in fills.get(k, ()):
-                rows[i, :2], rows[i, 2:] = A[:, pad - k - 2 : pad - k + n + 3], B[:, pad + k - 2 : pad + k + n + 3]
-            if k < last and f[k]:
-                a0, a1 = max(lo - 2 * k, 0), min(hi + 1, len(x) - 2 * k)
-                _couple(A[:, a0:a1], B[:, a0 + 2 * k : a1 + 2 * k], f[k])
-        # a store at step k + s: the coupling up to its sub-cell midpoint, the shift by s, the rest of it
-        s = (pos - ks)[:, None]
-        _couple(rows[:, :2], rows[:, 2:], 0.5 * (c_mid / c_half[ks] - 1.0)[:, None, None])
-        u = (_cubic_shift(rows[:, 3], 0, s) - _cubic_shift(rows[:, 1], -1, 1.0 - s)) / (2.0 * c_mid[:, None])
-        fields = {"u": u}
-        bad = ~np.isfinite(u).all(1)
-        if bad.any():
-            raise NumericalFailure(f"non-finite values at t={times[bad][0]:.4f} (eps={rc.eps})")
-        if store_vw:
-            fields["v"], fields["w"] = _spectral_shift(rows[:, 0], -s), _spectral_shift(rows[:, 2], s)
-            _couple(fields["v"], fields["w"], 0.5 * (c_store / c_mid - 1.0)[:, None])
-        return SolutionRecord(eps=rc.eps, grid=grid, times=times, fields=fields, meta={"h": rc.h})
-
-    return SolutionFamily(scenario_id, "wave_t", [run(rc) for rc in rcs])
+    if rc.base.variable != "time":
+        raise ValueError("solve_wave_t needs a time-dependent coefficient")
+    grid.check_resolution(rc.h)
+    T = CumulativeIntegral(rc, "value")
+    pos = T(times) / dx  # store times in lattice steps
+    ks = np.floor(pos).astype(int)
+    last = int(ks.max())
+    pad = last + 2  # node j at step k holds label j - k + pad of A, j + k + pad of B
+    x = grid.x_min + dx * np.arange(-pad, n + pad + 1)
+    # c at tau_(k-1/2) for k = 0..last (tau_(-1/2) read as 0) and at each store's sub-cell midpoint
+    c = rc(T.invert(dx * np.concatenate([np.maximum(np.arange(last + 1) - 0.5, 0.0), 0.5 * (ks + pos)])))
+    c_half, c_mid, c_store = c[: last + 1], c[last + 1 :], rc(times)
+    f = 0.5 * (c_half[1:] / c_half[:-1] - 1.0)
+    c0 = rc(0.0)
+    u0f, u1f = _or_zero(u0), _or_zero(u1)
+    u0v, u1v = u0f(x), u1f(x)
+    u0x = u0_deriv(x) if u0_deriv is not None else np.gradient(u0v, dx)
+    U1 = _antideriv(u1f, x, u1v, dx)
+    A = np.stack([u1v - c0 * u0x, U1 - c0 * u0v])  # V, P
+    B = np.stack([u1v + c0 * u0x, U1 + c0 * u0v])  # W, Q
+    # labels before lo (after hi) hold the far field of the left (right) end, with A == B
+    far = [((A == A[:, e]) & (B == A[:, e])).all(0) for e in (slice(0, 1), slice(-1, None))]
+    lo, hi = int(np.argmin(far[0])), len(x) - 1 - int(np.argmin(far[1][::-1]))
+    fills = {}  # step -> the store slots read off it
+    for i, k in enumerate(ks.tolist()):
+        fills.setdefault(k, []).append(i)
+    rows = np.empty((len(times), 4, n + 5))  # V, P, W, Q on the nodes -2..n+2 at each store's step
+    for k in sorted({*fills, *np.flatnonzero(f).tolist()}):
+        for i in fills.get(k, ()):
+            rows[i, :2], rows[i, 2:] = A[:, pad - k - 2 : pad - k + n + 3], B[:, pad + k - 2 : pad + k + n + 3]
+        if k < last and f[k]:
+            a0, a1 = max(lo - 2 * k, 0), min(hi + 1, len(x) - 2 * k)
+            _couple(A[:, a0:a1], B[:, a0 + 2 * k : a1 + 2 * k], f[k])
+    # a store at step k + s: the coupling up to its sub-cell midpoint, the shift by s, the rest of it
+    s = (pos - ks)[:, None]
+    _couple(rows[:, :2], rows[:, 2:], 0.5 * (c_mid / c_half[ks] - 1.0)[:, None, None])
+    u = (_cubic_shift(rows[:, 3], 0, s) - _cubic_shift(rows[:, 1], -1, 1.0 - s)) / (2.0 * c_mid[:, None])
+    fields = {"u": u}
+    bad = ~np.isfinite(u).all(1)
+    if bad.any():
+        raise NumericalFailure(f"non-finite values at t={times[bad][0]:.4f} (eps={rc.eps})")
+    if store_vw:
+        fields["v"], fields["w"] = _spectral_shift(rows[:, 0], -s), _spectral_shift(rows[:, 2], s)
+        _couple(fields["v"], fields["w"], 0.5 * (c_store / c_mid - 1.0)[:, None])
+    return SolutionRecord(eps=rc.eps, grid=grid, times=times, fields=fields, meta={"h": rc.h})
 
 
 # --- odd-dimensional radial reduction --------------------------------------
@@ -513,14 +461,8 @@ def radial_aux_data(m: Mollifier, h: float) -> Callable:
     return lambda r: -h * phi_moment(m, np.asarray(r, dtype=float) / h)
 
 
-def solve_radial_odd(
-    rcs,
-    d: int,
-    grid: Grid1D,
-    store_times=None,
-    scenario_id: str = "radial_odd",
-) -> SolutionFamily:
-    """Spherical wave in d = 2n+1 dimensions with U0 = 0, U1 = phi_h(|x|).
+def solve_radial_odd(rc: RegularizedCoeff, d: int, grid: Grid1D, times) -> SolutionRecord:
+    """Spherical wave in d = 2n+1 dimensions with U0 = 0, U1 = phi_h(|x|), of one member.
 
     Solves the auxiliary 1D wave v (even data g above) with solve_wave_t and
     reads u = (-1/r) dr v = -(W - V)/(2 c r) off its V/W pair; at r = 0 (a node
@@ -529,22 +471,16 @@ def solve_radial_odd(
     """
     if d != 3:
         raise ValueError("only d = 3 (n = 1) is implemented")
-    if not isinstance(rcs, (list, tuple)):
-        rcs = [rcs]
-    by_eps = {rc.eps: rc for rc in rcs}
-    g = PerEps(lambda rc: radial_aux_data(rc.mollifier, rc.h))
-    fam = solve_wave_t(list(rcs), None, g, grid, store_times=store_times, store_vw=True, scenario_id=scenario_id)
+    rec = solve_wave_t(rc, None, radial_aux_data(rc.mollifier, rc.h), grid, times, store_vw=True)
     xs = grid.xs
     safe = np.abs(xs) > 0.5 * grid.dx
-    for rec in fam.records:
-        ux = (rec.fields["w"] - rec.fields["v"]) / (2.0 * by_eps[rec.eps](rec.times)[:, None])
-        u = -ux / np.where(safe, xs, 1.0)
-        for i in np.flatnonzero(~safe):
-            # u is even and smooth in r: 4th-order even extrapolation to r = 0
-            u[:, i] = (4.0 * (u[:, i - 1] + u[:, i + 1]) - (u[:, i - 2] + u[:, i + 2])) / 6.0
-        rec.fields = {"u": u, "v": rec.fields["u"]}
-    fam.solver_id = "radial_odd"
-    return fam
+    ux = (rec.fields["w"] - rec.fields["v"]) / (2.0 * rc(rec.times)[:, None])
+    u = -ux / np.where(safe, xs, 1.0)
+    for i in np.flatnonzero(~safe):
+        # u is even and smooth in r: 4th-order even extrapolation to r = 0
+        u[:, i] = (4.0 * (u[:, i - 1] + u[:, i + 1]) - (u[:, i - 2] + u[:, i + 2])) / 6.0
+    rec.fields = {"u": u, "v": rec.fields["u"]}
+    return rec
 
 
 def spherical_oracle(m: Mollifier, h: float, c: float) -> Callable:

@@ -25,7 +25,7 @@ from colwave.oracle import (
     transmission_residuals,
 )
 from colwave.solvers import (
-    PerEps,
+    SolutionFamily,
     abel_forward,
     abel_invert,
     delta_profile,
@@ -77,10 +77,9 @@ def _solve_xjump(scale):
     nx = int(np.ceil(6.2 / (XJUMP_LADDER.eps_min / 16.0)))
     grid = Grid1D(-3.5, 2.7, nx, 2.2)
     rcs = [RegularizedCoeff(X_BASE, MOLL, scale, e) for e in XJUMP_LADDER]
-    return solve_wave_x(
-        rcs, None, delta_profile(-1.0), grid, store_times=XJUMP_TIMES,
-        store_dtype=np.float32,
-    )
+    return SolutionFamily("xjump", "wave_x", [
+        solve_wave_x(rc, None, delta_profile(-1.0, rc), grid, XJUMP_TIMES, store_dtype=np.float32) for rc in rcs
+    ])
 
 
 @pytest.fixture(scope="session")
@@ -99,30 +98,33 @@ TJUMP_TIMES = sorted(
 )
 
 
-def _solve_tjump(scale, u0, u1):
+def _solve_tjump(scale, data):
+    """The t-jump family with the data (u0, u1) = DATA(rc) of each member rc."""
     nx = int(np.ceil(10.0 / (TJUMP_LADDER.eps_min / 16.0)))
     nx += nx % 2
     grid = Grid1D(-5.0, 5.0, nx, 2.0)
     rcs = [RegularizedCoeff(T_BASE, MOLL, scale, e) for e in TJUMP_LADDER]
-    return solve_wave_t(rcs, u0, u1, grid, store_times=TJUMP_TIMES)
+    return SolutionFamily("tjump", "wave_t", [solve_wave_t(rc, *data(rc), grid, TJUMP_TIMES) for rc in rcs])
 
 
 @pytest.fixture(scope="session")
 def fam_tjump_singular():
     # U1 - C|0 U0' = delta: singular one-directional data
-    return _solve_tjump(STD, None, delta_profile(0.0))
+    return _solve_tjump(STD, lambda rc: (None, delta_profile(0.0, rc)))
 
 
 @pytest.fixture(scope="session")
 def fam_tjump_matched():
     # U0 = imbedded delta, U1 = C|0 U0': the combination is regular
-    u1 = PerEps(lambda rc: (lambda x, f=delta_profile_deriv(0.0)(rc): rc.base.values[0] * f(x)))
-    return _solve_tjump(STD, delta_profile(0.0), u1)
+    def data(rc):
+        f = delta_profile_deriv(0.0, rc)
+        return delta_profile(0.0, rc), lambda x: rc.base.values[0] * f(x)
+    return _solve_tjump(STD, data)
 
 
 @pytest.fixture(scope="session")
 def fam_tjump_slow():
-    return _solve_tjump(SLOW, None, delta_profile(0.0))
+    return _solve_tjump(SLOW, lambda rc: (None, delta_profile(0.0, rc)))
 
 
 @pytest.fixture(scope="session")
@@ -133,7 +135,7 @@ def fam_radial():
     grid = Grid1D(-4.0, 4.0, nx, 1.6)
     rcs = [RegularizedCoeff(T_BASE, MOLL, STD, e) for e in ladder]
     times = sorted(set(np.round(np.linspace(0.0, 1.6, 33), 10)) | {0.5, 0.8, 1.2, 1.5})
-    return solve_radial_odd(rcs, 3, grid, store_times=times)
+    return SolutionFamily("radial", "radial_odd", [solve_radial_odd(rc, 3, grid, times) for rc in rcs])
 
 
 # --- criteria ----------------------------------------------------------------
@@ -158,10 +160,9 @@ def test_criterion_01_corner_derivatives():
 def test_criterion_02_non_moderate_growth():
     grid = Grid1D(-2.0, 2.0, 800, 0.5)
     ladder = EpsilonLadder()
-    fam = solve_transport(
-        [TanhFlow(e, 1.0) for e in ladder], np.sin, grid,
-        store_times=[0.5], u0_deriv=np.cos,
-    )
+    fam = SolutionFamily("tanh2", "transport", [
+        solve_transport(TanhFlow(e, 1.0), np.sin, grid, [0.5], u0_deriv=np.cos) for e in ladder
+    ])
     vals = []
     for rec in fam:
         ux = rec.slice_at(0.5, "ux")
@@ -184,7 +185,7 @@ def test_criterion_03_moderate_family_association():
     grid = Grid1D(-2.0, 2.0, nx, 1.0)
     u0 = lambda x: phi_eval(MOLL, np.asarray(x, dtype=float) / 0.5)
     times = sorted(set(np.round(np.linspace(0.2, 0.8, 41), 10)) | {0.5})
-    fam = solve_transport([TanhFlow(e, -1.0) for e in ladder], u0, grid, store_times=times)
+    fam = SolutionFamily("tanh3", "transport", [solve_transport(TanhFlow(e, -1.0), u0, grid, times) for e in ladder])
 
     from colwave.detector import derivative_profile
 
@@ -217,11 +218,9 @@ def test_criterion_04_energy_conservation():
     drifts = {}
     for nx in (4096, 8192):
         grid = Grid1D(-6.5, 5.5, nx, 3.0)
-        fam = solve_wave_x(
-            [rc], None, lambda x: _bump(x, -1.0, 0.3), grid, conservative=True,
-            store_times=np.linspace(0.0, 3.0, 61), store_vw=True,
-        )
-        drifts[nx] = energy_trace(fam.records[0]).max_relative_drift
+        rec = solve_wave_x(rc, None, lambda x: _bump(x, -1.0, 0.3), grid, np.linspace(0.0, 3.0, 61),
+                           conservative=True, store_vw=True)
+        drifts[nx] = energy_trace(rec).max_relative_drift
     ratio = drifts[4096] / drifts[8192]
     ok = drifts[8192] <= 1e-3 and 2.0 <= ratio <= 8.0
     _report(4, ok, f"drift {drifts[8192]:.2e} at finest grid (<= 1e-3); "
@@ -361,9 +360,8 @@ def test_criterion_09_radial_d3(fam_radial):
     # constant-speed d=3 run against the closed-form spherical wave
     rc = RegularizedCoeff(PiecewiseConstantCoeff((), (1.5,), "time"), MOLL, STD, 0.05)
     g = Grid1D(-4.0, 4.0, 2560, 1.0)
-    fam_c = solve_radial_odd([rc], 3, g, store_times=[0.5, 1.0])
+    rc_rec = solve_radial_odd(rc, 3, g, [0.5, 1.0])
     orc = spherical_oracle(MOLL, rc.h, 1.5)
-    rc_rec = fam_c.records[0]
     mask = np.abs(rc_rec.xs) > 0.1
     orc_err = max(
         float(np.max(np.abs(rc_rec.slice_at(t, "u")[mask] - orc(t, np.abs(rc_rec.xs[mask])))))

@@ -214,6 +214,14 @@ REJECTED = {
     "tanh_example_3_u1": ("ex3_tanh", {"data.u1": "bump:0.0,0.3"}, "does not read data.u1"),
     "radial_odd_u1": ("thm45_d3", {"data.u1": "bump:1.0,0.3"}, "does not read data.u1"),
     "tanh_delta_data": ("ex3_tanh", {"data.u0": "delta:0.0", "analyses": None}, "not a delta"),
+    "wave_x_delta_left_of_x_min": ("thm41", {"grid.x_min": "-1.5", "data.u1": "delta:-1.8"},
+                                   "data.u1: wave_x drops data off [grid.x_min, grid.x_max]"),
+    "wave_x_bump_across_x_max": ("thm41", {"analyses": None, "data.u0": "bump:2.5,0.3"},
+                                 "data.u0: wave_x drops data off [grid.x_min, grid.x_max]"),
+    "budget_nx": ("thm41", {"grid.nx": "100000000000"}, "exceeds 2^28 stored values"),
+    "budget_span": ("thm41", {"grid.x_min": "-1e300", "grid.x_max": "1e300"}, "exceeds 2^28 stored values"),
+    "budget_t_end": ("thm41", {"grid.t_end": "1e5"}, "exceeds 2^24 lattice steps"),
+    "budget_t_end_wave_t": ("thm43a", {"grid.t_end": "1e5", "detect.times": None}, "exceeds 2^24 lattice steps"),
 }
 
 
@@ -463,7 +471,9 @@ def test_wave_t_before_the_jump_is_exact_dalembert(data, tmp_path):
     scn = tmp_path / "dalembert.scn"
     scn.write_text(_edited("thm43a", {"grid.nx": "8192", "solver.store_times": "0.5", "analyses": None, **data}))
     s, t, m = parse_scenario(scn, "0.1,0.8,4"), 0.5, Mollifier()
-    for rec in pipeline._solve_wave(pipeline.Run(**vars(s))):
+    run = pipeline.Run(**vars(s))
+    for rc in run.rcs:
+        rec = pipeline._solve_wave(run, rc)
         x = rec.xs
         if "matched" in data.values():  # u1 = u0': u = u0(x + t)
             want = phi_eval(m, (x + t) / rec.eps) / rec.eps

@@ -226,7 +226,8 @@ def test_classify_scores_radial_family_in_abs_x():
     base = PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time")
     rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
     times = [0.5, 0.8, 1.2, 1.5]
-    fam = solve_radial_odd(rcs, 3, Grid1D(-4.0, 4.0, nx, 1.6), store_times=times)
+    grid = Grid1D(-4.0, 4.0, nx, 1.6)
+    fam = SolutionFamily("radial", "radial_odd", [solve_radial_odd(rc, 3, grid, times) for rc in rcs])
     rays = predict_singsupp("radial_odd", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0)
     rep = classify(fam, rays, h_fn=ScaleFn("standard"), times=times)
     ft, fx = rep.points[rep.flags, 0], rep.points[rep.flags, 1]
@@ -387,8 +388,10 @@ def _wave_x_family():
     grid = Grid1D(-1.8, 1.5, int(np.ceil(3.3 / (ladder.eps_min / 16.0))), 1.2)
     base = PiecewiseConstantCoeff((0.0,), (1.0, 2.0), "space")
     rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
-    return solve_wave_x(rcs, None, delta_profile(-1.0), grid,
-                        store_times=[0.0, 0.4, 0.7, 1.0, 1.2], store_dtype=np.float32)
+    return SolutionFamily("xjump", "wave_x", [
+        solve_wave_x(rc, None, delta_profile(-1.0, rc), grid, [0.0, 0.4, 0.7, 1.0, 1.2], store_dtype=np.float32)
+        for rc in rcs
+    ])
 
 
 @functools.cache
@@ -397,7 +400,8 @@ def _radial_family():
     nx = int(np.ceil(4.0 / (ladder.eps_min / 16.0)))
     base = PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time")
     rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
-    return solve_radial_odd(rcs, 3, Grid1D(-2.0, 2.0, nx + nx % 2, 1.3), store_times=[0.5, 0.8, 1.2, 1.3])
+    grid = Grid1D(-2.0, 2.0, nx + nx % 2, 1.3)
+    return SolutionFamily("radial", "radial_odd", [solve_radial_odd(rc, 3, grid, [0.5, 0.8, 1.2, 1.3]) for rc in rcs])
 
 
 def _x_rays():

@@ -29,16 +29,8 @@ def _rc(variable, eps=0.1):
 @pytest.fixture(scope="module")
 def conservative_record():
     g = Grid1D(-4.0, 4.0, 2048, 2.0)
-    fam = solve_wave_x(
-        _rc("space"),
-        None,
-        lambda x: smooth_bump(x, -1.5, 0.4),
-        g,
-        conservative=True,
-        store_times=np.linspace(0.0, 2.0, 21),
-        store_vw=True,
-    )
-    return fam.records[0]
+    return solve_wave_x(_rc("space"), None, lambda x: smooth_bump(x, -1.5, 0.4), g, np.linspace(0.0, 2.0, 21),
+                        conservative=True, store_vw=True)
 
 
 def test_conservative_energy_drift_small(conservative_record):
@@ -59,9 +51,9 @@ def test_energy_matches_direct_sum(conservative_record):
 
 def test_energy_trace_requires_vw():
     g = Grid1D(-4.0, 4.0, 2048, 0.2)
-    fam = solve_wave_x(_rc("space"), None, lambda x: smooth_bump(x, -1.5, 0.4), g)
+    rec = solve_wave_x(_rc("space"), None, lambda x: smooth_bump(x, -1.5, 0.4), g, [0.0, 0.2])
     with pytest.raises(ValueError):
-        energy_trace(fam.records[0])
+        energy_trace(rec)
 
 
 def test_gronwall_bound_closed_form():
@@ -90,11 +82,8 @@ def test_gronwall_bound_sums_total_variation_of_log_c():
 def test_nonconservative_x_energy_is_the_conserved_one():
     # dtt u = c^2 dxx u conserves sum (V^2 + W^2)/(2 c^2) dx, not sum (V^2 + W^2)/2 dx
     g = Grid1D(-4.0, 4.0, 2048, 2.0)  # 51 cells per kernel width 2h
-    fam = solve_wave_x(
-        _rc("space"), None, lambda x: smooth_bump(x, -1.5, 0.4), g,
-        store_times=np.linspace(0.0, 2.0, 21), store_vw=True,
-    )
-    rec = fam.records[0]
+    rec = solve_wave_x(_rc("space"), None, lambda x: smooth_bump(x, -1.5, 0.4), g, np.linspace(0.0, 2.0, 21),
+                       store_vw=True)
     assert np.array_equal(rec.meta["rho"], 1.0 / rec.meta["a"] / rec.meta["a"])
     tr = energy_trace(rec)
     assert tr.max_relative_drift < 1e-3

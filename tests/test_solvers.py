@@ -9,6 +9,7 @@ from colwave.oracle import PiecewiseTSolution
 from colwave.pipeline import _profile
 from colwave.solvers import (
     NumericalFailure,
+    SolutionFamily,
     abel_forward,
     abel_invert,
     delta_profile,
@@ -62,7 +63,7 @@ def test_grid_basics():
 def test_delta_profile_standard_width(rc_space):
     base = PiecewiseConstantCoeff((0.0,), (1.0, 2.0), "space")
     slow = RegularizedCoeff(base, Mollifier(), ScaleFn("slow_scale", p=4.0), 0.01)
-    prof = delta_profile(0.0)(slow)
+    prof = delta_profile(0.0, slow)
     # width follows eps (the imbedding scale), not the coefficient scale
     assert prof(0.0) == pytest.approx(Mollifier().normalization / 0.01)
     assert prof(0.011) == 0.0
@@ -74,22 +75,15 @@ def test_transport_exact_constant_speed():
     base = PiecewiseConstantCoeff((), (1.5,), "space")
     rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.05)
     g = Grid1D(-3.0, 3.0, 300, 1.0)
-    fam = solve_transport(rc, lambda x: smooth_bump(x, -1.0, 0.5), g, store_times=[0.0, 1.0])
-    u1 = fam.records[0].slice_at(1.0)
+    rec = solve_transport(rc, lambda x: smooth_bump(x, -1.0, 0.5), g, [0.0, 1.0])
+    u1 = rec.slice_at(1.0)
     assert np.allclose(u1, smooth_bump(g.xs - 1.5, -1.0, 0.5), atol=1e-7)
 
 
 def test_transport_stores_analytic_derivative():
     cv = TanhFlow(0.02, 1.0)
     g = Grid1D(-2.0, 2.0, 400, 0.5)
-    fam = solve_transport(
-        cv,
-        lambda x: np.sin(x),
-        g,
-        store_times=[0.5],
-        u0_deriv=lambda x: np.cos(x),
-    )
-    rec = fam.records[0]
+    rec = solve_transport(cv, lambda x: np.sin(x), g, [0.5], u0_deriv=lambda x: np.cos(x))
     i0 = int(np.argmin(np.abs(rec.xs)))
     # dx u(t, 0) = u0'(0) e^{t/eps}: far beyond anything a grid difference sees
     assert rec.slice_at(0.5, "ux")[i0] == pytest.approx(np.exp(0.5 / 0.02), rel=1e-10)
@@ -106,8 +100,7 @@ def test_wave_x_second_order_convergence(conservative):
     errs = []
     for nx in (400, 800, 1600):
         g = Grid1D(-3.0, 3.0, nx, 1.0)
-        fam = solve_wave_x(rc, u0, None, g, conservative=conservative, store_times=[0.0, 1.0])
-        u = fam.records[0].slice_at(1.0)
+        u = solve_wave_x(rc, u0, None, g, [0.0, 1.0], conservative=conservative).slice_at(1.0)
         errs.append(float(np.max(np.abs(u - 0.5 * (u0(g.xs - 1.0) + u0(g.xs + 1.0))))))
     assert errs[0] < 2e-4
     assert all(3.0 < e0 / e1 < 5.0 for e0, e1 in zip(errs, errs[1:]))
@@ -119,15 +112,14 @@ def test_wave_x_overflow_reported(rc_space):
     # dx u0 and so V and W overflow double precision: u is not finite at t = 0
     big = lambda x: 1e308 * smooth_bump(x, 0.0, 0.3)
     with pytest.raises(NumericalFailure, match="non-finite values at t=0.0000"):
-        solve_wave_x(rc_space, big, big, g)
+        solve_wave_x(rc_space, big, big, g, [0.0])
 
 
 def test_wave_x_dalembert_constant_speed():
     base = PiecewiseConstantCoeff((), (1.0,), "space")
     rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.1)
     g = Grid1D(-3.0, 3.0, 2048, 1.0)
-    fam = solve_wave_x(rc, lambda x: smooth_bump(x, 0.0, 0.5), None, g, store_times=[0.0, 1.0])
-    u = fam.records[0].slice_at(1.0)
+    u = solve_wave_x(rc, lambda x: smooth_bump(x, 0.0, 0.5), None, g, [0.0, 1.0]).slice_at(1.0)
     ref = 0.5 * (smooth_bump(g.xs - 1.0, 0.0, 0.5) + smooth_bump(g.xs + 1.0, 0.0, 0.5))
     assert float(np.max(np.abs(u - ref))) < 2e-3
 
@@ -138,18 +130,18 @@ def test_wave_x_conservative_form_moves_at_sqrt_c():
     rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.1)
     g = Grid1D(-3.0, 3.0, 2048, 1.0)
     u0 = lambda x: smooth_bump(x, 0.0, 0.5)
-    fam = solve_wave_x(rc, u0, None, g, conservative=True, store_times=[0.0, 1.0])
-    u = fam.records[0].slice_at(1.0)
+    rec = solve_wave_x(rc, u0, None, g, [0.0, 1.0], conservative=True)
+    u = rec.slice_at(1.0)
     assert float(np.max(np.abs(u - 0.5 * (u0(g.xs - 2.0) + u0(g.xs + 2.0))))) < 1e-4
-    assert np.array_equal(fam.records[0].meta["a"], np.full(g.nx + 1, 2.0))
-    assert np.array_equal(fam.records[0].meta["rho"], np.ones(g.nx + 1))
+    assert np.array_equal(rec.meta["a"], np.full(g.nx + 1, 2.0))
+    assert np.array_equal(rec.meta["rho"], np.ones(g.nx + 1))
 
 
 def test_wave_x_fronts_stay_in_the_domain_of_dependence(rc_space):
     # delta data at -1, width eps: V and W vanish exactly beyond the fronts -1 -+ (eps + 2 t)
     g = Grid1D(-3.5, 2.7, 1984, 1.5)
     times = [0.3, 0.6, 1.5]
-    rec = solve_wave_x(rc_space, None, delta_profile(-1.0), g, store_times=times, store_vw=True).records[0]
+    rec = solve_wave_x(rc_space, None, delta_profile(-1.0, rc_space), g, times, store_vw=True)
     for i, t in enumerate(times):
         reach = rc_space.eps + 2.0 * t + g.dx
         outside = np.abs(g.xs + 1.0) > reach
@@ -161,8 +153,7 @@ def test_wave_x_fronts_stay_in_the_domain_of_dependence(rc_space):
 def test_wave_x_transmitted_plateau(rc_space):
     # delta velocity data at -1: u approaches the 2/3 plateau behind the crossing
     g = Grid1D(-3.5, 2.7, 6200, 1.8)
-    fam = solve_wave_x(rc_space, None, delta_profile(-1.0), g, store_times=[1.8])
-    u = fam.records[0].slice_at(1.8)
+    u = solve_wave_x(rc_space, None, delta_profile(-1.0, rc_space), g, [1.8]).slice_at(1.8)
     i = int(np.argmin(np.abs(g.xs - 0.3)))
     assert u[i] == pytest.approx(2.0 / 3.0, rel=2e-3)
 
@@ -183,9 +174,9 @@ def _reference_wave_x(rc, u0, u1, grid, times, conservative=False):
     x = ca.invert(xi)
     cp = rc.deriv(x, 1)
     g = -0.25 * cp / speed(x) if conservative else 0.5 * cp
-    u0f = solvers._resolve(u0, rc)
+    u0f = solvers._or_zero(u0)
     u0_xi = np.gradient(u0f(x), dxi)
-    u1v = solvers._resolve(u1, rc)(x)
+    u1v = solvers._or_zero(u1)(x)
     V = np.zeros(n + 1 + n_steps)
     W = np.zeros_like(V)
     V[n_steps:] = u1v - u0_xi
@@ -226,14 +217,14 @@ def _reference_wave_x(rc, u0, u1, grid, times, conservative=False):
     return fields, dxi, first
 
 
-# (breakpoints, values, grid, u0, u1): where the kernel window lies and where the data start
+# (breakpoints, values, grid, u0, u1 of the member rc): where the kernel window lies and where the data start
 WAVE_X_CASES = {
-    "window_inside": ((0.0,), (1.0, 2.0), Grid1D(-2.0, 2.0, 1280, 1.5), None, delta_profile(-1.0)),
+    "window_inside": ((0.0,), (1.0, 2.0), Grid1D(-2.0, 2.0, 1280, 1.5), None, lambda rc: delta_profile(-1.0, rc)),
     "data_in_window_at_t0": ((0.0,), (1.0, 2.0), Grid1D(-2.0, 2.0, 1280, 0.5),
                              lambda x: smooth_bump(x, 0.0, 0.3), None),
-    "window_at_x_max": ((0.98,), (2.0, 1.0), Grid1D(-2.0, 1.0, 960, 0.8), None, delta_profile(0.4)),
-    "window_at_x_min": ((-0.98,), (1.0, 2.0), Grid1D(-1.0, 2.0, 960, 1.2), None, delta_profile(0.2)),
-    "constant_c": ((), (2.0,), Grid1D(-2.0, 2.0, 1280, 0.5), None, delta_profile(-1.0)),
+    "window_at_x_max": ((0.98,), (2.0, 1.0), Grid1D(-2.0, 1.0, 960, 0.8), None, lambda rc: delta_profile(0.4, rc)),
+    "window_at_x_min": ((-0.98,), (1.0, 2.0), Grid1D(-1.0, 2.0, 960, 1.2), None, lambda rc: delta_profile(0.2, rc)),
+    "constant_c": ((), (2.0,), Grid1D(-2.0, 2.0, 1280, 0.5), None, lambda rc: delta_profile(-1.0, rc)),
 }
 
 
@@ -245,12 +236,13 @@ def test_wave_x_matches_the_split_coupling_reference(case, conservative):
     # rounding, and the same bytes when there is no coupling at all
     bps, values, g, u0, u1 = WAVE_X_CASES[case]
     rc = RegularizedCoeff(PiecewiseConstantCoeff(bps, values, "space"), Mollifier(), ScaleFn("standard"), 0.05)
+    u1 = u1 and u1(rc)
     _, dxi, first = _reference_wave_x(rc, u0, u1, g, [g.t_end], conservative)
     assert (first == 0) == (case == "data_in_window_at_t0")
     t_first = (first or 0) * dxi
     times = [0.0, t_first, t_first + 0.05 + 0.4 * dxi, g.t_end]  # the third off the step lattice
     ref, _, _ = _reference_wave_x(rc, u0, u1, g, times, conservative)
-    rec = solve_wave_x(rc, u0, u1, g, conservative=conservative, store_times=times, store_vw=True).records[0]
+    rec = solve_wave_x(rc, u0, u1, g, times, conservative=conservative, store_vw=True)
     for name in "uvw":
         if not bps:
             assert rec.fields[name].tobytes() == ref[name].tobytes(), name
@@ -262,8 +254,7 @@ def test_wave_t_exact_for_constant_speed():
     base = PiecewiseConstantCoeff((), (2.0,), "time")
     rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.05)
     g = Grid1D(-4.0, 4.0, 2560, 0.8)
-    fam = solve_wave_t(rc, lambda x: smooth_bump(x, 0.0, 1.0), None, g, store_times=[0.0, 0.8])
-    u = fam.records[0].slice_at(0.8)
+    u = solve_wave_t(rc, lambda x: smooth_bump(x, 0.0, 1.0), None, g, [0.0, 0.8]).slice_at(0.8)
     xs = g.xs
     ref = 0.5 * (smooth_bump(xs - 1.6, 0.0, 1.0) + smooth_bump(xs + 1.6, 0.0, 1.0))
     assert float(np.max(np.abs(u - ref))) < 1e-10
@@ -272,10 +263,10 @@ def test_wave_t_exact_for_constant_speed():
 def test_wave_t_jump_matches_reexpansion_oracle(rc_time):
     g = Grid1D(-6.0, 6.0, 4096, 1.6)
     u0 = lambda x: smooth_bump(x, 0.0, 0.5)
-    fam = solve_wave_t(rc_time, u0, None, g, store_times=[1.6])
+    rec = solve_wave_t(rc_time, u0, None, g, [1.6])
     sol = PiecewiseTSolution(1.0, 2.0, F=lambda x: 0.5 * u0(x), G=lambda x: 0.5 * u0(x))
     xs = g.xs
-    err = float(np.max(np.abs(fam.records[0].slice_at(1.6) - sol(1.6, xs))))
+    err = float(np.max(np.abs(rec.slice_at(1.6) - sol(1.6, xs))))
     # the oracle uses the sharp jump; the solver the eps = 0.05 window
     assert err < 5e-3
 
@@ -286,7 +277,7 @@ def test_wave_t_steps_every_jump_window():
     rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), 0.05)
     g = Grid1D(-6.0, 6.0, 4096, 2.0)
     half = lambda x: 0.5 * smooth_bump(x, 0.0, 0.5)
-    fam = solve_wave_t(rc, lambda x: 2.0 * half(x), None, g, store_times=[2.0])
+    rec = solve_wave_t(rc, lambda x: 2.0 * half(x), None, g, [2.0])
     first = PiecewiseTSolution(1.0, 2.0, F=half, G=half, t_jump=0.6)
     a, b = first.alpha, first.beta
     # the first re-expansion as waves in x - 2t and x + 2t, re-expanded at t = 1.2
@@ -295,7 +286,7 @@ def test_wave_t_steps_every_jump_window():
     second = PiecewiseTSolution(2.0, 1.0, F=right, G=left, t_jump=1.2)
     xs = g.xs
     assert float(np.max(np.abs(first(1.0, xs) - second(1.0, xs)))) < 1e-15
-    err = float(np.max(np.abs(fam.records[0].slice_at(2.0) - second(2.0, xs))))
+    err = float(np.max(np.abs(rec.slice_at(2.0) - second(2.0, xs))))
     assert err < 1.5e-2
 
 
@@ -311,8 +302,7 @@ def _reference_wave_t(rc, u1, grid, steps):
     T, dx, n = CumulativeIntegral(rc, "value"), grid.dx, grid.nx
     pad = max(steps) + 1
     x = grid.x_min + dx * np.arange(-pad, n + pad + 1)
-    prof = solvers._resolve(u1, rc)
-    V, P = prof(x), prof.antideriv(x)
+    V, P = u1(x), u1.antideriv(x)
     W, Q = V.copy(), P.copy()
     c = lambda tau: float(rc(T.invert(tau)))
 
@@ -337,11 +327,12 @@ def _reference_wave_t(rc, u1, grid, steps):
 def test_wave_t_matches_the_split_coupling_loop():
     # one merged coupling per step, on the pairs in reach of the data only,
     # is the Strang loop over whole arrays; steps before, inside and after the window
-    rc, g, u1 = _t_jump(), Grid1D(-3.0, 3.0, 1024, 1.6), delta_profile(0.3)
+    rc, g = _t_jump(), Grid1D(-3.0, 3.0, 1024, 1.6)
+    u1 = delta_profile(0.3, rc)
     T = CumulativeIntegral(rc, "value")
     steps = [40, int(T(0.97) / g.dx), int(T(1.02) / g.dx), int(T(1.6) / g.dx)]
     ref = _reference_wave_t(rc, u1, g, steps)
-    rec = solve_wave_t(rc, None, u1, g, store_times=T.invert(g.dx * np.array(steps))).records[0]
+    rec = solve_wave_t(rc, None, u1, g, T.invert(g.dx * np.array(steps)))
     for i, k in enumerate(steps):
         assert np.max(np.abs(rec.fields["u"][i] - ref[k])) <= 1e-12 * np.max(np.abs(ref[k])), k
 
@@ -350,7 +341,8 @@ def _jump_fields(nx, t):
     """u, v, w at t of delta velocity data through the speed jump 1 -> 2 at t = 1
     (eps = 0.1), solved on nx cells of [-4, 4], at the nodes of the 1280-cell grid."""
     g = Grid1D(-4.0, 4.0, nx, 1.6)
-    rec = solve_wave_t(_t_jump(), None, delta_profile(0.0), g, store_times=[t], store_vw=True).records[0]
+    rc = _t_jump()
+    rec = solve_wave_t(rc, None, delta_profile(0.0, rc), g, [t], store_vw=True)
     return {name: f[0, :: nx // 1280] for name, f in rec.fields.items()}
 
 
@@ -379,7 +371,7 @@ def test_wave_t_energy_is_constant_off_the_windows_between_lattice_steps():
     rc, g = _t_jump(0.05), Grid1D(-6.0, 6.0, 3840, 2.0)
     times = np.array([0.0, 0.123, 0.456, 0.789, 1.234, 1.567, 1.891])
     assert (np.mod(CumulativeIntegral(rc, "value")(times) / g.dx, 1.0)[1:] > 0.05).all()
-    rec = solve_wave_t(rc, None, delta_profile(0.2), g, store_times=times, store_vw=True).records[0]
+    rec = solve_wave_t(rc, None, delta_profile(0.2, rc), g, times, store_vw=True)
     E = energy_trace(rec).E
     before, after = times < 1.0 - rc.h, times > 1.0 + rc.h
     assert np.ptp(E[before]) <= 1e-9 * E[0]
@@ -392,9 +384,8 @@ def test_radial_matches_spherical_oracle():
     base = PiecewiseConstantCoeff((), (1.5,), "time")
     rc = RegularizedCoeff(base, m, ScaleFn("standard"), 0.05)
     g = Grid1D(-4.0, 4.0, 2560, 1.0)
-    fam = solve_radial_odd([rc], 3, g, store_times=[0.5, 1.0])
+    rec = solve_radial_odd(rc, 3, g, [0.5, 1.0])
     orc = spherical_oracle(m, rc.h, 1.5)
-    rec = fam.records[0]
     for t in (0.5, 1.0):
         u = rec.slice_at(t, "u")
         mask = np.abs(rec.xs) > 0.1
@@ -404,7 +395,7 @@ def test_radial_matches_spherical_oracle():
 def test_radial_rejects_other_dimensions(rc_time):
     g = Grid1D(-4.0, 4.0, 512, 0.5)
     with pytest.raises(ValueError):
-        solve_radial_odd([rc_time], 5, g)
+        solve_radial_odd(rc_time, 5, g, [0.0])
 
 
 def test_abel_pair_roundtrip():
@@ -417,9 +408,8 @@ def test_abel_pair_roundtrip():
 
 def test_save_load_roundtrip(tmp_path, rc_space):
     g = Grid1D(-2.0, 2.0, 1280, 0.5)
-    fam = solve_wave_x(
-        [rc_space], lambda x: smooth_bump(x, -1.0, 0.5), None, g, store_times=[0.0, 0.5], store_vw=True
-    )
+    rec = solve_wave_x(rc_space, lambda x: smooth_bump(x, -1.0, 0.5), None, g, [0.0, 0.5], store_vw=True)
+    fam = SolutionFamily("wave_x", "wave_x", [rec])
     out = save_family(fam, tmp_path / "fam")
     fam2 = load_family(out)
     assert fam2.scenario_id == fam.scenario_id
@@ -444,7 +434,7 @@ def test_family_ladder_ordering(rc_space):
         for e in [0.05, 0.1, 0.07]
     ]
     g = Grid1D(-2.0, 2.0, 1600, 0.2)
-    fam = solve_wave_x(rcs, lambda x: smooth_bump(x), None, g, store_times=[0.2])
+    fam = SolutionFamily("wave_x", "wave_x", [solve_wave_x(rc, lambda x: smooth_bump(x), None, g, [0.2]) for rc in rcs])
     assert list(fam.eps_values) == sorted(fam.eps_values, reverse=True)
 
 
@@ -457,62 +447,22 @@ def test_time_integral_vectorized_matches_scalar(rc_time):
     np.testing.assert_allclose(vec, scalar, rtol=1e-14, atol=0.0)
 
 
-def _ladder(variable, breakpoint, eps_values):
-    base = PiecewiseConstantCoeff((breakpoint,), (1.0, 2.0), variable)
-    return [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in eps_values]
-
-
-def _assert_same_records(ladder_fam, single_fams):
-    assert len(ladder_fam) == len(single_fams)
-    for rec, single in zip(ladder_fam, single_fams):
-        (one,) = single.records
-        assert rec.eps == one.eps
-        assert sorted(rec.fields) == sorted(one.fields)
-        for name in rec.fields:
-            assert rec.fields[name].tobytes() == one.fields[name].tobytes(), name
-
-
-def test_wave_x_ladder_matches_one_member_solves():
-    rcs = _ladder("space", 0.0, (0.1, 0.08, 0.064))
-    g = Grid1D(-2.0, 2.0, 1024, 0.6)
-    kw = dict(store_times=[0.0, 0.3, 0.6], store_vw=True)
-    u1 = delta_profile(-0.5)
-    fam = solve_wave_x(rcs, None, u1, g, **kw)
-    _assert_same_records(fam, [solve_wave_x(rc, None, u1, g, **kw) for rc in rcs])
-
-
-def test_wave_t_ladder_matches_one_member_solves():
-    rcs = _ladder("time", 0.3, (0.1, 0.08, 0.064))
-    g = Grid1D(-3.0, 3.0, 1536, 0.6)
-    kw = dict(store_times=[0.6, 0.0, 0.3], store_vw=True)
-    u1 = delta_profile(0.0)
-    fam = solve_wave_t(rcs, None, u1, g, **kw)
-    _assert_same_records(fam, [solve_wave_t(rc, None, u1, g, **kw) for rc in rcs])
-
-
-def test_transport_ladder_matches_one_member_solves():
-    times = [0.0, 0.4, 0.9]
-    rcs = _ladder("space", 0.0, (0.1, 0.08, 0.064))
-    g = Grid1D(-2.0, 2.0, 1024, 0.9)
-    u0, u0d = (lambda x: smooth_bump(x, -0.5, 0.5)), np.cos
-    fam = solve_transport(rcs, u0, g, store_times=times, u0_deriv=u0d)
-    _assert_same_records(fam, [solve_transport(rc, u0, g, store_times=times, u0_deriv=u0d) for rc in rcs])
-    # the foot is the flow gamma(t, x, 0) = C^-1(C(x) - t)
-    for rec, rc in zip(fam, rcs):
-        C = CumulativeIntegral(rc)
-        for i, t in enumerate(times):
-            foot = C.invert(C(g.xs) - t)
-            assert rec.fields["u"][i].tobytes() == u0(foot).tobytes()
-            assert rec.fields["ux"][i].tobytes() == (u0d(foot) * (rc(foot) / rc(g.xs))).tobytes()
-
-    cvs = [TanhFlow(e, -1.0) for e in (0.1, 0.07, 0.049)]
-    fam = solve_transport(cvs, np.sin, g, store_times=times, u0_deriv=np.cos)
-    _assert_same_records(fam, [solve_transport(cv, np.sin, g, store_times=times, u0_deriv=np.cos) for cv in cvs])
-    for rec, cv in zip(fam, cvs):
-        for i, t in enumerate(times):
-            foot = cv.foot(t, g.xs)
-            assert rec.fields["u"][i].tobytes() == np.sin(foot).tobytes()
-            assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * cv.foot_dx(t, g.xs)).tobytes()
+def test_transport_feet_are_the_flow():
+    # the foot is the flow gamma(t, x, 0): C^-1(C(x) - t) of a coefficient, closed form of a tanh flow
+    times, g = [0.0, 0.4, 0.9], Grid1D(-2.0, 2.0, 1024, 0.9)
+    rc = RegularizedCoeff(PiecewiseConstantCoeff((0.0,), (1.0, 2.0), "space"), Mollifier(), ScaleFn("standard"), 0.08)
+    u0 = lambda x: smooth_bump(x, -0.5, 0.5)
+    rec, C = solve_transport(rc, u0, g, times, u0_deriv=np.cos), CumulativeIntegral(rc)
+    for i, t in enumerate(times):
+        foot = C.invert(C(g.xs) - t)
+        assert rec.fields["u"][i].tobytes() == u0(foot).tobytes()
+        assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * (rc(foot) / rc(g.xs))).tobytes()
+    cv = TanhFlow(0.07, -1.0)
+    rec = solve_transport(cv, np.sin, g, times, u0_deriv=np.cos)
+    for i, t in enumerate(times):
+        foot = cv.foot(t, g.xs)
+        assert rec.fields["u"][i].tobytes() == np.sin(foot).tobytes()
+        assert rec.fields["ux"][i].tobytes() == (np.cos(foot) * cv.foot_dx(t, g.xs)).tobytes()
 
 
 # Data of the support-slice tests, as the command line builds them.  On the
@@ -541,23 +491,23 @@ def test_transport_computes_only_the_slice_the_data_can_reach(kind, data):
     g = Grid1D(-2.0, 2.0, 1024, 1.0)
     base = PiecewiseConstantCoeff((-0.8, 0.0, 0.9), (1.0, 2.0, 0.7, 1.4), "space")
     rc = RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), eps)
-    u0, u0d = _profile(_spec(SLICE_DATA[data]), g)
+    # a tanh flow has no coefficient to mollify delta data with: rc of the same eps does
+    u0, u0d = _profile(_spec(SLICE_DATA[data]), g, rc)
     if kind == "x_dependent":
         member, C = rc, CumulativeIntegral(rc)
         foot_at, foot_dx = (lambda t: C.invert(C(g.xs) - t)), (lambda t, foot: rc(foot) / rc(g.xs))
-    else:  # a tanh flow has no coefficient to resolve delta data with: resolve it here
+    else:
         member = TanhFlow(eps, 1.0 if kind == "tanh_minus" else -1.0)
         foot_at, foot_dx = (lambda t: member.foot(t, g.xs)), (lambda t, foot: member.foot_dx(t, g.xs))
-        u0, u0d = (solvers._resolve(f, rc) if isinstance(f, solvers.PerEps) else f for f in (u0, u0d))
-    prof = solvers._resolve(u0, rc)
+    prof = solvers._or_zero(u0)
     evaluated = []
     counted = with_support(lambda x: evaluated.append(len(x)) or prof(x), *prof.support)
-    (rec,) = solve_transport(member, counted, g, store_times=times, u0_deriv=u0d).records
+    rec = solve_transport(member, counted, g, times, u0_deriv=u0d)
     for i, t in enumerate(times):
         foot = foot_at(t)
         want = {"u": prof(foot)}
         if u0d is not None:
-            want["ux"] = solvers._resolve(u0d, rc)(foot) * foot_dx(t, foot)
+            want["ux"] = u0d(foot) * foot_dx(t, foot)
         assert sorted(rec.fields) == sorted(want)
         for name, ref in want.items():
             got = rec.fields[name][i]
@@ -578,8 +528,8 @@ def test_diverging_tanh_transport_where_sinh_overflows():
     # t/eps = 1000: the feet of x in [0.9, 0.99] lie within 3e-8 of 0, where the
     # bump:0.0,0.5 data are phi(0) = 0.9375, the limit u0(0) of the three regions
     g = Grid1D(-2.0, 2.0, 8000, 1.0)
-    u0 = _profile(_spec("bump:0.0,0.5"), g)[0]
-    (rec,) = solve_transport(TanhFlow(0.001, -1.0), u0, g, store_times=[1.0]).records
+    u0 = _profile(_spec("bump:0.0,0.5"), g, None)[0]
+    rec = solve_transport(TanhFlow(0.001, -1.0), u0, g, [1.0])
     near = (g.xs >= 0.9) & (g.xs <= 0.99)
     assert rec.fields["u"][0, near] == pytest.approx(0.9375, abs=1e-12)
 
@@ -589,7 +539,7 @@ def test_transport_slice_is_the_hull_of_both_supports():
     # computed at every node even though u0 is one narrow bump
     cv, g, times = TanhFlow(0.05, -1.0), Grid1D(-2.0, 2.0, 512, 1.0), [0.0, 0.5]
     u0 = with_support(lambda x: smooth_bump(x, -0.5, 0.1), -0.6, -0.4)
-    (rec,) = solve_transport(cv, u0, g, store_times=times, u0_deriv=np.cos).records
+    rec = solve_transport(cv, u0, g, times, u0_deriv=np.cos)
     for i, t in enumerate(times):
         foot = cv.foot(t, g.xs)
         assert rec.fields["u"][i].tobytes() == u0(foot).tobytes()
