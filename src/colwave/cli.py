@@ -144,7 +144,7 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
     unknown = sorted(kv.keys() - RUN_KEYS.keys() - {  # RUN_KEYS and the keys read here
         "id", "problem", "coefficient.variable", "coefficient.breakpoints", "coefficient.values", "mollifier.family",
         "mollifier.n", "scale.kind", "scale.p", "ladder.eps0", "ladder.ratio", "ladder.count", "grid.x_min",
-        "grid.x_max", "grid.nx", "grid.t_end", "grid.cfl", "data.u0", "data.u1", "analyses", "associate.t0",
+        "grid.x_max", "grid.nx", "grid.t_end", "data.u0", "data.u1", "analyses", "associate.t0",
         "associate.x0", "associate.radius"})
     if unknown:
         raise ValidationError(f"unknown key(s) {', '.join(map(repr, unknown))}")
@@ -180,7 +180,7 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
             x_min, x_max = _float(kv["grid.x_min"]), _float(kv["grid.x_max"])
             nx_raw = kv.get("grid.nx", "auto")
             nx = math.ceil((x_max - x_min) / (h_min / 16.0)) if nx_raw == "auto" else int(nx_raw)
-            grid = Grid1D(x_min, x_max, nx, _float(kv["grid.t_end"]), _float(kv.get("grid.cfl", 0.45)))
+            grid = Grid1D(x_min, x_max, nx, _float(kv["grid.t_end"]))
             grid.check_resolution(h_min)
         except (KeyError, ValueError, OverflowError) as exc:  # overflow: an infinite span in cells
             raise ValidationError(f"grid: {exc}") from exc
@@ -225,16 +225,17 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
         if not (stored[0] <= t_lo and t_hi <= stored[-1] and grid.x_min <= x_lo and x_hi <= grid.x_max):
             raise ValidationError("associate: the support [t0 +- radius] x [x0 +- radius] must lie between the first"
                                   " and last stored time and within [grid.x_min, grid.x_max]")
-    if prob.grid:  # the budget of a solve: its stored values, and the lattice steps of a wave member
+    if prob.grid:  # the budget of a solve: its stored values, and the lattice of a wave member
         n_times = len(opts["solver.store_times"] or range(STORE_STEPS))
         if ladder.count * n_times * (grid.nx + 1) > 2**28:
             raise ValidationError("budget: ladder.count x stored times x (grid.nx + 1) exceeds 2^28 stored values")
-        if problem in ("wave_x", "wave_t", "radial_odd"):
-            c = max(coeff.values)
-            if problem == "wave_x":  # dxi = cfl dx / max a, a = c, or sqrt(c) in the conservative form
-                c = (math.sqrt(c) if opts["solver.conservative"] else c) / grid.cfl
-            if grid.t_end * c / grid.dx > 2**24:
+        if problem in ("wave_x", "wave_t", "radial_odd"):  # speeds a (sqrt(c) in the conservative wave_x form)
+            a = [math.sqrt(c) if problem == "wave_x" and opts["solver.conservative"] else c for c in coeff.values]
+            step = grid.dt(max(a)) if problem == "wave_x" else grid.dx / max(a)  # dxi, or dtau
+            if grid.t_end / step > 2**24:
                 raise ValidationError("budget: grid.t_end x max speed / dx exceeds 2^24 lattice steps")
+            if problem == "wave_x" and (grid.x_max - grid.x_min) / (min(a) * step) > 2**24:  # xi spans <= span/min a
+                raise ValidationError("budget: grid span / (min speed x travel-time step) exceeds 2^24 lattice nodes")
     return scn
 
 

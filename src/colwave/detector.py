@@ -171,24 +171,26 @@ def classify(
     all flagged cells.  recall: predicted-ray sample points with a flagged
     cell within tube_radius / all sample points (per ray and overall).
     A radial_odd family is scored in r = |x|, where its predicted rays live;
-    the reported points keep their signed x.
+    the reported points keep their signed x.  Each time is read at its nearest
+    stored time (slice_at); the report labels and scores those, once, ascending.
     """
     rec0 = family.records[0]
     tube_radius = 4.0 * h_fn(rec0.eps)
-    if times is None:
-        times = [t for t in rec0.times if t > t_skip]
+    stored = np.asarray(rec0.times, dtype=float)
+    want = stored[stored > t_skip] if times is None else np.asarray(times, dtype=float)
+    read = stored[np.abs(stored[:, None] - want).argmin(0)]  # slice_at's pick
+    ts = np.array(sorted(set(read.tolist())), dtype=float)  # not np.unique, which imports numpy.ma
     xs = rec0.xs
     rs = np.abs(xs) if family.solver_id == "radial_odd" else xs
     # (time x cell); the raveled rows are the rows of detect.csv
-    excess = np.empty((len(times), xs.size))
+    excess = np.empty((len(ts), xs.size))
     flags = np.empty(excess.shape, dtype=bool)
-    for i, t in enumerate(times):
+    for i, t in enumerate(ts):
         s_hi, n_hi = _slope(family, t, alpha_hi, h_fn)
         s_ref, n_ref = _slope(family, t, 0, h_fn)
         valid = (n_hi >= 4) & (n_ref >= 4)
         excess[i] = np.where(valid, s_hi - s_ref, 0.0)
         flags[i] = valid & (excess[i] >= theta)
-    ts = np.asarray(times, dtype=float)
     ti, ci = np.nonzero(flags)  # the flagged cells, time-major
     fx = rs[ci]
     near = np.zeros(ti.size, dtype=bool)

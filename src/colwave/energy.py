@@ -6,7 +6,7 @@ energy is one trapezoid sum over the V/W slices the solver stores
 
   E(t) = sum (rho |dt u|^2 + K |dx u|^2) dx = sum rho (V^2 + W^2)/2 dx,
 
-with rho = Z/a from the record's meta "rho" (rho = 1 for a record without it).
+with the density rho = Z/a of the solved form given by the caller.
 
 wave_x conserves E exactly in both forms: rho = 1/c^2 for dtt u = c^2 dxx u
 (multiply by dt u/c^2 and integrate by parts), rho = 1 for dtt u = dx(c dx u).
@@ -49,13 +49,14 @@ class EnergyTrace:
         return float(np.max(np.abs(self.E - self.E[0])) / self.E[0])
 
 
-def energy_trace(rec: SolutionRecord) -> EnergyTrace:
-    """E(t) = sum rho (V^2 + W^2)/2 dx (trapezoid in x) from the stored V/W slices."""
+def energy_trace(rec: SolutionRecord, rho) -> EnergyTrace:
+    """E(t) = sum rho (V^2 + W^2)/2 dx (trapezoid in x) from the stored V/W slices;
+    rho a number or an array on the grid nodes (speed_impedance: rho = Z/a)."""
     if "v" not in rec.fields or "w" not in rec.fields:
         raise ValueError("record lacks v/w fields; re-run the solver with store_vw")
     v = np.asarray(rec.fields["v"], dtype=float)
     w = np.asarray(rec.fields["w"], dtype=float)
-    dens = 0.5 * (v**2 + w**2) * rec.meta.get("rho", 1.0)
+    dens = 0.5 * (v**2 + w**2) * rho
     E = np.trapezoid(dens, dx=rec.grid.dx, axis=1)
     return EnergyTrace(eps=rec.eps, times=np.asarray(rec.times), E=E)
 

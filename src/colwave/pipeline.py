@@ -106,12 +106,14 @@ def _detect(scn: Run, fam, outdir: Path) -> str:
 
 
 def _energy(scn: Run, fam, outdir: Path) -> str:
-    lines = []
+    lines, time = [], scn.coefficient.variable == "time"
     for rec, rc in zip(fam, scn.rcs):
-        tr = energy_trace(rec)
+        # rho = Z/a: 1 for dtt u = c(t)^2 dxx u, else of the solved form as wave_x evaluates it
+        a, z = (1.0, 1.0) if time else speed_impedance(rc(rec.xs), scn.opts["solver.conservative"])
+        tr = energy_trace(rec, z / a)
         trace_csv(tr, outdir / f"energy_eps{rec.eps:.6g}.csv")
         line = f"energy eps={rec.eps:.4g} drift={tr.max_relative_drift:.3e}"
-        if scn.coefficient.variable == "time":
+        if time:
             bound = gronwall_bound(rc, scn.grid.t_end)
             ok = bool(np.all(tr.E <= tr.E[0] * bound * (1.0 + 1e-6)))
             line += f" gronwall={'PASS' if ok else 'FAIL'} bound={bound:.4g}"
@@ -136,7 +138,7 @@ def _oracle_compare(scn: Run, fam, outdir: Path) -> str:
     rec = fam.records[-1]
     t = float(rec.times[int(0.8 * len(rec.times))])
     mask = np.ones(rec.xs.shape, dtype=bool)
-    h = rec.meta.get("h", rec.eps)
+    h = scn.scale(rec.eps)
     for _, curve, (t_min, t_max) in delta_jump_locus(scn.interface):
         if t_min <= t <= t_max:
             mask &= np.abs(rec.xs - float(curve(t))) > 4 * h

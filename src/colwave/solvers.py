@@ -31,8 +31,7 @@ builds the SolutionFamily.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .coefficients import CumulativeIntegral, RegularizedCoeff
 from .mollifier import phi_antideriv, phi_deriv, phi_eval, phi_moment
-from .spec import Grid1D, Mollifier
+from .spec import COURANT, Grid1D, Mollifier
 
 __all__ = [
     "SolutionRecord",
@@ -71,7 +70,6 @@ class SolutionRecord:
     grid: Grid1D
     times: np.ndarray
     fields: dict
-    meta: dict = field(default_factory=dict)
 
     @property
     def xs(self) -> np.ndarray:
@@ -235,15 +233,14 @@ def solve_wave_x(
     by linear interpolation in xi.
 
     Fields per record: "u" time-indexed slices (store_dtype), plus "v","w"
-    (float64, which the energy functional sums) when store_vw is set; meta "a"
-    and "rho" hold the characteristic speed and the density rho = Z/a of the
-    energy functional on grid.xs.
+    (float64, which the energy functional sums, with the density rho = Z/a of
+    speed_impedance) when store_vw is set.
     """
     times = np.asarray(times, dtype=float)
     xs = grid.xs
     grid.check_resolution(rc.h)
     ca = CumulativeIntegral(rc, "reciprocal_sqrt" if conservative else "reciprocal")
-    a, z = speed_impedance(rc(xs), conservative)
+    a = speed_impedance(rc(xs), conservative)[0]
     n_steps = int(np.ceil(grid.t_end / grid.dt(float(np.max(a))) - 1e-12))
     dxi = grid.t_end / n_steps
     Cx = ca(xs)
@@ -309,13 +306,7 @@ def solve_wave_x(
                 fields[name][fills[k]] = np.interp(Cx, xi, f)
         if start <= k < last and k in split:
             couple(k, half_g)
-    return SolutionRecord(
-        eps=rc.eps,
-        grid=grid,
-        times=times,
-        fields=fields,
-        meta={"h": rc.h, "a": a, "rho": z / a},
-    )
+    return SolutionRecord(eps=rc.eps, grid=grid, times=times, fields=fields)
 
 
 # --- wave equation, t-dependent speed (exact shift in travel time) ---------
@@ -400,7 +391,7 @@ def solve_wave_t(
     P and Q shift by the 4-point cubic, V and W (store_vw) by the unitary
     spectral shift, which keeps the energy.
 
-    Fields per record on grid.xs: "u", plus "v", "w" with store_vw; meta "h".
+    Fields per record on grid.xs: "u", plus "v", "w" with store_vw.
     """
     times = np.asarray(times, dtype=float)
     n, dx = grid.nx, grid.dx
@@ -448,7 +439,7 @@ def solve_wave_t(
     if store_vw:
         fields["v"], fields["w"] = _spectral_shift(rows[:, 0], -s), _spectral_shift(rows[:, 2], s)
         _couple(fields["v"], fields["w"], 0.5 * (c_store / c_mid - 1.0)[:, None])
-    return SolutionRecord(eps=rc.eps, grid=grid, times=times, fields=fields, meta={"h": rc.h})
+    return SolutionRecord(eps=rc.eps, grid=grid, times=times, fields=fields)
 
 
 # --- odd-dimensional radial reduction --------------------------------------
@@ -545,8 +536,7 @@ def abel_invert(v_t0: Callable, fd_step: float = 1e-4) -> Callable:
 def save_family(family: SolutionFamily, outdir) -> Path:
     """Binary dumps (little-endian float64, row-major time x space) + manifest.
 
-    Record meta goes to the manifest too: scalars as Python literals, arrays
-    as binary dumps of their own (not fields: those are all time x space).
+    The fifth field of a record's grid line is the wave_x Courant number.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -558,32 +548,21 @@ def save_family(family: SolutionFamily, outdir) -> Path:
         "layout=row_major_time_by_space",
         f"n_records={len(family.records)}",
     ]
-
-    def dump(arr, fname):
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        arr.tofile(outdir / fname)
-        return "x".join(map(str, arr.shape))
-
     for i, rec in enumerate(family.records):
         g = rec.grid
         lines += [
             f"record.{i}.eps={float(rec.eps)!r}",
             f"record.{i}.grid={float(g.x_min)!r},{float(g.x_max)!r},{g.nx},"
-            f"{float(g.t_end)!r},{float(g.cfl)!r}",
+            f"{float(g.t_end)!r},{COURANT!r}",
             f"record.{i}.times={','.join(repr(float(t)) for t in rec.times)}",
             f"record.{i}.fields={','.join(sorted(rec.fields))}",
         ]
         for name in sorted(rec.fields):
             fname = f"{family.scenario_id}_{i}_{name}.bin"
+            arr = np.ascontiguousarray(rec.fields[name], dtype="<f8")
+            arr.tofile(outdir / fname)
             lines.append(f"record.{i}.file.{name}={fname}")
-            lines.append(f"record.{i}.shape.{name}={dump(rec.fields[name], fname)}")
-        for name, val in sorted(rec.meta.items()):
-            if isinstance(val, np.ndarray):
-                fname = f"{family.scenario_id}_{i}_meta_{name}.bin"
-                lines.append(f"record.{i}.meta_file.{name}={fname}")
-                lines.append(f"record.{i}.meta_shape.{name}={dump(val, fname)}")
-            else:
-                lines.append(f"record.{i}.meta.{name}={val.item() if isinstance(val, np.generic) else val!r}")
+            lines.append(f"record.{i}.shape.{name}={'x'.join(map(str, arr.shape))}")
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
     return outdir
 
@@ -596,29 +575,15 @@ def load_family(indir) -> SolutionFamily:
             key, val = line.split("=", 1)
             kv[key] = val
 
-    def load(file_key, shape_key):
-        shape = tuple(int(s) for s in kv[shape_key].split("x"))
-        return np.fromfile(indir / kv[file_key], dtype="<f8").reshape(shape)
+    def load(i, name):
+        shape = tuple(int(s) for s in kv[f"record.{i}.shape.{name}"].split("x"))
+        return np.fromfile(indir / kv[f"record.{i}.file.{name}"], dtype="<f8").reshape(shape)
 
     records = []
     for i in range(int(kv["n_records"])):
         gx = kv[f"record.{i}.grid"].split(",")
-        grid = Grid1D(float(gx[0]), float(gx[1]), int(gx[2]), float(gx[3]), float(gx[4]))
+        grid = Grid1D(float(gx[0]), float(gx[1]), int(gx[2]), float(gx[3]))
         times = np.array([float(t) for t in kv[f"record.{i}.times"].split(",")])
-        fields = {
-            name: load(f"record.{i}.file.{name}", f"record.{i}.shape.{name}")
-            for name in kv[f"record.{i}.fields"].split(",")
-        }
-        meta, prefix = {}, f"record.{i}."
-        for key, val in kv.items():
-            kind, _, name = key[len(prefix):].partition(".")
-            if not key.startswith(prefix):
-                continue
-            if kind == "meta":
-                meta[name] = ast.literal_eval(val)
-            elif kind == "meta_file":
-                meta[name] = load(key, f"record.{i}.meta_shape.{name}")
-        records.append(
-            SolutionRecord(eps=float(kv[f"record.{i}.eps"]), grid=grid, times=times, fields=fields, meta=meta)
-        )
+        fields = {name: load(i, name) for name in kv[f"record.{i}.fields"].split(",")}
+        records.append(SolutionRecord(eps=float(kv[f"record.{i}.eps"]), grid=grid, times=times, fields=fields))
     return SolutionFamily(kv["scenario"], kv["solver"], records)

@@ -220,7 +220,7 @@ def test_criterion_04_energy_conservation():
         grid = Grid1D(-6.5, 5.5, nx, 3.0)
         rec = solve_wave_x(rc, None, lambda x: _bump(x, -1.0, 0.3), grid, np.linspace(0.0, 3.0, 61),
                            conservative=True, store_vw=True)
-        drifts[nx] = energy_trace(rec).max_relative_drift
+        drifts[nx] = energy_trace(rec, 1.0).max_relative_drift  # conservative: rho = 1
     ratio = drifts[4096] / drifts[8192]
     ok = drifts[8192] <= 1e-3 and 2.0 <= ratio <= 8.0
     _report(4, ok, f"drift {drifts[8192]:.2e} at finest grid (<= 1e-3); "

@@ -222,6 +222,9 @@ REJECTED = {
     "budget_span": ("thm41", {"grid.x_min": "-1e300", "grid.x_max": "1e300"}, "exceeds 2^28 stored values"),
     "budget_t_end": ("thm41", {"grid.t_end": "1e5"}, "exceeds 2^24 lattice steps"),
     "budget_t_end_wave_t": ("thm43a", {"grid.t_end": "1e5", "detect.times": None}, "exceeds 2^24 lattice steps"),
+    # min a = 1e-4: about 1.1e9 xi-lattice nodes, 5 GB per label array
+    "budget_xi_lattice": ("thm41", {"coefficient.values": "0.0001,2.0"}, "exceeds 2^24 lattice nodes"),
+    "grid_cfl": ("thm41", {"grid.cfl": "0.45"}, "unknown key(s) 'grid.cfl'"),
 }
 
 
@@ -352,6 +355,18 @@ def test_t_jump_verdicts_follow_a_translation(s, tmp_path):
 def test_t_jump_rays_start_at_the_point_data(tmp_path):
     out = _run(tmp_path, "thm43a", {"id": "off", "data.u1": "delta:0.37"})
     assert "detect precision=1.000 recall=1.000" in (out / "report.txt").read_text()
+
+
+def test_t_jump_detection_labels_the_stored_times_it_reads(tmp_path):
+    # thm43a's detect.times fall between stored times; each is read, labelled and scored
+    # at its nearest stored time, where every ray's excess is alpha_hi = 2
+    out = _run(tmp_path, "thm43a", {"id": "stored"})
+    kv = dict(line.split("=", 1) for line in (out / "family" / "manifest.txt").read_text().splitlines())
+    stored = {float(f"{float(t):.10g}") for t in kv["record.0.times"].split(",")}  # detect.csv prints %.10g
+    assert set(np.loadtxt(out / "detect.csv", delimiter=",", skiprows=1, usecols=0).tolist()) <= stored
+    verdict = (out / "detect_verdict.txt").read_text().splitlines()
+    excess = [float(line.rsplit("max_excess=", 1)[1]) for line in verdict if line.startswith("ray.")]
+    assert len(excess) == 4 and all(abs(e - 2.0) <= 0.05 for e in excess)
 
 
 def test_conservative_delta_problem_associates(tmp_path):

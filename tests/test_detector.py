@@ -316,6 +316,8 @@ def _reference_classify(family, predicted, h_fn, times=None, theta=0.5, alpha_hi
     tube_radius = 4.0 * h_fn(rec0.eps)
     if times is None:
         times = [t for t in rec0.times if t > t_skip]
+    # each time is read at its nearest stored time, and each stored time read once, ascending
+    times = sorted({float(rec0.times[int(np.argmin(np.abs(rec0.times - t)))]) for t in times})
     xs = rec0.xs
     fold = family.solver_id == "radial_odd"
     rs = np.abs(xs) if fold else xs
