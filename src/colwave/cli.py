@@ -236,6 +236,10 @@ def parse_scenario(path, ladder_override: str | None = None) -> Scenario:
                 raise ValidationError("budget: grid.t_end x max speed / dx exceeds 2^24 lattice steps")
             if problem == "wave_x" and (grid.x_max - grid.x_min) / (min(a) * step) > 2**24:  # xi spans <= span/min a
                 raise ValidationError("budget: grid span / (min speed x travel-time step) exceeds 2^24 lattice nodes")
+    if "energy" in analyses:  # energy_eps<eps>.csv names a member by %.6g of its eps: only a neighbour can share it
+        e = [ladder.eps0 * ladder.ratio**k for k in range(ladder.count)]  # numpy's ladder agrees to 5e-16
+        if any(f"{a * (1.0 - 1e-15):.6g}" == f"{b * (1.0 + 1e-15):.6g}" for a, b in zip(e, e[1:])):
+            raise ValidationError("energy: two ladder members share the 6-digit eps that names energy_eps<eps>.csv")
     return scn
 
 
@@ -271,6 +275,11 @@ def _check_geometry(scn: Scenario):
             if half is not None and not (scn.grid.x_min <= d.x0 - half and d.x0 + half <= scn.grid.x_max):
                 raise ValidationError(f"{key}: wave_x drops data off [grid.x_min, grid.x_max], and the support "
                                       f"[{d.x0 - half:g}, {d.x0 + half:g}] at ladder.eps0 leaves it")
+    if scn.problem == "radial_odd":  # its V/W read is periodic: the data [-h, h] and the r = 0 stencil on the grid
+        h, g = scn.scale(scn.ladder.eps0), scn.grid
+        if not (g.x_min <= -h - 2.0 * g.dx and h + 2.0 * g.dx <= g.x_max):
+            raise ValidationError(f"radial_odd needs the data support at ladder.eps0 and two nodes beyond it, "
+                                  f"[{-h - 2.0 * g.dx:g}, {h + 2.0 * g.dx:g}], inside [grid.x_min, grid.x_max]")
 
 
 def _spec(spec: str) -> DataSpec:

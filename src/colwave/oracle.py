@@ -1,14 +1,5 @@
 """Closed-form reference solutions and association checks.
 
-* ConnectedSolution: the classical transmission-problem solution for a speed
-  jump c_minus -> c_plus at x = 0, written in the characteristic variables
-  v = (dt - c dx)u, w = (dt + c dx)u.  Four regions separated by x = -c_-t,
-  x = 0, x = c_+t; the interface matching
-
-      v_+ = 2c_+/(c_+ + c_-) v_-  +  (c_- - c_+)/(c_+ + c_-) w_+
-      w_- = 2c_-/(c_+ + c_-) w_+  +  (c_+ - c_-)/(c_+ + c_-) v_-
-
-  encodes the transmission/reflection coefficients.
 * DeltaInterface / delta_solution_eval: u0 = 0, u1 = delta(x - x0) left of
   one interface b of rho u_tt = (K u_x)_x, for any speeds a and impedances Z,
   reduced to an explicit piecewise-Heaviside formula for u itself.
@@ -31,12 +22,9 @@ import numpy as np
 from .spec import TestFunction
 
 __all__ = [
-    "ConnectedSolution",
-    "connected_eval",
     "DeltaInterface",
     "delta_solution_eval",
     "delta_jump_locus",
-    "delta_plateau",
     "reflect_transmit",
     "PiecewiseTSolution",
     "AssociationVerdict",
@@ -52,67 +40,6 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 
 def _heaviside(z):
     return 0.5 * (np.sign(z) + 1.0)  # midpoint convention on the jump
-
-
-@dataclass(frozen=True)
-class ConnectedSolution:
-    c_minus: float
-    c_plus: float
-    v0: Callable
-    w0: Callable
-
-    @property
-    def transmit(self) -> float:
-        return 2.0 * self.c_plus / (self.c_plus + self.c_minus)
-
-    @property
-    def reflect(self) -> float:
-        return (self.c_plus - self.c_minus) / (self.c_plus + self.c_minus)
-
-
-def connected_eval(cs: ConnectedSolution, t, x):
-    """(v, w) of the connected solution; x = 0 returns the common limit."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t, x = np.broadcast_arrays(t, x)
-    cm, cp = cs.c_minus, cs.c_plus
-    S = cm + cp
-    v0, w0 = cs.v0, cs.w0
-
-    v = np.where(x < 0.0, v0(x - cm * t), 0.0)
-    w = np.where(x < 0.0, 0.0, w0(x + cp * t))
-    # region I vs II split for w on x<0; III vs IV split for v on x>0
-    reg2 = (x < 0.0) & (x + cm * t > 0.0)
-    reg1 = (x < 0.0) & ~reg2
-    reg3 = (x >= 0.0) & (x - cp * t < 0.0)
-    reg4 = (x >= 0.0) & ~reg3
-    w = np.where(reg1, w0(x + cm * t), w)
-    w = np.where(
-        reg2,
-        (2.0 * cm / S) * w0((cp / cm) * (x + cm * t)) + ((cp - cm) / S) * v0(-x - cm * t),
-        w,
-    )
-    v = np.where(reg4, v0(x - cp * t), v)
-    v = np.where(
-        reg3,
-        (2.0 * cp / S) * v0((cm / cp) * (x - cp * t)) + ((cm - cp) / S) * w0(cp * t - x),
-        v,
-    )
-    return v, w
-
-
-def transmission_residuals(cs: ConnectedSolution, t):
-    """Interface residuals at x=0: continuity of v+w and of (w-v)/c."""
-    cm, cp = cs.c_minus, cs.c_plus
-    S = cm + cp
-    t = np.asarray(t, dtype=float)
-    v_m = cs.v0(-cm * t)
-    w_p = cs.w0(cp * t)
-    v_p = (2.0 * cp / S) * v_m + ((cm - cp) / S) * w_p
-    w_m = (2.0 * cm / S) * w_p + ((cp - cm) / S) * v_m
-    r1 = (v_p + w_p) - (v_m + w_m)
-    r2 = (w_p - v_p) / cp - (w_m - v_m) / cm
-    return r1, r2
 
 
 # u0 = 0, u1 = delta(x - x0) left of x = b, where the speed a and the impedance Z jump
@@ -137,11 +64,6 @@ def delta_solution_eval(m: DeltaInterface, t, x):
     right = (1.0 / (2.0 * am)) * T * H(-x + ap * t - (ap * (b - x0) / am - b))
     out = np.where(x < b, left, np.where(x > b, right, 0.5 * (left + right)))
     return out if out.ndim else float(out)
-
-
-def delta_plateau(m: DeltaInterface) -> float:
-    """Common value T/(2 a-) of u in the sector above the ray crossing."""
-    return reflect_transmit(m)[1] / (2.0 * m.a_minus)
 
 
 def delta_jump_locus(m: DeltaInterface):

@@ -41,11 +41,11 @@ class Run(Scenario):
 
     def data(self, member) -> tuple:
         """(u0, u0', u1) profiles of a ladder member, None for zero data: delta data
-        mollified at the member's eps, u1=matched c(0) u0' with antiderivative c(0) u0."""
+        mollified at the member's eps, u1=matched c_eps(0) u0' with antiderivative c_eps(0) u0."""
         u0, u0d = _profile(self.u0, self.grid, member)
         if self.u1.kind != "matched":
             return u0, u0d, _profile(self.u1, self.grid, member)[0]
-        c00 = self.coefficient(0.0)  # cancels the left-moving characteristic component
+        c00 = member(0.0)  # the solve's c_eps(0): V = u1 - c_eps(0) u0', the right-moving family, starts at 0
         return u0, u0d, with_support(lambda x: c00 * u0d(x), *u0d.support, lambda x: c00 * u0(x))
 
     @cached_property

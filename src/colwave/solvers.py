@@ -457,11 +457,16 @@ def solve_radial_odd(rc: RegularizedCoeff, d: int, grid: Grid1D, times) -> Solut
 
     Solves the auxiliary 1D wave v (even data g above) with solve_wave_t and
     reads u = (-1/r) dr v = -(W - V)/(2 c r) off its V/W pair; at r = 0 (a node
-    when nx is even) u comes from even-symmetric extrapolation of the
-    neighbouring nodes.  Fields "u" and "v".  d = 3 only.
+    when nx is even) u comes from even-symmetric extrapolation of the two
+    neighbouring nodes on each side.  Fields "u" and "v".  d = 3 only.
+
+    The V/W read is periodic across the grid ends, so the data support [-h, h]
+    and two nodes beyond it must lie inside the grid (else ValueError).
     """
     if d != 3:
         raise ValueError("only d = 3 (n = 1) is implemented")
+    if not (grid.x_min <= -rc.h - 2.0 * grid.dx and rc.h + 2.0 * grid.dx <= grid.x_max):
+        raise ValueError("solve_radial_odd needs [-h - 2 dx, h + 2 dx], its data and r = 0 stencil, inside the grid")
     rec = solve_wave_t(rc, None, radial_aux_data(rc.mollifier, rc.h), grid, times, store_vw=True)
     xs = grid.xs
     safe = np.abs(xs) > 0.5 * grid.dx

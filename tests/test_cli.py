@@ -225,6 +225,8 @@ REJECTED = {
     # min a = 1e-4: about 1.1e9 xi-lattice nodes, 5 GB per label array
     "budget_xi_lattice": ("thm41", {"coefficient.values": "0.0001,2.0"}, "exceeds 2^24 lattice nodes"),
     "grid_cfl": ("thm41", {"grid.cfl": "0.45"}, "unknown key(s) 'grid.cfl'"),
+    # r = 0 at x_min: its extrapolation stencil and the periodic V/W read would wrap to x_max
+    "radial_grid_from_r0": ("thm45_d3", {"grid.x_min": "0.0"}, "radial_odd needs the data support"),
 }
 
 
@@ -262,6 +264,19 @@ def test_rejected_with_exit_2_before_any_output(case, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(scn), "--out", str(out), "--ladder-override", "0.1,0.8,4"]) == 2
     assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_energy_file_names_that_collide_exit_2_before_any_output(tmp_path, capsys):
+    # four members within 3e-8 of 0.1 would all write energy_eps0.1.csv; the ladder override
+    # of the rejection cases above would name them apart, so this case runs at its own
+    scn = tmp_path / "energy_names.scn"
+    scn.write_text(_edited("thm43a", {"analyses": "energy", "ladder.ratio": "0.9999999", "ladder.count": "4"}))
+    assert main(["validate", str(scn)]) == 2
+    assert "energy_eps<eps>.csv" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out), "--ladder-override", "0.1,0.9999999,4"]) == 2
+    assert "energy_eps<eps>.csv" in capsys.readouterr().err
     assert not out.exists()
 
 

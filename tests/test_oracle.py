@@ -3,19 +3,15 @@ import pytest
 
 from colwave.oracle import (
     AssociationVerdict,
-    ConnectedSolution,
     DeltaInterface,
     PiecewiseTSolution,
     associate_check,
-    connected_eval,
     delta_jump_locus,
-    delta_plateau,
     delta_solution_eval,
     pair_delta_oracle,
     pair_gridded,
     reflect_transmit,
     three_region_limit,
-    transmission_residuals,
     two_region_limit,
 )
 from colwave.spec import TestFunction
@@ -38,59 +34,6 @@ def smooth_bump(x, x0=0.0, w=1.0):
     return out
 
 
-@pytest.fixture
-def cs():
-    return ConnectedSolution(
-        c_minus=1.0,
-        c_plus=2.0,
-        v0=lambda x: smooth_bump(x, -2.0, 0.5),
-        w0=lambda x: smooth_bump(x, 3.0, 0.5),
-    )
-
-
-def test_interface_coefficient_identity(cs):
-    # transmit - reflect = 1 exactly (conservation of the jump relations)
-    assert cs.transmit - cs.reflect == 1.0
-    assert cs.transmit == pytest.approx(4.0 / 3.0)
-    assert cs.reflect == pytest.approx(1.0 / 3.0)
-
-
-def test_transmission_residuals_negligible(cs):
-    ts = np.linspace(0.0, 3.0, 64)
-    r1, r2 = transmission_residuals(cs, ts)
-    assert np.max(np.abs(r1)) <= 1e-12
-    assert np.max(np.abs(r2)) <= 1e-12
-
-
-def test_connected_constant_speed_is_dalembert():
-    c = 1.7
-    cs = ConnectedSolution(c, c, v0=lambda x: smooth_bump(x, -2.0), w0=lambda x: smooth_bump(x, 2.0))
-    xs = np.linspace(-4.0, 4.0, 101)
-    v, w = connected_eval(cs, 0.8, xs)
-    assert np.allclose(v, smooth_bump(xs - c * 0.8, -2.0), atol=1e-14)
-    assert np.allclose(w, smooth_bump(xs + c * 0.8, 2.0), atol=1e-14)
-
-
-def test_connected_vw_solve_transport(cs):
-    # v_t + c v_x = 0 and w_t - c w_x = 0 away from the interface
-    step = 1e-6
-    for t, x in [(1.0, -0.7), (1.3, 0.9), (0.4, -2.2)]:
-        c = cs.c_minus if x < 0 else cs.c_plus
-        vt = (connected_eval(cs, t + step, x)[0] - connected_eval(cs, t - step, x)[0]) / (2 * step)
-        vx = (connected_eval(cs, t, x + step)[0] - connected_eval(cs, t, x - step)[0]) / (2 * step)
-        wt = (connected_eval(cs, t + step, x)[1] - connected_eval(cs, t - step, x)[1]) / (2 * step)
-        wx = (connected_eval(cs, t, x + step)[1] - connected_eval(cs, t, x - step)[1]) / (2 * step)
-        assert float(vt + c * vx) == pytest.approx(0.0, abs=1e-6)
-        assert float(wt - c * wx) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_delta_plateau_value():
-    assert delta_plateau(XJ) == pytest.approx(2.0 / 3.0, rel=1e-15)
-    # the conservative form, a = Z = sqrt(c): T/(2 a-) = Z-/(Z- + Z+)
-    cons = DeltaInterface(1.0, np.sqrt(2.0), 1.0, np.sqrt(2.0), 0.0, -1.0)
-    assert delta_plateau(cons) == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)), rel=1e-15)
-
-
 def test_delta_interface_coefficients_by_impedance():
     # Z = 1/c gives the speed-form coefficients (c+ - c-)/(c+ + c-) and 2c+/(c+ + c-)
     for cm, cp in ((1.0, 2.0), (2.0, 1.0), (1.0, 1.5)):
@@ -99,6 +42,16 @@ def test_delta_interface_coefficients_by_impedance():
         assert T == pytest.approx(2.0 * cp / (cp + cm), rel=1e-15)
     # at the bundled speeds they are the same doubles
     assert reflect_transmit(XJ) == (1.0 / 3.0, 4.0 / 3.0)
+    # the transmission conditions at b on both forms: u is continuous once the incident
+    # front arrives, and so is K u_x = a Z u_x, which a front f(t -+ x/a) carries as -+Z f'
+    for m in (_xjump(1.0, 2.0), _xjump(2.0, 1.0), DeltaInterface(1.0, 2.0**0.5, 1.0, 2.0**0.5, -0.25, -1.5)):
+        R, T = reflect_transmit(m)
+        assert T - R == 1.0
+        assert abs(m.z_minus * (1.0 - R) - m.z_plus * T) <= 1e-15
+        ts = np.linspace((m.b - m.x0) / m.a_minus, 3.0, 64)[1:]
+        u_minus, u_plus = delta_solution_eval(m, ts, m.b - 1e-9), delta_solution_eval(m, ts, m.b + 1e-9)
+        assert np.array_equal(u_minus, u_plus)
+        assert u_plus == pytest.approx(np.full_like(ts, T / (2.0 * m.a_minus)), rel=1e-15)  # the plateau
 
 
 @pytest.mark.parametrize("m", [_xjump(1.0, 2.0, 0.4, -0.3), DeltaInterface(1.0, 2.0**0.5, 1.0, 2.0**0.5, -0.25, -1.5)],

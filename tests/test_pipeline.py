@@ -7,6 +7,7 @@ from colwave.characteristics import TanhFlow
 from colwave.cli import bundled_scenarios, main, parse_scenario
 from colwave.coefficients import RegularizedCoeff
 from colwave.mollifier import phi_antideriv, phi_deriv, phi_eval
+from colwave.pipeline import Run
 from colwave.solvers import (delta_profile, delta_profile_deriv, load_family, solve_transport, solve_wave_t,
                              solve_wave_x, with_support)
 from colwave.spec import Mollifier
@@ -31,12 +32,12 @@ def _thm41(scn, rc, times):
 
 def _thm43b(scn, rc, times):
     u0, u0d = delta_profile(scn.u0.x0, rc), delta_profile_deriv(scn.u0.x0, rc)
-    return solve_wave_t(rc, u0, _matched(scn.coefficient.values[0], u0, u0d), scn.grid, times, u0_deriv=u0d)
+    return solve_wave_t(rc, u0, _matched(rc(0.0), u0, u0d), scn.grid, times, u0_deriv=u0d)
 
 
 def _bump_matched(scn, rc, times):
     u0, u0d = _bump(scn.u0.x0, scn.u0.w)
-    return solve_wave_t(rc, u0, _matched(scn.coefficient.values[0], u0, u0d), scn.grid, times, u0_deriv=u0d)
+    return solve_wave_t(rc, u0, _matched(rc(0.0), u0, u0d), scn.grid, times, u0_deriv=u0d)
 
 
 def _ex3_tanh(scn, eps, times):
@@ -56,7 +57,7 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_run_family_is_the_direct_member_solves(case, tmp_path):
     # the pipeline resolves each member's data (delta data at its eps, matched
-    # as c(0) u0' with antiderivative c(0) u0) and stores the member solves unchanged
+    # as c_eps(0) u0' with antiderivative c_eps(0) u0) and stores the member solves unchanged
     name, changes, solve = CASES[case]
     path = tmp_path / f"{case}.scn"
     text = bundled_scenarios()[name].read_text()
@@ -71,3 +72,16 @@ def test_run_family_is_the_direct_member_solves(case, tmp_path):
     for rec, member in zip(fam, members):
         direct = solve(scn, member, times)
         assert rec.fields["u"].tobytes() == np.asarray(direct.fields["u"], dtype="<f8").tobytes(), rec.eps
+
+
+def test_matched_cancels_the_right_moving_family_of_each_member(tmp_path):
+    # with the jump at t = 0.05, t = 0 lies in the kernel window: at eps = 0.1,
+    # c(0) = 1 but the solve's c_eps(0) = 1.1035, and V = u1 - c_eps(0) u0' must start at 0
+    path = tmp_path / "thm43b.scn"
+    path.write_text(bundled_scenarios()["thm43b"].read_text() + "coefficient.breakpoints=0.05\n")
+    run = Run(**vars(parse_scenario(path, LADDER)))
+    xs = run.grid.xs
+    assert run.rcs[0](0.0) != run.coefficient(0.0)
+    for rc in run.rcs:
+        _, u0d, u1 = run.data(rc)
+        assert np.array_equal(u1(xs) - rc(0.0) * u0d(xs), np.zeros_like(xs)), rc.eps

@@ -396,6 +396,12 @@ def test_radial_rejects_other_dimensions(rc_time):
         solve_radial_odd(rc_time, 5, g, [0.0])
 
 
+def test_radial_rejects_r0_next_to_a_grid_end(rc_time):
+    # r = 0 at x_min: the extrapolation there would read nodes wrapped from x_max
+    with pytest.raises(ValueError, match="r = 0 stencil"):
+        solve_radial_odd(rc_time, 3, Grid1D(0.0, 4.0, 1280, 0.5), [0.0, 0.5])
+
+
 def test_abel_pair_roundtrip():
     w = lambda r: smooth_bump(r, 0.0, 1.3)
     v = lambda r: abel_forward(lambda t, s: w(s), 0.0, r)
