@@ -131,7 +131,6 @@ RUN_KEYS = {
     "detect.alpha_hi": (_one_of(1, 2, 3), 2),
     "detect.t_skip": (_float, 0.1),
     "corner.times": (_positive_times, (0.5, 1.0)),
-    "radial.d": (_one_of(3), 3),
     "solver.conservative": (_boolean, False),
 }
 
@@ -275,11 +274,11 @@ def _check_geometry(scn: Scenario):
             if half is not None and not (scn.grid.x_min <= d.x0 - half and d.x0 + half <= scn.grid.x_max):
                 raise ValidationError(f"{key}: wave_x drops data off [grid.x_min, grid.x_max], and the support "
                                       f"[{d.x0 - half:g}, {d.x0 + half:g}] at ladder.eps0 leaves it")
-    if scn.problem == "radial_odd":  # its V/W read is periodic: the data [-h, h] and the r = 0 stencil on the grid
-        h, g = scn.scale(scn.ladder.eps0), scn.grid
-        if not (g.x_min <= -h - 2.0 * g.dx and h + 2.0 * g.dx <= g.x_max):
-            raise ValidationError(f"radial_odd needs the data support at ladder.eps0 and two nodes beyond it, "
-                                  f"[{-h - 2.0 * g.dx:g}, {h + 2.0 * g.dx:g}], inside [grid.x_min, grid.x_max]")
+    if scn.problem == "radial_odd":  # u = w/r is extrapolated to r = 0 from two nodes on each side
+        g = scn.grid
+        if not (g.x_min <= -2.0 * g.dx and 2.0 * g.dx <= g.x_max):
+            raise ValidationError(f"radial_odd needs its r = 0 stencil, [{-2.0 * g.dx:g}, {2.0 * g.dx:g}], "
+                                  f"inside [grid.x_min, grid.x_max]")
 
 
 def _spec(spec: str) -> DataSpec:

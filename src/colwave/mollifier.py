@@ -13,9 +13,10 @@ integral 1 and phi' >= 0 on [-1, 0].  Two families are provided:
   cubic interpolation; its first moment is exact through the exponential
   integral E1.
 
-The first moment M(z) = int_{-1}^z y phi(y) dy (phi_moment) gives the d = 3
-radial data and the spherical oracle.  Scaled copies phi_h(x) = phi(x/h)/h
-are taken at the regularization scale h(eps) of colwave.spec.ScaleFn.
+The first moment M(z) = int_{-1}^z y phi(y) dy (phi_moment) gives the
+antiderivative h M(r/h) of the d = 3 radial data r phi_h(r) and the spherical
+oracle.  Scaled copies phi_h(x) = phi(x/h)/h are taken at the regularization
+scale h(eps) of colwave.spec.ScaleFn.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ def _solve_wave(scn: Run, rc: RegularizedCoeff):
 
 
 def _solve_radial_odd(scn: Run, rc: RegularizedCoeff):
-    return solve_radial_odd(rc, scn.opts["radial.d"], scn.grid, scn.store_times)
+    return solve_radial_odd(rc, scn.grid, scn.store_times)
 
 
 # the member solve of each problem that has one (corner_3_6 evaluates closed forms only)

@@ -19,8 +19,8 @@
   x-independent coupling is exact over each step (the ratio of c at the half
   steps), applied only inside the kernel windows of the time breakpoints; u is
   read as (Q - P)/(2c) off the antiderivatives P, Q of V, W, carried along.
-* solve_radial_odd: d = 2n+1 spherical waves via the auxiliary 1D problem and
-  u = [(-1/r) dr]^n v, read off the auxiliary V/W pair; implemented for d = 3.
+* solve_radial_odd: d = 3 spherical waves: w = r u solves the 1D wave of
+  solve_wave_t with the odd data r phi_h(r), and u = w/r.
 * abel_forward / abel_invert: the half-integral pair linking radial profiles
   across consecutive even/odd dimensions, with the endpoint singularity
   absorbed by the rho = sin(theta) substitution.
@@ -442,40 +442,30 @@ def solve_wave_t(
     return SolutionRecord(eps=rc.eps, grid=grid, times=times, fields=fields)
 
 
-# --- odd-dimensional radial reduction --------------------------------------
+# --- three-dimensional radial reduction ------------------------------------
 
-def radial_aux_data(m: Mollifier, h: float) -> Callable:
-    """d=3 auxiliary initial velocity g(r) = int_{-h}^{r} (-s) phi_h(s) ds.
+def solve_radial_odd(rc: RegularizedCoeff, grid: Grid1D, times) -> SolutionRecord:
+    """Spherical wave in d = 3 with U0 = 0, U1 = phi_h(|x|), of one member.
 
-    Even, supported in [-h, h]; g = -h * M(r/h) with M = phi_moment.
+    w = r u solves w_tt = c(t)^2 w_rr with w = 0 and the odd w_t = r phi_h(r) at
+    t = 0, whose antiderivative h M(r/h) (M = phi_moment) is exact: one
+    solve_wave_t, and u = w/r.  At r = 0 (a node when nx is even) u comes from
+    even-symmetric extrapolation of the two neighbouring nodes on each side, so
+    [-2 dx, 2 dx] must lie inside the grid (else ValueError).  Fields "u" and
+    "v" = w = r u.
     """
-    return lambda r: -h * phi_moment(m, np.asarray(r, dtype=float) / h)
-
-
-def solve_radial_odd(rc: RegularizedCoeff, d: int, grid: Grid1D, times) -> SolutionRecord:
-    """Spherical wave in d = 2n+1 dimensions with U0 = 0, U1 = phi_h(|x|), of one member.
-
-    Solves the auxiliary 1D wave v (even data g above) with solve_wave_t and
-    reads u = (-1/r) dr v = -(W - V)/(2 c r) off its V/W pair; at r = 0 (a node
-    when nx is even) u comes from even-symmetric extrapolation of the two
-    neighbouring nodes on each side.  Fields "u" and "v".  d = 3 only.
-
-    The V/W read is periodic across the grid ends, so the data support [-h, h]
-    and two nodes beyond it must lie inside the grid (else ValueError).
-    """
-    if d != 3:
-        raise ValueError("only d = 3 (n = 1) is implemented")
-    if not (grid.x_min <= -rc.h - 2.0 * grid.dx and rc.h + 2.0 * grid.dx <= grid.x_max):
-        raise ValueError("solve_radial_odd needs [-h - 2 dx, h + 2 dx], its data and r = 0 stencil, inside the grid")
-    rec = solve_wave_t(rc, None, radial_aux_data(rc.mollifier, rc.h), grid, times, store_vw=True)
-    xs = grid.xs
+    if not (grid.x_min <= -2.0 * grid.dx and 2.0 * grid.dx <= grid.x_max):
+        raise ValueError("solve_radial_odd needs [-2 dx, 2 dx], its r = 0 stencil, inside the grid")
+    m, h = rc.mollifier, rc.h
+    u1 = with_support(lambda r: r * phi_eval(m, r / h) / h, -h, h, lambda r: h * phi_moment(m, r / h))
+    rec = solve_wave_t(rc, None, u1, grid, times)
+    xs, w = grid.xs, rec.fields["u"]
     safe = np.abs(xs) > 0.5 * grid.dx
-    ux = (rec.fields["w"] - rec.fields["v"]) / (2.0 * rc(rec.times)[:, None])
-    u = -ux / np.where(safe, xs, 1.0)
+    u = w / np.where(safe, xs, 1.0)
     for i in np.flatnonzero(~safe):
         # u is even and smooth in r: 4th-order even extrapolation to r = 0
         u[:, i] = (4.0 * (u[:, i - 1] + u[:, i + 1]) - (u[:, i - 2] + u[:, i + 2])) / 6.0
-    rec.fields = {"u": u, "v": rec.fields["u"]}
+    rec.fields = {"u": u, "v": w}
     return rec
 
 

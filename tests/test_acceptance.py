@@ -135,7 +135,7 @@ def fam_radial():
     grid = Grid1D(-4.0, 4.0, nx, 1.6)
     rcs = [RegularizedCoeff(T_BASE, MOLL, STD, e) for e in ladder]
     times = sorted(set(np.round(np.linspace(0.0, 1.6, 33), 10)) | {0.5, 0.8, 1.2, 1.5})
-    return SolutionFamily("radial", "radial_odd", [solve_radial_odd(rc, 3, grid, times) for rc in rcs])
+    return SolutionFamily("radial", "radial_odd", [solve_radial_odd(rc, grid, times) for rc in rcs])
 
 
 # --- criteria ----------------------------------------------------------------
@@ -360,7 +360,7 @@ def test_criterion_09_radial_d3(fam_radial):
     # constant-speed d=3 run against the closed-form spherical wave
     rc = RegularizedCoeff(PiecewiseConstantCoeff((), (1.5,), "time"), MOLL, STD, 0.05)
     g = Grid1D(-4.0, 4.0, 2560, 1.0)
-    rc_rec = solve_radial_odd(rc, 3, g, [0.5, 1.0])
+    rc_rec = solve_radial_odd(rc, g, [0.5, 1.0])
     orc = spherical_oracle(MOLL, rc.h, 1.5)
     mask = np.abs(rc_rec.xs) > 0.1
     orc_err = max(

@@ -167,7 +167,7 @@ REJECTED = {
     "energy_time_kernels_overlap": ("thm43a", {"coefficient.breakpoints": "1.0,1.1",
                                                "coefficient.values": "1.0,2.0,1.0", "analyses": "energy"},
                                     "overlap"),
-    "radial_d_not_3": ("thm45_d3", {"radial.d": "5"}, "'radial.d'"),
+    "radial_d": ("thm45_d3", {"radial.d": "3"}, "unknown key(s) 'radial.d'"),
     "malformed_detect_times": ("thm43a", {"detect.times": "0.5,x"}, "'detect.times'"),
     "malformed_detect_theta": ("thm43a", {"detect.theta": "half"}, "'detect.theta'"),
     "detect_alpha_hi_out_of_range": ("thm43a", {"detect.alpha_hi": "5"}, "'detect.alpha_hi'"),
@@ -225,8 +225,8 @@ REJECTED = {
     # min a = 1e-4: about 1.1e9 xi-lattice nodes, 5 GB per label array
     "budget_xi_lattice": ("thm41", {"coefficient.values": "0.0001,2.0"}, "exceeds 2^24 lattice nodes"),
     "grid_cfl": ("thm41", {"grid.cfl": "0.45"}, "unknown key(s) 'grid.cfl'"),
-    # r = 0 at x_min: its extrapolation stencil and the periodic V/W read would wrap to x_max
-    "radial_grid_from_r0": ("thm45_d3", {"grid.x_min": "0.0"}, "radial_odd needs the data support"),
+    # r = 0 at x_min: its extrapolation stencil would wrap to x_max
+    "radial_grid_from_r0": ("thm45_d3", {"grid.x_min": "0.0"}, "radial_odd needs its r = 0 stencil"),
 }
 
 
@@ -365,6 +365,13 @@ def test_t_jump_verdicts_follow_a_translation(s, tmp_path):
     # grid and point data moved by s: the rays start at the moved delta
     moved = {"id": "moved", "data.u1": f"delta:{s!r}", "grid.x_min": repr(-8.0 + s), "grid.x_max": repr(8.0 + s)}
     _assert_translated(_run(tmp_path, "thm43a", {"id": "base"}), _run(tmp_path, "thm43a", moved), s)
+
+
+def test_radial_data_may_leave_the_grid(tmp_path):
+    # x_min = -0.05 holds the r = 0 stencil but cuts the data [-h, h] of the members
+    # h = 0.1, 0.08 and 0.064: the wave_t solve of r u evaluates the data past the grid ends
+    out = _run(tmp_path, "thm45_d3", {"id": "cut", "grid.x_min": "-0.05"})
+    assert "detect precision=1.000 recall=1.000" in (out / "report.txt").read_text()
 
 
 def test_t_jump_rays_start_at_the_point_data(tmp_path):

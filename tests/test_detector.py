@@ -227,7 +227,7 @@ def test_classify_scores_radial_family_in_abs_x():
     rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
     times = [0.5, 0.8, 1.2, 1.5]
     grid = Grid1D(-4.0, 4.0, nx, 1.6)
-    fam = SolutionFamily("radial", "radial_odd", [solve_radial_odd(rc, 3, grid, times) for rc in rcs])
+    fam = SolutionFamily("radial", "radial_odd", [solve_radial_odd(rc, grid, times) for rc in rcs])
     rays = predict_singsupp("radial_odd", c0=1.0, c1=2.0, standard_scale=True, t_jump=1.0)
     rep = classify(fam, rays, h_fn=ScaleFn("standard"), times=times)
     ft, fx = rep.points[rep.flags, 0], rep.points[rep.flags, 1]
@@ -403,7 +403,7 @@ def _radial_family():
     base = PiecewiseConstantCoeff((1.0,), (1.0, 2.0), "time")
     rcs = [RegularizedCoeff(base, Mollifier(), ScaleFn("standard"), e) for e in ladder]
     grid = Grid1D(-2.0, 2.0, nx + nx % 2, 1.3)
-    return SolutionFamily("radial", "radial_odd", [solve_radial_odd(rc, 3, grid, [0.5, 0.8, 1.2, 1.3]) for rc in rcs])
+    return SolutionFamily("radial", "radial_odd", [solve_radial_odd(rc, grid, [0.5, 0.8, 1.2, 1.3]) for rc in rcs])
 
 
 def _x_rays():
